@@ -80,6 +80,18 @@ def _parse_domain(text: str) -> tuple[float, float]:
     return float(lo_s), float(hi_s)
 
 
+def _bind_domain_values(argv: Sequence[str]) -> list[str]:
+    """Join ``--domain lo:hi`` into ``--domain=lo:hi``: argparse would read a
+    negative value such as ``-1:55`` as an option and reject it."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--domain" and ":" in tok:
+            out[-1] = f"--domain={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_ingest(args) -> int:
@@ -396,7 +408,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _bind_domain_values(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

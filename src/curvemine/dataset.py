@@ -108,17 +108,28 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.points)
 
+    def _column(self, attr: str) -> np.ndarray:
+        """One float column, built on first read and kept read-only, so every
+        reader shares it and none can change it."""
+        key = "_column_" + attr
+        col = self.__dict__.get(key)
+        if col is None:
+            col = np.array([getattr(p, attr) for p in self.points], dtype=float)
+            col.flags.writeable = False
+            self.__dict__[key] = col  # frozen dataclass: bypass __setattr__
+        return col
+
     @property
     def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points], dtype=float)
+        return self._column("x")
 
     @property
     def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.points], dtype=float)
+        return self._column("y")
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([p.weight for p in self.points], dtype=float)
+        return self._column("weight")
 
     def study(self, study_id: str) -> StudyMeta:
         for s in self.studies:

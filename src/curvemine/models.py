@@ -41,7 +41,18 @@ _TINY = 1e-12
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One parametric family y = f(theta, x)."""
+    """One parametric family y = f(theta, x).
+
+    Batch contract: ``eval_fn(p, x)`` and ``grad_fn(p, x)`` receive ``p``
+    either as one parameter vector of shape (n_params,) or as a batch of k
+    vectors, passed as n_params arrays of shape (k,) + (1,) * x.ndim, so
+    ``a, b = p`` works in both cases. With a batch, ``eval_fn`` returns
+    shape (k,) + x.shape and ``grad_fn`` returns (n_params, k) + x.shape, or
+    (n_params,) + x.shape when the Jacobian depends on x only. Row i of a
+    batch must equal the call with vector i alone: use numpy functions
+    rather than ``math`` ones, and no Python ``if`` on a parameter.
+    ``register_model`` checks this with a 2-vector probe.
+    """
 
     name: str
     n_params: int
@@ -77,22 +88,41 @@ class PlausibilityConfig:
             raise ValueError("empty plausibility domain")
 
 
+def _param_columns(p: np.ndarray, xv: np.ndarray) -> np.ndarray:
+    """A (k, n_params) batch as n_params arrays of shape (k,) + (1,) * x.ndim."""
+    if p.ndim == 1:
+        return p
+    return p.T.reshape(p.shape[::-1] + (1,) * xv.ndim)
+
+
 def evaluate(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray | float:
-    """Evaluate the model; poles/overflow come back as non-finite, never raise."""
+    """Evaluate the model; poles/overflow come back as non-finite, never raise.
+
+    ``params`` is one vector (n_params,) or a batch (k, n_params); a batch
+    gives shape (k,) + shape(x).
+    """
     p = np.asarray(params, dtype=float)
     xv = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        y = spec.eval_fn(p, xv)
+        y = spec.eval_fn(_param_columns(p, xv), xv)
     y = np.asarray(y, dtype=float)
-    return float(y) if np.isscalar(x) or xv.ndim == 0 else y
+    if p.ndim == 1 and (np.isscalar(x) or xv.ndim == 0):
+        return float(y)
+    return y
 
 
 def gradient(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray:
-    """Analytic partials dy/dtheta_j, shape (n_params,) + shape(x)."""
+    """Analytic partials dy/dtheta_j, shape (n_params,) + shape(x).
+
+    A batch (k, n_params) gives (k, n_params) + shape(x), or
+    (n_params,) + shape(x) for a family whose Jacobian depends on x only.
+    """
     p = np.asarray(params, dtype=float)
     xv = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        g = np.asarray(spec.grad_fn(p, xv), dtype=float)
+        g = np.asarray(spec.grad_fn(_param_columns(p, xv), xv), dtype=float)
+    if p.ndim == 2 and g.ndim == xv.ndim + 2:
+        g = g.swapaxes(0, 1)
     return g
 
 
@@ -185,11 +215,40 @@ def _log_linear_decay(xs, ys):
 _REGISTRY: dict[str, ModelSpec] = {}
 
 
-def register_model(spec: ModelSpec) -> ModelSpec:
+def _check_batch_contract(spec: ModelSpec) -> None:
+    """Evaluate and differentiate a 2-vector batch; each row must match its
+    own single-vector call (see ``ModelSpec``)."""
+    lo = np.array([b[0] for b in spec.bounds])
+    hi = np.array([b[1] for b in spec.bounds])
+    ramp = np.linspace(0.6, 1.4, spec.n_params)
+    batch = np.clip(np.stack([ramp, ramp[::-1] + 0.05]), lo, hi)
+    x = np.linspace(0.5, 3.0, 4)
+    try:
+        for fn in (evaluate, gradient):
+            got = fn(spec, batch, x)
+            rows = np.stack([fn(spec, row, x) for row in batch])
+            if got.shape == rows.shape[1:]:  # a Jacobian of x only
+                got = np.broadcast_to(got, rows.shape)
+            if not (got.shape == rows.shape and np.allclose(
+                    got, rows, rtol=1e-9, atol=0.0, equal_nan=True)):
+                raise ValueError(f"{fn.__name__} of a batch differs from "
+                                 f"its rows")
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValueError(
+            f"model {spec.name!r} breaks the batch contract: {exc}") from exc
+
+
+def _add(spec: ModelSpec) -> ModelSpec:
     if spec.name in _REGISTRY:
         raise ValueError(f"model {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
     return spec
+
+
+def register_model(spec: ModelSpec) -> ModelSpec:
+    """Add a family to the catalog after checking its batch contract."""
+    _check_batch_contract(spec)
+    return _add(spec)
 
 
 def get_model(name: str) -> ModelSpec:
@@ -205,7 +264,9 @@ def catalog() -> list[ModelSpec]:
 
 
 def _register(name, family, n, eval_fn, grad_fn, dx_fn, guess_fn, bounds=()):
-    register_model(ModelSpec(
+    # Built-ins skip the import-time batch probe, which would slow every CLI
+    # start; the test suite runs it on each of them.
+    _add(ModelSpec(
         name=name, n_params=n, family_class=family,
         eval_fn=eval_fn, grad_fn=grad_fn, dx_fn=dx_fn, guess_fn=guess_fn,
         bounds=tuple(bounds),
@@ -220,7 +281,7 @@ def _ones_like(x):
 
 def _make_poly(deg: int):
     def f(p, x):
-        return np.polynomial.polynomial.polyval(x, p)
+        return np.polynomial.polynomial.polyval(x, p, tensor=False)
 
     def g(p, x):
         return np.stack([x ** j * _ones_like(x) for j in range(deg + 1)])
@@ -264,7 +325,7 @@ def _exp_decay_off(p, x):
 def _exp_decay_off_g(p, x):
     a, b, c = p
     e = np.exp(-b * x)
-    return np.stack([e, -a * x * e, _ones_like(x)])
+    return np.stack([e, -a * x * e, _ones_like(e)])
 
 def _exp_decay_off_guess(xs, ys):
     c = float(ys.min())
@@ -380,7 +441,8 @@ def _logistic_off(p, x):
     return _logistic(p[:3], x) + p[3]
 
 def _logistic_off_g(p, x):
-    return np.concatenate([_logistic_g(p[:3], x), _ones_like(x)[None]])
+    g = _logistic_g(p[:3], x)
+    return np.concatenate([g, _ones_like(g[:1])])
 
 _register("logistic_offset", "sigmoidal", 4, _logistic_off, _logistic_off_g,
           lambda p, x: _logistic_dx(p[:3], x),
@@ -396,8 +458,7 @@ def _gompertz_g(p, x):
     a, b, c = p
     e = np.exp(-c * x)
     y = a * np.exp(-b * e)
-    return np.stack([y / a if a != 0 else np.exp(-b * e),
-                     -y * e, y * b * x * e])
+    return np.stack([np.exp(-b * e), -y * e, y * b * x * e])
 
 def _gompertz_dx(p, x):
     a, b, c = p
@@ -420,7 +481,7 @@ def _hill_g(p, x):
     kh = np.power(k, h)
     den = (kh + xh) ** 2
     gk = -a * xh * h * np.power(k, h - 1.0) / den
-    gh = a * kh * xh * (np.log(x) - math.log(k)) / den
+    gh = a * kh * xh * (np.log(x) - np.log(k)) / den
     return np.stack([xh / (kh + xh), gk, gh])
 
 def _hill_dx(p, x):
@@ -443,7 +504,7 @@ def _tanh_sig_g(p, x):
     a, b, k, x0 = p
     t = np.tanh(k * (x - x0))
     sech2 = 1.0 - t * t
-    return np.stack([_ones_like(x), t, b * (x - x0) * sech2, -b * k * sech2])
+    return np.stack([_ones_like(t), t, b * (x - x0) * sech2, -b * k * sech2])
 
 def _tanh_sig_dx(p, x):
     a, b, k, x0 = p
@@ -483,7 +544,8 @@ def _gauss_off(p, x):
     return _gauss(p[:3], x) + p[3]
 
 def _gauss_off_g(p, x):
-    return np.concatenate([_gauss_g(p[:3], x), _ones_like(x)[None]])
+    g = _gauss_g(p[:3], x)
+    return np.concatenate([g, _ones_like(g[:1])])
 
 _register("gaussian_peak_offset", "peaked", 4, _gauss_off, _gauss_off_g,
           lambda p, x: _gauss_dx(p[:3], x),
@@ -656,7 +718,7 @@ def _inv_shift(p, x):
 def _inv_shift_g(p, x):
     a, b, c = p
     den = x + c
-    return np.stack([_ones_like(x), 1.0 / den, -b / den ** 2])
+    return np.stack([_ones_like(den), 1.0 / den, -b / den ** 2])
 
 _register("inverse_shift", "rational", 3, _inv_shift, _inv_shift_g,
           lambda p, x: -p[1] / (x + p[2]) ** 2,
@@ -694,7 +756,7 @@ def _power_off(p, x):
 def _power_off_g(p, x):
     a, b, c = p
     xb = np.power(x, b)
-    return np.stack([xb, a * xb * np.log(x), _ones_like(x)])
+    return np.stack([xb, a * xb * np.log(x), _ones_like(xb)])
 
 def _power_off_guess(xs, ys):
     c = float(ys.min())

@@ -28,6 +28,11 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
+def _escape(text: str) -> str:
+    """Text content safe to place between XML tags."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -120,15 +125,15 @@ def render_svg(dataset: Dataset,
 
     parts.append(f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" '
                  f'y="{_fmt(HEIGHT - 10)}" font-family="sans-serif" '
-                 f'font-size="13" text-anchor="middle">{x_label}</text>')
+                 f'font-size="13" text-anchor="middle">{_escape(x_label)}</text>')
     parts.append(f'<text x="16" y="{_fmt(MARGIN_T + plot_h / 2)}" '
                  f'font-family="sans-serif" font-size="13" text-anchor="middle" '
                  f'transform="rotate(-90 16 {_fmt(MARGIN_T + plot_h / 2)})">'
-                 f'{y_label}</text>')
+                 f'{_escape(y_label)}</text>')
     if title:
         parts.append(f'<text x="{_fmt(WIDTH / 2)}" y="22" '
                      f'font-family="sans-serif" font-size="15" '
-                     f'text-anchor="middle">{title}</text>')
+                     f'text-anchor="middle">{_escape(title)}</text>')
 
     if band is not None:
         pts = [(band.xs[i], band.upper[i]) for i in range(len(band.xs))]

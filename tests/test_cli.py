@@ -9,6 +9,7 @@ from curvemine.cli import main
 from curvemine.dataset import ingest_csv, write_csv
 from curvemine.fit import multi_start
 from curvemine.models import get_model
+from curvemine.plotting import render_svg
 from curvemine.synth import SummaryRow, reconstruct_dataset
 from curvemine.validate import holdout_validate
 
@@ -216,7 +217,31 @@ class TestAnalyzeCmd:
         assert band_csv.read_text().startswith("x,lower,fit,upper")
 
 
+class TestDomainArgument:
+    def test_negative_domain_after_a_space(self, capsys, data_csv, tmp_path):
+        common = ["--data", str(data_csv), "--seed", "2"]
+        rank = ["rank", *common, "--catalog-filter", "peaked", "--nonnegative"]
+        code, spaced, err = run(capsys, *rank, "--domain", "-1:55")
+        assert code == 0, err
+        code, joined, _ = run(capsys, *rank, "--domain=-1:55")
+        assert spaced == joined
+        analyze = ["analyze", *common, "--model", "gaussian_peak",
+                   "--band-out", str(tmp_path / "band.csv")]
+        code, spaced, err = run(capsys, *analyze, "--domain", "-1:55")
+        assert code == 0, err
+        code, joined, _ = run(capsys, *analyze, "--domain=-1:55")
+        assert spaced == joined
+
+
 class TestPlot:
+    def test_markup_in_labels_is_escaped(self, data_csv):
+        d = ingest_csv(data_csv.read_text())
+        svg = render_svg(d, title="A & B <test>", x_label="age <y>",
+                         y_label='"count" & more')
+        root = ET.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert {"A & B <test>", "age <y>", '"count" & more'} <= set(texts)
+
     def test_scatter_only_wellformed(self, capsys, data_csv, tmp_path):
         svg_path = tmp_path / "plot.svg"
         code, _, _ = run(capsys, "plot", "--data", str(data_csv),

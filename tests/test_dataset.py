@@ -291,3 +291,18 @@ class TestInvariants:
     def test_point_study_must_be_known(self):
         with pytest.raises(ValueError):
             Dataset(points=(DataPoint(x=1, y=1, study_id="ghost"),), studies=())
+
+    def test_columns_built_once_and_read_only(self):
+        d = Dataset.from_points([
+            DataPoint(x=float(i), y=2.0 * i, study_id="s", weight=1.0 + i)
+            for i in range(5)])
+        for name, want in (("xs", [0, 1, 2, 3, 4]), ("ys", [0, 2, 4, 6, 8]),
+                           ("weights", [1, 2, 3, 4, 5])):
+            col = getattr(d, name)
+            assert getattr(d, name) is col
+            with pytest.raises(ValueError):
+                col[0] = 99.0
+            with pytest.raises(ValueError):
+                col += 1.0
+            assert getattr(d, name).tolist() == want
+        assert d == Dataset.from_points(d.points)

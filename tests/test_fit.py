@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 
+import curvemine.fit as fit_module
+from curvemine.dataset import DataPoint, Dataset
 from curvemine.fit import (
     FitOptions,
+    FitResult,
+    RankedEntry,
+    RankedFits,
+    _levenberg_marquardt,
+    _solve,
+    _start_points,
     fit_least_squares,
     multi_start,
     r_squared,
     rank_all,
 )
-from curvemine.models import PlausibilityConfig, get_model, initial_guess
+from curvemine.models import PlausibilityConfig, catalog, get_model, initial_guess
 
+import reference_lm
 from conftest import make_dataset
 
 
@@ -229,3 +238,150 @@ class TestRankAll:
         text = ranked.leaderboard()
         assert "poly1" in text
         assert "plausible" in text
+
+
+def paper_scale_dataset(seed, n=330):
+    """Peaked counts with lognormal noise, 8% of ages pre-birth, 8 studies."""
+    rng = np.random.default_rng(seed)
+    n_pre = round(0.08 * n)
+    xs = np.concatenate([rng.uniform(-0.75, 0.0, n_pre),
+                         rng.uniform(0.0, 51.0, n - n_pre)])
+    ys = 1e5 * np.exp(-((xs - 15.0) ** 2) / (2 * 8.0 ** 2))
+    ys *= np.exp(rng.normal(0.0, 0.3, n))
+    studies = rng.integers(0, 8, n)
+    return Dataset.from_points(
+        [DataPoint(x=float(x), y=float(y), study_id=f"study{s}")
+         for x, y, s in zip(xs, ys, studies)], label=f"paper{seed}")
+
+
+def demo_03_dataset():
+    """The dataset of demos/03_rank_model_catalog.py."""
+    rng = np.random.default_rng(42)
+    ages = rng.uniform(0, 55, 250)
+    truth = 300.0 * np.exp(-((ages - 16.0) ** 2) / (2 * 8.0 ** 2))
+    values = np.clip(truth * (1 + rng.normal(0, 0.08, ages.size)), 0, None)
+    return make_dataset(ages, values, study_id="demo")
+
+
+def acceptance_datasets():
+    """The datasets criteria 4 and 8 rank, with their plausibility settings."""
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(0, 60, 300)
+    clean = 100.0 * np.exp(-((xs - 14.5) ** 2) / (2 * 9.0 * 9.0))
+    c4 = make_dataset(xs, np.clip(clean * (1.0 + rng.normal(0, 0.05, 300)), 0, None))
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(0, 60, 60)
+    c8 = make_dataset(xs, np.clip(50 * np.exp(-((xs - 15) ** 2) / 60.0)
+                                  + rng.normal(0, 1, 60), 0, None))
+    cfg = PlausibilityConfig(domain=(0, 60), require_nonnegative=True)
+    return [(c4, cfg, 11), (c8, cfg, 7)]
+
+
+class TestBatchedKernel:
+    def test_batch_member_equals_single_start_fit(self):
+        d = paper_scale_dataset(3)
+        options = FitOptions()
+        for spec in catalog():
+            starts = _start_points(spec, d, 5, seed=4)
+            params, rss, converged, iterations, ok = _levenberg_marquardt(
+                spec, d, starts, options)
+            for i, start in enumerate(starts):
+                if not ok[i]:
+                    with pytest.raises(ValueError, match="non-finite"):
+                        fit_least_squares(spec, d, start, options)
+                    continue
+                alone = fit_least_squares(spec, d, start, options)
+                assert alone.params == tuple(params[i]), spec.name
+                assert (alone.rss, alone.converged, alone.iterations) == \
+                    (rss[i], converged[i], iterations[i]), spec.name
+            if ok.any():
+                best = multi_start(spec, d, n_starts=5, seed=4)
+                assert best.params in {tuple(params[i]) for i in np.flatnonzero(ok)}
+
+    def test_degenerate_start_leaves_other_starts_unchanged(self):
+        # amplitude 0 zeroes two Jacobian columns (singular J^T J); a NaN
+        # start never evaluates; neither may disturb their neighbours
+        d = paper_scale_dataset(5)
+        spec = get_model("gaussian_peak")
+        good = _start_points(spec, d, 3, seed=1)
+        batch = np.vstack([good[:1], [[0.0, 20.0, 5.0]], good[1:2],
+                           [[np.nan, 1.0, 1.0]], good[2:]])
+        params, rss, converged, iterations, ok = _levenberg_marquardt(
+            spec, d, batch, FitOptions())
+        assert ok.tolist() == [True, True, True, False, True]
+        for i, start in zip((0, 2, 4), good):
+            alone = fit_least_squares(spec, d, start)
+            assert alone.params == tuple(params[i])
+            assert (alone.rss, alone.iterations) == (rss[i], iterations[i])
+
+    def test_solve_falls_back_per_slice_on_a_singular_matrix(self):
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((4, 3, 3))
+        a = a @ a.transpose(0, 2, 1) + 3 * np.eye(3)
+        a[1] = 0.0
+        b = rng.standard_normal((4, 3))
+        x = _solve(a, b)
+        assert np.isnan(x[1]).all()
+        for i in (0, 2, 3):
+            assert np.array_equal(x[i], _solve(a[i:i + 1], b[i:i + 1])[0])
+            assert np.allclose(a[i] @ x[i], b[i])
+
+    def test_start_failures_and_iteration_cap(self):
+        d = paper_scale_dataset(6)
+        spec = get_model("double_exp_decay")
+        starts = _start_points(spec, d, 5, seed=2)
+        capped = FitOptions(max_iterations=3)
+        params, rss, converged, iterations, ok = _levenberg_marquardt(
+            spec, d, starts, capped)
+        for i in np.flatnonzero(ok):
+            alone = fit_least_squares(spec, d, starts[i], capped)
+            assert alone.iterations == iterations[i] <= 3
+            assert alone.params == tuple(params[i])
+        none = FitOptions(max_iterations=0)
+        r = fit_least_squares(spec, d, starts[0], none)
+        assert (r.iterations, r.converged) == (0, False)
+
+
+class TestAgainstPerStartReference:
+    """The batched kernel against the pre-batch per-start loop."""
+
+    @pytest.mark.parametrize("case", ["criterion4", "criterion8", "demo03",
+                                      "paper330"])
+    def test_rank_matches_reference(self, case, monkeypatch):
+        datasets = dict(zip(("criterion4", "criterion8"), acceptance_datasets()))
+        datasets["demo03"] = (demo_03_dataset(), PlausibilityConfig(
+            domain=(0.0, 55.0), require_nonnegative=True), 42)
+        datasets["paper330"] = (paper_scale_dataset(8), PlausibilityConfig(
+            domain=(-1.0, 55.0), require_nonnegative=True), 9)
+        d, cfg, seed = datasets[case]
+        got = rank_all(catalog(), d, cfg, n_starts=5, seed=seed)
+        monkeypatch.setattr(fit_module, "multi_start", reference_lm.multi_start)
+        want = rank_all(catalog(), d, cfg, n_starts=5, seed=seed)
+
+        assert got.gold_standard.spec_name == want.gold_standard.spec_name
+        assert [e.result.spec_name for e in got.entries] == \
+            [e.result.spec_name for e in want.entries]
+        for g, w in zip(got.entries, want.entries):
+            assert g.result.converged == w.result.converged, g.result.spec_name
+            assert g.reason == w.reason
+            for attr in ("r2", "rss"):
+                a, b = getattr(g.result, attr), getattr(w.result, attr)
+                if np.isfinite(b):
+                    assert a == pytest.approx(b, rel=1e-9, abs=0), g.result.spec_name
+                else:
+                    assert not np.isfinite(a)
+
+
+class TestLeaderboardStatus:
+    def _board(self, converged, r2):
+        result = FitResult(spec_name="m", params=(1.0,), rss=1.0, r2=r2,
+                           converged=converged, iterations=3, residuals=())
+        return RankedFits(entries=(RankedEntry(result, True, "ok"),))
+
+    def test_status_matches_sort_key(self):
+        assert self._board(True, 0.9).leaderboard().endswith("plausible")
+        assert self._board(False, 0.9).leaderboard().endswith(
+            "excluded: not converged")
+        assert self._board(True, float("nan")).leaderboard().endswith(
+            "excluded: r2 not finite")
+        assert self._board(False, 0.9).gold_standard is None

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import curvemine.models as models_module
 from curvemine.models import (
     ModelSpec,
     PlausibilityConfig,
@@ -92,6 +95,72 @@ class TestEvaluate:
         xs = np.linspace(0, 10, 5)
         ys = evaluate(get_model("poly1"), [1.0, 2.0], xs)
         assert np.allclose(ys, 1.0 + 2.0 * xs)
+
+
+class TestBatch:
+    def test_batch_equals_rows_for_every_family(self):
+        rng = np.random.default_rng(8)
+        xs = np.concatenate([rng.uniform(-0.75, 0.0, 6), rng.uniform(0.0, 51.0, 40)])
+        for spec in catalog():
+            models_module._check_batch_contract(spec)
+            lo = np.array([b[0] for b in spec.bounds])
+            hi = np.array([b[1] for b in spec.bounds])
+            batch = np.clip(rng.uniform(-2.0, 3.0, (4, spec.n_params)), lo, hi)
+            y = evaluate(spec, batch, xs)
+            assert y.shape == (4, xs.size), spec.name
+            rows = np.stack([evaluate(spec, p, xs) for p in batch])
+            assert np.allclose(y, rows, rtol=1e-12, atol=0, equal_nan=True), spec.name
+            g = gradient(spec, batch, xs)
+            rows = np.stack([gradient(spec, p, xs) for p in batch])
+            assert g.shape in {rows.shape, rows.shape[1:]}, spec.name
+            assert np.allclose(np.broadcast_to(g, rows.shape), rows,
+                               rtol=1e-12, atol=0, equal_nan=True), spec.name
+
+    def test_batch_at_scalar_x(self):
+        spec = get_model("logistic")
+        batch = np.array([[8.0, 1.5, 20.0], [4.0, 1.0, 10.0]])
+        assert evaluate(spec, batch, 20.0).shape == (2,)
+        assert evaluate(spec, batch, 20.0)[0] == pytest.approx(4.0)
+
+
+def _custom(name, eval_fn, grad_fn):
+    return ModelSpec(
+        name=name, n_params=2, family_class="power", eval_fn=eval_fn,
+        grad_fn=grad_fn, dx_fn=lambda p, x: np.zeros_like(x),
+        guess_fn=lambda xs, ys: np.array([1.0, 1.0]))
+
+
+class TestRegisterBatchContract:
+    @pytest.fixture(autouse=True)
+    def private_registry(self, monkeypatch):
+        monkeypatch.setattr(models_module, "_REGISTRY",
+                            dict(models_module._REGISTRY))
+
+    def test_batch_safe_family_registers(self):
+        spec = _custom("scaled_log", lambda p, x: p[0] * np.log1p(p[1] * x),
+                       lambda p, x: np.stack([np.log1p(p[1] * x),
+                                              p[0] * x / (1 + p[1] * x)]))
+        assert register_model(spec) is spec
+        assert get_model("scaled_log") is spec
+
+    @pytest.mark.parametrize("name, eval_fn", [
+        ("uses_math", lambda p, x: p[0] * x + math.log(p[1])),
+        ("branches", lambda p, x: p[0] * x if p[1] != 0 else x),
+        ("first_row_only", lambda p, x: np.asarray(p[0]).flat[0] * x + p[1]),
+    ])
+    def test_unbatchable_family_rejected_by_name(self, name, eval_fn):
+        spec = _custom(name, eval_fn,
+                       lambda p, x: np.stack([x * np.ones_like(x),
+                                              np.ones_like(x)]))
+        with pytest.raises(ValueError, match=name):
+            register_model(spec)
+        assert name not in {s.name for s in catalog()}
+
+    def test_gradient_checked_too(self):
+        spec = _custom("bad_grad", lambda p, x: p[0] * x + p[1],
+                       lambda p, x: np.stack([x, np.ones_like(x) * float(np.ravel(p[1])[0])]))
+        with pytest.raises(ValueError, match="bad_grad"):
+            register_model(spec)
 
 
 class TestGradient:
