@@ -37,10 +37,12 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def derivative(spec: ModelSpec, params: Sequence[float], x: float,
                method: str = "analytic") -> float:
-    """dy/dx at x: analytic where the family provides it, else central difference."""
+    """dy/dx at x: "analytic" is the complex-step derivative of
+    ``models.x_derivative``, exact to rounding; "central" is a central
+    difference."""
     if method not in ("analytic", "central"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "analytic" and spec.dx_fn is not None:
+    if method == "analytic":
         val = float(x_derivative(spec, params, x))
     else:
         h = 1e-6 * max(1.0, abs(x))

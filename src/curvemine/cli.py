@@ -377,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  argv: Sequence[str]):
-    """Config file supplies defaults; explicit flags win."""
-    cfg_path = getattr(args, "config", None)
-    if not cfg_path:
-        return
-    explicit = {a.split("=", 1)[0].lstrip("-").replace("-", "_")
-                for a in argv if a.startswith("--")}
-    for lineno, raw in enumerate(cfg_path.read_text().splitlines(), start=1):
+                  argv: Sequence[str]) -> argparse.Namespace:
+    """Config file supplies defaults; explicit flags win. Each ``key = value``
+    line is parsed as ``--key=value`` ahead of the explicit flags, so it gets
+    the option's own type; a store_true option is set by 1, true or yes."""
+    if not getattr(args, "config", None):
+        return args
+    flags = []
+    for lineno, raw in enumerate(args.config.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -392,19 +392,15 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
             raise ValueError(f"config line {lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
         attr = key.replace("-", "_")
-        if not hasattr(args, attr) or attr in explicit:
+        if not hasattr(args, attr):
             continue
-        current = getattr(args, attr)
-        if isinstance(current, bool):
-            setattr(args, attr, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, attr, int(value))
-        elif isinstance(current, float):
-            setattr(args, attr, float(value))
-        elif isinstance(current, Path):
-            setattr(args, attr, Path(value))
-        else:
-            setattr(args, attr, value)
+        flag = "--" + attr.replace("_", "-")
+        if not isinstance(getattr(args, attr), bool):
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+    at = argv.index(args.subcommand) + 1
+    return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -412,7 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args, argv)
+        args = _apply_config(parser, args, argv)
         return args.func(args)
     except (IngestError, UnknownUnitError, ValueError, OSError,
             KeyError, np.linalg.LinAlgError) as exc:

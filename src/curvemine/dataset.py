@@ -149,22 +149,15 @@ class Dataset:
         return Dataset(points=pts, studies=metas, label=label)
 
 
-def _synthesize_studies(points: Sequence[DataPoint],
-                        authors: Optional[Mapping[str, tuple[str, int]]] = None
-                        ) -> list[StudyMeta]:
+def _synthesize_studies(points: Sequence[DataPoint]) -> list[StudyMeta]:
     by_study: dict[str, list[float]] = {}
     for p in points:
         by_study.setdefault(p.study_id, []).append(p.x)
     metas = []
     for sid in sorted(by_study):
         ages = sorted(by_study[sid])
-        author, year = ("", 0)
-        if authors and sid in authors:
-            author, year = authors[sid]
         metas.append(StudyMeta(
             study_id=sid,
-            first_author=author,
-            year=year,
             n_observations=len(ages),
             min_age=ages[0],
             max_age=ages[-1],

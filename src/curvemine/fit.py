@@ -55,7 +55,6 @@ class FitResult:
     r2: float
     converged: bool
     iterations: int
-    residuals: tuple[float, ...]
 
     def as_dict(self) -> dict:
         return {
@@ -216,7 +215,6 @@ def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
         r2 = r_squared(spec, params, d)
     except ValueError:
         r2 = float("nan")
-    raw_residuals = d.ys - np.asarray(evaluate(spec, params, d.xs), dtype=float)
     return FitResult(
         spec_name=spec.name,
         params=tuple(float(v) for v in params),
@@ -224,7 +222,6 @@ def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
         r2=r2,
         converged=bool(converged),
         iterations=int(iterations),
-        residuals=tuple(float(v) for v in raw_residuals),
     )
 
 
@@ -365,7 +362,6 @@ def rank_all(specs: Sequence[ModelSpec], d: Dataset,
                 params=tuple(np.zeros(spec.n_params)),
                 rss=float("inf"), r2=float("nan"),
                 converged=False, iterations=0,
-                residuals=(),
             )
             entries.append(RankedEntry(result, False, f"fit failed: {exc}"))
             continue

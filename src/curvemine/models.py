@@ -1,8 +1,10 @@
 """Parametric model catalog: evaluation, analytic gradients, guesses, plausibility.
 
-Each ModelSpec bundles a family's forward evaluation, analytic parameter
-gradient (for the fitter), analytic x-derivative (for downstream analysis),
-parameter bounds, and an initial-guess heuristic driven by data descriptives.
+Each ModelSpec bundles four pieces: a family's forward evaluation, its
+analytic parameter gradient (for the fitter), parameter bounds, and an
+initial-guess heuristic driven by data descriptives. The x-derivative used
+in downstream analysis is not written per family: ``x_derivative`` takes a
+complex step through the evaluation, so ``eval_fn`` must accept complex x.
 The built-in catalog covers six family classes and is user-extensible via
 ``register_model``.
 """
@@ -10,7 +12,7 @@ The built-in catalog covers six family classes and is user-extensible via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,6 +39,7 @@ GradFn = Callable[[Array, Array], Array]
 GuessFn = Callable[[Array, Array], Array]
 
 _TINY = 1e-12
+_COMPLEX_STEP = 1e-20
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,12 @@ class ModelSpec:
     (n_params,) + x.shape when the Jacobian depends on x only. Row i of a
     batch must equal the call with vector i alone: use numpy functions
     rather than ``math`` ones, and no Python ``if`` on a parameter.
-    ``register_model`` checks this with a 2-vector probe.
+
+    ``eval_fn`` must also accept complex x and stay analytic in it, since
+    dy/dx is Im f(x + ih) / h (see ``x_derivative``): numpy functions only,
+    no ``math``, no comparisons on x and no casts of x to float.
+
+    ``register_model`` checks both contracts with a 2-vector probe.
     """
 
     name: str
@@ -59,7 +67,6 @@ class ModelSpec:
     family_class: str  # polynomial | exponential | sigmoidal | peaked | rational | power
     eval_fn: EvalFn
     grad_fn: GradFn          # returns array of shape (n_params,) + x.shape
-    dx_fn: GradFn            # analytic dy/dx
     guess_fn: GuessFn        # (xs, ys) -> params
     bounds: tuple[tuple[float, float], ...] = ()
 
@@ -127,11 +134,26 @@ def gradient(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray:
 
 
 def x_derivative(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray | float:
-    """Analytic dy/dx."""
+    """dy/dx by complex step, Im f(x + ih) / h with h = 1e-20.
+
+    Exact to rounding wherever f is analytic in x (Squire & Trapp 1998,
+    SIAM Rev. 40:110). NaN where f(x) is non-finite. f is evaluated at
+    steps h and 2h; where the two quotients differ, x is a branch point
+    such as 0 for x**b, and the result is the one-sided limit: 0 where the
+    quotient shrinks with h, infinite where it grows. Quotients whose
+    imaginary parts underflow (below ~1e-290) are taken as they are.
+    """
     p = np.asarray(params, dtype=float)
     xv = np.asarray(x, dtype=float)
+    z = xv + 1j * _COMPLEX_STEP * np.array([1.0, 2.0]).reshape(
+        (2,) + (1,) * xv.ndim)
     with np.errstate(all="ignore"):
-        d = np.asarray(spec.dx_fn(p, xv), dtype=float)
+        im = np.broadcast_to(spec.eval_fn(p, z), z.shape).imag
+        d, d2 = im[0] / _COMPLEX_STEP, im[1] / (2.0 * _COMPLEX_STEP)
+        branch = ((np.abs(d2 - d) > 1e-9 * np.abs(d))
+                  & (np.abs(im).max(axis=0) > 1e-290))
+        d = np.where(branch, np.where(np.abs(d) > np.abs(d2), d * np.inf, 0.0), d)
+    d = np.where(np.isfinite(evaluate(spec, p, xv)), d, np.nan)
     return float(d) if np.isscalar(x) or xv.ndim == 0 else d
 
 
@@ -217,7 +239,8 @@ _REGISTRY: dict[str, ModelSpec] = {}
 
 def _check_batch_contract(spec: ModelSpec) -> None:
     """Evaluate and differentiate a 2-vector batch; each row must match its
-    own single-vector call (see ``ModelSpec``)."""
+    own single-vector call, and the complex-step dy/dx of the first row must
+    match a central difference (see ``ModelSpec``)."""
     lo = np.array([b[0] for b in spec.bounds])
     hi = np.array([b[1] for b in spec.bounds])
     ramp = np.linspace(0.6, 1.4, spec.n_params)
@@ -233,9 +256,16 @@ def _check_batch_contract(spec: ModelSpec) -> None:
                     got, rows, rtol=1e-9, atol=0.0, equal_nan=True)):
                 raise ValueError(f"{fn.__name__} of a batch differs from "
                                  f"its rows")
+        h = 1e-6 * x
+        central = (evaluate(spec, batch[0], x + h)
+                   - evaluate(spec, batch[0], x - h)) / (2.0 * h)
+        if not np.allclose(x_derivative(spec, batch[0], x), central,
+                           rtol=1e-6, atol=1e-9 * np.abs(central).max()):
+            raise ValueError("complex-step dy/dx differs from a central "
+                             "difference: eval_fn must take complex x")
     except (TypeError, ValueError, IndexError) as exc:
         raise ValueError(
-            f"model {spec.name!r} breaks the batch contract: {exc}") from exc
+            f"model {spec.name!r} breaks the ModelSpec contract: {exc}") from exc
 
 
 def _add(spec: ModelSpec) -> ModelSpec:
@@ -246,7 +276,8 @@ def _add(spec: ModelSpec) -> ModelSpec:
 
 
 def register_model(spec: ModelSpec) -> ModelSpec:
-    """Add a family to the catalog after checking its batch contract."""
+    """Add a family to the catalog after checking its batch and complex-x
+    contracts (see ``ModelSpec``)."""
     _check_batch_contract(spec)
     return _add(spec)
 
@@ -263,14 +294,36 @@ def catalog() -> list[ModelSpec]:
     return list(_REGISTRY.values())
 
 
-def _register(name, family, n, eval_fn, grad_fn, dx_fn, guess_fn, bounds=()):
+def _register(name, family, n, eval_fn, grad_fn, guess_fn, bounds=()):
     # Built-ins skip the import-time batch probe, which would slow every CLI
     # start; the test suite runs it on each of them.
     _add(ModelSpec(
         name=name, n_params=n, family_class=family,
-        eval_fn=eval_fn, grad_fn=grad_fn, dx_fn=dx_fn, guess_fn=guess_fn,
+        eval_fn=eval_fn, grad_fn=grad_fn, guess_fn=guess_fn,
         bounds=tuple(bounds),
     ))
+
+
+def _with_offset(base: ModelSpec, name: str, lift: float) -> ModelSpec:
+    """``base`` plus a free constant c as the last parameter. The guess fits
+    ``base`` to ys - min(ys) + lift and starts c at min(ys); a log-based
+    base guess needs lift > 0 to keep every point positive."""
+    n = base.n_params
+
+    def f(p, x):
+        return base.eval_fn(p[:n], x) + p[n]
+
+    def g(p, x):
+        gb = base.grad_fn(p[:n], x)
+        return np.concatenate([gb, _ones_like(gb[:1])])
+
+    def guess(xs, ys):
+        c = float(ys.min())
+        return np.append(base.guess_fn(xs, ys - c + lift), c)
+
+    return ModelSpec(name=name, n_params=n + 1, family_class=base.family_class,
+                     eval_fn=f, grad_fn=g, guess_fn=guess,
+                     bounds=base.bounds + ((-np.inf, np.inf),))
 
 
 def _ones_like(x):
@@ -286,13 +339,7 @@ def _make_poly(deg: int):
     def g(p, x):
         return np.stack([x ** j * _ones_like(x) for j in range(deg + 1)])
 
-    def dx(p, x):
-        if deg == 0:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        dp = np.polynomial.polynomial.polyder(p)
-        return np.polynomial.polynomial.polyval(x, dp)
-
-    _register(f"poly{deg}", "polynomial", deg + 1, f, g, dx, _poly_guess(deg))
+    _register(f"poly{deg}", "polynomial", deg + 1, f, g, _poly_guess(deg))
 
 
 for _deg in range(6):
@@ -310,30 +357,9 @@ def _exp_decay_g(p, x):
     e = np.exp(-b * x)
     return np.stack([e, -a * x * e])
 
-def _exp_decay_dx(p, x):
-    a, b = p
-    return -a * b * np.exp(-b * x)
-
-_register("exp_decay", "exponential", 2, _exp_decay, _exp_decay_g, _exp_decay_dx,
+_register("exp_decay", "exponential", 2, _exp_decay, _exp_decay_g,
           lambda xs, ys: np.array(_log_linear_decay(xs, ys)))
-
-
-def _exp_decay_off(p, x):
-    a, b, c = p
-    return a * np.exp(-b * x) + c
-
-def _exp_decay_off_g(p, x):
-    a, b, c = p
-    e = np.exp(-b * x)
-    return np.stack([e, -a * x * e, _ones_like(e)])
-
-def _exp_decay_off_guess(xs, ys):
-    c = float(ys.min())
-    a, b = _log_linear_decay(xs, ys - c + 1e-3)
-    return np.array([a, b, c])
-
-_register("exp_decay_offset", "exponential", 3, _exp_decay_off, _exp_decay_off_g,
-          lambda p, x: -p[0] * p[1] * np.exp(-p[1] * x), _exp_decay_off_guess)
+_add(_with_offset(get_model("exp_decay"), "exp_decay_offset", lift=1e-3))
 
 
 def _dbl_exp(p, x):
@@ -345,11 +371,7 @@ def _dbl_exp_g(p, x):
     e1, e2 = np.exp(-b * x), np.exp(-d * x)
     return np.stack([e1, -a * x * e1, e2, -c * x * e2])
 
-def _dbl_exp_dx(p, x):
-    a, b, c, d = p
-    return -a * b * np.exp(-b * x) - c * d * np.exp(-d * x)
-
-_register("double_exp_decay", "exponential", 4, _dbl_exp, _dbl_exp_g, _dbl_exp_dx,
+_register("double_exp_decay", "exponential", 4, _dbl_exp, _dbl_exp_g,
           lambda xs, ys: np.array([
               0.7 * max(float(ys.max()), _TINY), 2.0 / _span(xs),
               0.3 * max(float(ys.max()), _TINY), 0.3 / _span(xs)]))
@@ -365,7 +387,6 @@ def _exp_sat_g(p, x):
     return np.stack([1.0 - e, a * x * e])
 
 _register("exp_saturating", "exponential", 2, _exp_sat, _exp_sat_g,
-          lambda p, x: p[0] * p[1] * np.exp(-p[1] * x),
           lambda xs, ys: np.array([float(ys.max()), 2.0 / _span(xs)]))
 
 
@@ -385,7 +406,7 @@ def _exp_quad_guess(xs, ys):
     return np.array([math.log(max(float(np.abs(ys).mean()), _TINY)), 0.0, 0.0])
 
 _register("exp_quadratic", "exponential", 3, _exp_quad, _exp_quad_g,
-          lambda p, x: (p[1] + 2.0 * p[2] * x) * _exp_quad(p, x), _exp_quad_guess)
+          _exp_quad_guess)
 
 
 def _stretched(p, x):
@@ -400,13 +421,7 @@ def _stretched_g(p, x):
     logu = np.log(u)
     return np.stack([y / a, y * uq * q / b, -y * uq * logu])
 
-def _stretched_dx(p, x):
-    a, b, q = p
-    u = x / b
-    uq = np.power(u, q)
-    return a * np.exp(-uq) * (-q / b) * np.power(u, q - 1.0)
-
-_register("stretched_exp", "exponential", 3, _stretched, _stretched_g, _stretched_dx,
+_register("stretched_exp", "exponential", 3, _stretched, _stretched_g,
           lambda xs, ys: np.array([max(float(ys.max()), _TINY), _span(xs) / 2.0, 1.0]),
           bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)])
 
@@ -423,31 +438,13 @@ def _logistic_g(p, x):
     den = (1.0 + s) ** 2
     return np.stack([1.0 / (1.0 + s), L * (x - x0) * s / den, -L * k * s / den])
 
-def _logistic_dx(p, x):
-    L, k, x0 = p
-    s = np.exp(-k * (x - x0))
-    return L * k * s / (1.0 + s) ** 2
-
 def _sigmoid_guess(xs, ys):
     slope_sign = 1.0 if np.corrcoef(xs, ys)[0, 1] >= 0 else -1.0
     return np.array([float(ys.max()), slope_sign * 4.0 / _span(xs),
                      float(np.median(xs))])
 
-_register("logistic", "sigmoidal", 3, _logistic, _logistic_g, _logistic_dx,
-          _sigmoid_guess)
-
-
-def _logistic_off(p, x):
-    return _logistic(p[:3], x) + p[3]
-
-def _logistic_off_g(p, x):
-    g = _logistic_g(p[:3], x)
-    return np.concatenate([g, _ones_like(g[:1])])
-
-_register("logistic_offset", "sigmoidal", 4, _logistic_off, _logistic_off_g,
-          lambda p, x: _logistic_dx(p[:3], x),
-          lambda xs, ys: np.concatenate([_sigmoid_guess(xs, ys - ys.min()),
-                                         [float(ys.min())]]))
+_register("logistic", "sigmoidal", 3, _logistic, _logistic_g, _sigmoid_guess)
+_add(_with_offset(get_model("logistic"), "logistic_offset", lift=0.0))
 
 
 def _gompertz(p, x):
@@ -460,12 +457,7 @@ def _gompertz_g(p, x):
     y = a * np.exp(-b * e)
     return np.stack([np.exp(-b * e), -y * e, y * b * x * e])
 
-def _gompertz_dx(p, x):
-    a, b, c = p
-    e = np.exp(-c * x)
-    return a * np.exp(-b * e) * b * c * e
-
-_register("gompertz", "sigmoidal", 3, _gompertz, _gompertz_g, _gompertz_dx,
+_register("gompertz", "sigmoidal", 3, _gompertz, _gompertz_g,
           lambda xs, ys: np.array([float(ys.max()), 1.0, 2.0 / _span(xs)]),
           bounds=[(-np.inf, np.inf), (_TINY, np.inf), (-np.inf, np.inf)])
 
@@ -484,13 +476,7 @@ def _hill_g(p, x):
     gh = a * kh * xh * (np.log(x) - np.log(k)) / den
     return np.stack([xh / (kh + xh), gk, gh])
 
-def _hill_dx(p, x):
-    a, k, h = p
-    xh = np.power(x, h)
-    kh = np.power(k, h)
-    return a * h * kh * np.power(x, h - 1.0) / (kh + xh) ** 2
-
-_register("hill_sigmoid", "sigmoidal", 3, _hill, _hill_g, _hill_dx,
+_register("hill_sigmoid", "sigmoidal", 3, _hill, _hill_g,
           lambda xs, ys: np.array([float(ys.max()),
                                    max(float(np.median(xs)), 1e-3), 2.0]),
           bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)])
@@ -506,12 +492,7 @@ def _tanh_sig_g(p, x):
     sech2 = 1.0 - t * t
     return np.stack([_ones_like(t), t, b * (x - x0) * sech2, -b * k * sech2])
 
-def _tanh_sig_dx(p, x):
-    a, b, k, x0 = p
-    t = np.tanh(k * (x - x0))
-    return b * k * (1.0 - t * t)
-
-_register("tanh_sigmoid", "sigmoidal", 4, _tanh_sig, _tanh_sig_g, _tanh_sig_dx,
+_register("tanh_sigmoid", "sigmoidal", 4, _tanh_sig, _tanh_sig_g,
           lambda xs, ys: np.array([float(ys.mean()), _span(ys) / 2.0,
                                    2.0 / _span(xs), float(np.median(xs))]))
 
@@ -528,31 +509,12 @@ def _gauss_g(p, x):
     e = np.exp(-(u * u) / (2.0 * w * w))
     return np.stack([e, A * e * u / (w * w), A * e * u * u / (w ** 3)])
 
-def _gauss_dx(p, x):
-    A, c, w = p
-    u = x - c
-    return -A * np.exp(-(u * u) / (2.0 * w * w)) * u / (w * w)
-
 def _peak_guess(xs, ys):
     return np.array([float(ys.max()), float(xs[np.argmax(ys)]), _span(xs) / 6.0])
 
-_register("gaussian_peak", "peaked", 3, _gauss, _gauss_g, _gauss_dx, _peak_guess,
+_register("gaussian_peak", "peaked", 3, _gauss, _gauss_g, _peak_guess,
           bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)])
-
-
-def _gauss_off(p, x):
-    return _gauss(p[:3], x) + p[3]
-
-def _gauss_off_g(p, x):
-    g = _gauss_g(p[:3], x)
-    return np.concatenate([g, _ones_like(g[:1])])
-
-_register("gaussian_peak_offset", "peaked", 4, _gauss_off, _gauss_off_g,
-          lambda p, x: _gauss_dx(p[:3], x),
-          lambda xs, ys: np.concatenate([_peak_guess(xs, ys - ys.min()),
-                                         [float(ys.min())]]),
-          bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf),
-                  (-np.inf, np.inf)])
+_add(_with_offset(get_model("gaussian_peak"), "gaussian_peak_offset", lift=0.0))
 
 
 def _lognorm_peak(p, x):
@@ -566,13 +528,7 @@ def _lognorm_peak_g(p, x):
     e = np.exp(-(u * u) / (2.0 * w * w))
     return np.stack([e, A * e * u / (w * w * c), A * e * u * u / (w ** 3)])
 
-def _lognorm_peak_dx(p, x):
-    A, c, w = p
-    u = np.log(x / c)
-    return -A * np.exp(-(u * u) / (2.0 * w * w)) * u / (w * w * x)
-
 _register("lognormal_peak", "peaked", 3, _lognorm_peak, _lognorm_peak_g,
-          _lognorm_peak_dx,
           lambda xs, ys: np.array([float(ys.max()),
                                    max(float(xs[np.argmax(ys)]), 1e-3), 0.5]),
           bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)])
@@ -590,13 +546,7 @@ def _lorentz_g(p, x):
     return np.stack([1.0 / (1.0 + u * u), 2.0 * A * u / (w * den),
                      2.0 * A * u * u / (w * den)])
 
-def _lorentz_dx(p, x):
-    A, c, w = p
-    u = (x - c) / w
-    return -2.0 * A * u / (w * (1.0 + u * u) ** 2)
-
-_register("lorentzian_peak", "peaked", 3, _lorentz, _lorentz_g, _lorentz_dx,
-          _peak_guess,
+_register("lorentzian_peak", "peaked", 3, _lorentz, _lorentz_g, _peak_guess,
           bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)])
 
 
@@ -611,13 +561,7 @@ def _gamma_peak_g(p, x):
     e = np.exp(1.0 - u)
     return np.stack([u * e, A * e * u * (u - 1.0) / c])
 
-def _gamma_peak_dx(p, x):
-    A, c = p
-    u = x / c
-    return A * np.exp(1.0 - u) * (1.0 - u) / c
-
 _register("linear_rise_exp_fall", "peaked", 2, _gamma_peak, _gamma_peak_g,
-          _gamma_peak_dx,
           lambda xs, ys: np.array([float(ys.max()),
                                    max(float(xs[np.argmax(ys)]), 1e-3)]),
           bounds=[(-np.inf, np.inf), (_TINY, np.inf)])
@@ -635,12 +579,7 @@ def _sech2_g(p, x):
     t = np.tanh(u)
     return np.stack([s2, 2.0 * A * s2 * t / w, 2.0 * A * s2 * t * u / w])
 
-def _sech2_dx(p, x):
-    A, c, w = p
-    u = (x - c) / w
-    return -2.0 * A * np.tanh(u) / (w * np.cosh(u) ** 2)
-
-_register("sech2_peak", "peaked", 3, _sech2, _sech2_g, _sech2_dx, _peak_guess,
+_register("sech2_peak", "peaked", 3, _sech2, _sech2_g, _peak_guess,
           bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)])
 
 
@@ -655,17 +594,11 @@ def _rat_ll_g(p, x):
     den = 1.0 + c * x
     return np.stack([1.0 / den, x / den, -(a + b * x) * x / den ** 2])
 
-def _rat_ll_dx(p, x):
-    a, b, c = p
-    den = 1.0 + c * x
-    return (b * den - c * (a + b * x)) / den ** 2
-
 def _rat_guess(xs, ys):
     sol = _lstsq(np.vander(xs, 2, increasing=True), ys)
     return np.array([sol[0], sol[1], 1e-3])
 
-_register("rational_lin_lin", "rational", 3, _rat_ll, _rat_ll_g, _rat_ll_dx,
-          _rat_guess)
+_register("rational_lin_lin", "rational", 3, _rat_ll, _rat_ll_g, _rat_guess)
 
 
 def _rat_ql(p, x):
@@ -678,13 +611,7 @@ def _rat_ql_g(p, x):
     den = 1.0 + c * x
     return np.stack([1.0 / den, x / den, -num * x / den ** 2, x * x / den])
 
-def _rat_ql_dx(p, x):
-    a, b, c, d = p
-    num = a + b * x + d * x * x
-    den = 1.0 + c * x
-    return ((b + 2.0 * d * x) * den - c * num) / den ** 2
-
-_register("rational_quad_lin", "rational", 4, _rat_ql, _rat_ql_g, _rat_ql_dx,
+_register("rational_quad_lin", "rational", 4, _rat_ql, _rat_ql_g,
           lambda xs, ys: np.concatenate([
               _lstsq(np.vander(xs, 2, increasing=True), ys), [1e-3, 0.0]]))
 
@@ -700,13 +627,7 @@ def _rat_lq_g(p, x):
     return np.stack([1.0 / den, x / den, -num * x / den ** 2,
                      -num * x * x / den ** 2])
 
-def _rat_lq_dx(p, x):
-    a, b, c, d = p
-    num = a + b * x
-    den = 1.0 + c * x + d * x * x
-    return (b * den - (c + 2.0 * d * x) * num) / den ** 2
-
-_register("rational_lin_quad", "rational", 4, _rat_lq, _rat_lq_g, _rat_lq_dx,
+_register("rational_lin_quad", "rational", 4, _rat_lq, _rat_lq_g,
           lambda xs, ys: np.concatenate([
               _lstsq(np.vander(xs, 2, increasing=True), ys), [1e-3, 1e-4]]))
 
@@ -721,7 +642,6 @@ def _inv_shift_g(p, x):
     return np.stack([_ones_like(den), 1.0 / den, -b / den ** 2])
 
 _register("inverse_shift", "rational", 3, _inv_shift, _inv_shift_g,
-          lambda p, x: -p[1] / (x + p[2]) ** 2,
           lambda xs, ys: np.array([float(ys.min()), 1.0,
                                    max(1.0, 1.0 - float(xs.min()))]))
 
@@ -745,26 +665,8 @@ def _power_guess(xs, ys):
         return np.array([math.exp(min(sol[0], 300.0)), sol[1]])
     return np.array([max(float(np.abs(ys).mean()), _TINY), 1.0])
 
-_register("power_law", "power", 2, _power, _power_g,
-          lambda p, x: p[0] * p[1] * np.power(x, p[1] - 1.0), _power_guess)
-
-
-def _power_off(p, x):
-    a, b, c = p
-    return a * np.power(x, b) + c
-
-def _power_off_g(p, x):
-    a, b, c = p
-    xb = np.power(x, b)
-    return np.stack([xb, a * xb * np.log(x), _ones_like(xb)])
-
-def _power_off_guess(xs, ys):
-    c = float(ys.min())
-    inner = _power_guess(xs, ys - c + 1e-3)
-    return np.array([inner[0], inner[1], c])
-
-_register("power_offset", "power", 3, _power_off, _power_off_g,
-          lambda p, x: p[0] * p[1] * np.power(x, p[1] - 1.0), _power_off_guess)
+_register("power_law", "power", 2, _power, _power_g, _power_guess)
+_add(_with_offset(get_model("power_law"), "power_offset", lift=1e-3))
 
 
 def _sqrt_law(p, x):
@@ -773,7 +675,6 @@ def _sqrt_law(p, x):
 
 _register("sqrt_law", "power", 2, _sqrt_law,
           lambda p, x: np.stack([_ones_like(x), np.sqrt(x)]),
-          lambda p, x: 0.5 * p[1] / np.sqrt(x),
           lambda xs, ys: _lstsq(
               np.stack([np.ones_like(xs), np.sqrt(np.abs(xs))], axis=1), ys))
 
@@ -784,6 +685,5 @@ def _log_law(p, x):
 
 _register("log_law", "power", 2, _log_law,
           lambda p, x: np.stack([_ones_like(x), np.log1p(x)]),
-          lambda p, x: p[1] / (1.0 + x),
           lambda xs, ys: _lstsq(
               np.stack([np.ones_like(xs), np.log1p(np.abs(xs))], axis=1), ys))

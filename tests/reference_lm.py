@@ -83,7 +83,6 @@ def fit_least_squares(spec, d, start, options=FitOptions()):
         r2 = r_squared(spec, p, d)
     except ValueError:
         r2 = float("nan")
-    raw_residuals = ys - np.asarray(evaluate(spec, p, xs), dtype=float)
     return FitResult(
         spec_name=spec.name,
         params=tuple(float(v) for v in p),
@@ -91,7 +90,6 @@ def fit_least_squares(spec, d, start, options=FitOptions()):
         r2=r2,
         converged=converged,
         iterations=it,
-        residuals=tuple(float(v) for v in raw_residuals),
     )
 
 

@@ -274,7 +274,6 @@ def _affine_spec(spec, scale, shift):
         family_class=spec.family_class,
         eval_fn=lambda p, x: scale * spec.eval_fn(p, x) + shift,
         grad_fn=lambda p, x: scale * spec.grad_fn(p, x),
-        dx_fn=lambda p, x: scale * spec.dx_fn(p, x),
         guess_fn=spec.guess_fn, bounds=spec.bounds,
     )
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import curvemine.models as models_module
 from curvemine.analyze import (
     cross_correlation,
     derivative,
@@ -12,7 +13,14 @@ from curvemine.analyze import (
     prediction_band,
 )
 from curvemine.fit import fit_least_squares
-from curvemine.models import ModelSpec, catalog, evaluate, get_model
+from curvemine.models import (
+    ModelSpec,
+    catalog,
+    evaluate,
+    get_model,
+    register_model,
+    x_derivative,
+)
 
 from conftest import make_dataset
 
@@ -24,7 +32,6 @@ def affine_of(spec, scale, shift):
         family_class=spec.family_class,
         eval_fn=lambda p, x: scale * spec.eval_fn(p, x) + shift,
         grad_fn=lambda p, x: scale * spec.grad_fn(p, x),
-        dx_fn=lambda p, x: scale * spec.dx_fn(p, x),
         guess_fn=spec.guess_fn, bounds=spec.bounds,
     )
 
@@ -60,6 +67,70 @@ class TestDerivative:
         with pytest.raises(ValueError):
             derivative(get_model("poly0"), [1.0], 0.0, method="magic")
 
+    def test_user_family_needs_no_x_derivative(self, monkeypatch):
+        monkeypatch.setattr(models_module, "_REGISTRY",
+                            dict(models_module._REGISTRY))
+        spec = register_model(ModelSpec(
+            name="damped_wave", n_params=2, family_class="exponential",
+            eval_fn=lambda p, x: p[0] * np.exp(-0.1 * x) * np.sin(p[1] * x),
+            grad_fn=lambda p, x: np.stack([
+                np.exp(-0.1 * x) * np.sin(p[1] * x),
+                p[0] * x * np.exp(-0.1 * x) * np.cos(p[1] * x)]),
+            guess_fn=lambda xs, ys: np.array([1.0, 1.0])))
+        a, w = 3.0, 0.7
+        for x in (0.0, 0.5, 2.0, 7.5):
+            closed = a * np.exp(-0.1 * x) * (w * np.cos(w * x)
+                                             - 0.1 * np.sin(w * x))
+            assert derivative(spec, [a, w], x) == pytest.approx(
+                closed, rel=1e-13, abs=1e-15)
+
+
+# Ages in {-1, -0.5, 0} where dy/dx is undefined, with every parameter equal
+# to 0.5, or every one equal to 1.5; the derivative exists at every other
+# (family, age) pair.
+# At 0, x**q with q > 1 has the one-sided slope 0 (a power, Hill, stretched
+# exponential), as does the log-normal peak; q < 1 has an infinite slope.
+_NO_SLOPE = {
+    "stretched_exp": {0.5: (-1.0, -0.5, 0.0), 1.5: (-1.0, -0.5)},
+    "hill_sigmoid": {0.5: (-1.0, -0.5, 0.0), 1.5: (-1.0, -0.5)},
+    "power_law": {0.5: (-1.0, -0.5, 0.0), 1.5: (-1.0, -0.5)},
+    "power_offset": {0.5: (-1.0, -0.5, 0.0), 1.5: (-1.0, -0.5)},
+    "sqrt_law": {0.5: (-1.0, -0.5, 0.0), 1.5: (-1.0, -0.5, 0.0)},
+    "lognormal_peak": {0.5: (-1.0, -0.5), 1.5: (-1.0, -0.5)},
+    "log_law": {0.5: (-1.0,), 1.5: (-1.0,)},       # log1p(-1)
+    "inverse_shift": {0.5: (-0.5,), 1.5: ()},        # pole at x = -c
+}
+_ONE_SIDED_ZERO = {"stretched_exp", "hill_sigmoid", "power_law",
+                   "power_offset", "lognormal_peak"}
+
+
+class TestBranchPoints:
+    @pytest.mark.parametrize("value", [0.5, 1.5])
+    def test_slope_exists_exactly_where_expected(self, value):
+        ages = np.array([-1.0, -0.5, 0.0])
+        for spec in catalog():
+            p = np.full(spec.n_params, value)
+            undefined = _NO_SLOPE.get(spec.name, {}).get(value, ())
+            finite = np.isfinite(x_derivative(spec, p, ages))
+            assert finite.tolist() == [a not in undefined for a in ages], \
+                spec.name
+            for a in ages:
+                if a in undefined:
+                    with pytest.raises(ValueError, match="non-finite"):
+                        derivative(spec, p, a)
+                else:
+                    derivative(spec, p, a)
+            if spec.name in _ONE_SIDED_ZERO and 0.0 not in undefined:
+                assert derivative(spec, p, 0.0) == 0.0, spec.name
+
+    def test_underflowing_tail_is_not_a_branch_point(self):
+        # Im f(x + ih) turns subnormal here, so the h and 2h quotients differ
+        xs = np.linspace(30.0, 40.0, 201)
+        got = x_derivative(get_model("gaussian_peak"), [1.0, 0.0, 1.0], xs)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, -xs * np.exp(-xs * xs / 2.0),
+                                   rtol=1e-12, atol=1e-300)
+
 
 class TestMonthlyLoss:
     def test_linear_decline(self):
@@ -75,10 +146,11 @@ class TestMonthlyLoss:
         spec = get_model("gaussian_peak")
         params = [100.0, 14.5, 4.0]
         pk = peak_age(lambda t: monthly_loss(spec, params, t), (0.0, 60.0))
-        # dense grid oracle
+        # dense grid oracle: the closed-form Gaussian derivative
+        A, c, w = params
         grid = np.linspace(0, 60, 1_000_000)
-        losses = -np.asarray(
-            spec.dx_fn(np.asarray(params, float), grid)) / 12.0
+        dy = -A * (grid - c) / w ** 2 * np.exp(-(grid - c) ** 2 / (2 * w * w))
+        losses = -dy / 12.0
         oracle_age = grid[np.argmax(losses)]
         assert abs(pk.age - oracle_age) < 1e-3
         assert abs(pk.age - (14.5 + 4.0)) < 1e-3  # analytic inflection

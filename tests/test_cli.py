@@ -292,3 +292,33 @@ class TestConfigFile:
         code, out, _ = run(capsys, "describe", "--data", str(data_csv),
                            "--config", str(cfg), "--axis", "y")
         assert "y" in json.loads(out)["result"]
+
+    def test_config_int_option_with_none_default(self, capsys, data_csv,
+                                                 tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max_sign_changes = 0\ncatalog_filter = gaussian\n")
+        code, out, err = run(capsys, "rank", "--data", str(data_csv),
+                             "--config", str(cfg))
+        assert code == 0, err
+        reasons = {e["spec_name"]: e["reason"]
+                   for e in json.loads(out)["result"]["entries"]}
+        assert reasons["gaussian_peak"] == "derivative changes sign 1 times"
+
+    def test_config_path_option_with_none_default(self, capsys, data_csv,
+                                                  tmp_path):
+        cfg = tmp_path / "run.cfg"
+        board = tmp_path / "board"
+        cfg.write_text(f"out = {board}\ncatalog_filter = poly1\n")
+        code, out, err = run(capsys, "rank", "--data", str(data_csv),
+                             "--config", str(cfg))
+        assert code == 0, err
+        assert (board / "leaderboard.json").read_text() == out
+
+    def test_config_list_option(self, capsys, data_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ages = 20,35\n")
+        code, out, err = run(capsys, "analyze", "--data", str(data_csv),
+                             "--model", "gaussian_peak", "--config", str(cfg))
+        assert code == 0, err
+        assert set(json.loads(out)["result"]["percent_remaining"]) \
+            == {"20.0", "35.0"}

@@ -126,7 +126,7 @@ class TestBatch:
 def _custom(name, eval_fn, grad_fn):
     return ModelSpec(
         name=name, n_params=2, family_class="power", eval_fn=eval_fn,
-        grad_fn=grad_fn, dx_fn=lambda p, x: np.zeros_like(x),
+        grad_fn=grad_fn,
         guess_fn=lambda xs, ys: np.array([1.0, 1.0]))
 
 
@@ -149,6 +149,21 @@ class TestRegisterBatchContract:
         ("first_row_only", lambda p, x: np.asarray(p[0]).flat[0] * x + p[1]),
     ])
     def test_unbatchable_family_rejected_by_name(self, name, eval_fn):
+        spec = _custom(name, eval_fn,
+                       lambda p, x: np.stack([x * np.ones_like(x),
+                                              np.ones_like(x)]))
+        with pytest.raises(ValueError, match=name):
+            register_model(spec)
+        assert name not in {s.name for s in catalog()}
+
+    @pytest.mark.parametrize("name, eval_fn", [
+        ("real_math_exp", lambda p, x: p[0] * np.vectorize(math.exp)(p[1] * x)),
+        ("casts_x_to_float",
+         lambda p, x: p[0] * np.asarray(x, dtype=float) + p[1]),
+    ])
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    def test_real_only_eval_rejected_by_name(self, name, eval_fn):
+        # both pass the batch probe; neither carries a complex step through
         spec = _custom(name, eval_fn,
                        lambda p, x: np.stack([x * np.ones_like(x),
                                               np.ones_like(x)]))
@@ -275,7 +290,6 @@ class TestCustomSpec:
             name="halved_line", n_params=1, family_class="polynomial",
             eval_fn=lambda p, x: 0.5 * p[0] * x,
             grad_fn=lambda p, x: np.stack([0.5 * np.asarray(x, dtype=float)]),
-            dx_fn=lambda p, x: 0.5 * p[0] * np.ones_like(np.asarray(x, float)),
             guess_fn=lambda xs, ys: np.array([1.0]),
         )
         assert evaluate(spec, [4.0], 3.0) == pytest.approx(6.0)
