@@ -1,8 +1,11 @@
 """Per-study datapoint collections: ingestion, unit normalization, merging, summaries.
 
 Every observation keeps its study (and optionally assay) provenance so that
-combined datasets can always be traced back to their sources. Datasets are
-immutable after construction and all operations here are pure.
+combined datasets can always be traced back to their sources. A Dataset is a
+column store: float64 x, y and weight, and study, unit and assay as integer
+codes into label tables. Each operation builds and checks its result's columns
+once; ``Dataset.points`` is built lazily, and no CLI path builds a DataPoint.
+Datasets are immutable after construction and all operations here are pure.
 """
 
 from __future__ import annotations
@@ -10,8 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Optional, Sequence, TextIO
+from dataclasses import asdict, dataclass, field
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -91,45 +94,83 @@ class StudyMeta:
             )
 
 
-@dataclass(frozen=True)
+class _Codes(NamedTuple):
+    """A label column: per-row integer codes into a table of labels."""
+
+    codes: np.ndarray
+    table: tuple
+
+    @staticmethod
+    def of(values: Sequence) -> "_Codes":
+        index = {v: i for i, v in enumerate(dict.fromkeys(values))}
+        return _Codes(np.array(list(map(index.__getitem__, values)), dtype=np.intp),
+                      tuple(index))
+
+    def labels(self) -> list:
+        return list(map(self.table.__getitem__, self.codes.tolist()))
+
+
 class Dataset:
-    """Immutable ordered collection of datapoints plus their study descriptors."""
+    """Immutable ordered collection of datapoints plus their study descriptors.
 
-    points: tuple[DataPoint, ...]
-    studies: tuple[StudyMeta, ...]
-    label: str = ""
+    ``xs``, ``ys`` and ``weights`` are read-only float64 columns; ``points``
+    is built on first read. The benchmark's trace (perfbench/spans.py) wraps
+    the class from outside, so ``from_points`` stays a staticmethod in
+    ``Dataset.__dict__`` and ``xs``, ``ys`` and ``weights`` stay properties
+    defined on the class itself.
+    """
 
-    def __post_init__(self):
-        known = {s.study_id for s in self.studies}
-        for p in self.points:
-            if p.study_id not in known:
-                raise ValueError(f"point references unknown study {p.study_id!r}")
+    def __init__(self, points: Iterable[DataPoint],
+                 studies: Iterable[StudyMeta], label: str = ""):
+        studies = tuple(studies)  # kept in the given order
+        self.__dict__.update(vars(Dataset.from_points(points, label, studies)),
+                             studies=studies)
+
+    @classmethod
+    def _from_columns(cls, x, y, weight, study: _Codes, unit: _Codes, assay: _Codes,
+                      studies=None, label: str = "", points=None) -> "Dataset":
+        """Every dataset is built here, from float64 columns it then owns, with
+        DataPoint's rules on all rows at once; studies=None synthesizes them."""
+        for col in (x, y, weight, study.codes, unit.codes, assay.codes):
+            col.flags.writeable = False
+        ok = np.isfinite(x) & (x >= MIN_AGE) & np.isfinite(y) & (y >= 0) & (weight > 0)
+        if not ok.all():  # the first bad row raises DataPoint's error
+            i = int(np.argmin(ok))
+            DataPoint(float(x[i]), float(y[i]), weight=float(weight[i]))
+        if studies is None:
+            studies = _synthesize_studies(x, study)
+        known = {s.study_id for s in studies}
+        unknown = np.array([sid not in known for sid in study.table], dtype=bool)[study.codes]
+        if unknown.any():
+            raise ValueError("point references unknown study "
+                             f"{study.table[study.codes[unknown.argmax()]]!r}")
+        d = cls.__new__(cls)
+        d.__dict__.update(_x=x, _y=y, _weight=weight, _study=study, _unit=unit,
+                          _assay=assay, studies=tuple(studies), label=label,
+                          _points=points)
+        return d
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._x)
 
-    def _column(self, attr: str) -> np.ndarray:
-        """One float column, built on first read and kept read-only, so every
-        reader shares it and none can change it."""
-        key = "_column_" + attr
-        col = self.__dict__.get(key)
-        if col is None:
-            col = np.array([getattr(p, attr) for p in self.points], dtype=float)
-            col.flags.writeable = False
-            self.__dict__[key] = col  # frozen dataclass: bypass __setattr__
-        return col
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Dataset is immutable: cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Dataset) and (
+            (self.points, self.studies, self.label) == (other.points, other.studies, other.label))
 
     @property
-    def xs(self) -> np.ndarray:
-        return self._column("x")
+    def points(self) -> tuple[DataPoint, ...]:
+        if self._points is None:
+            self.__dict__["_points"] = tuple(map(
+                DataPoint, self._x.tolist(), self._y.tolist(), self._unit.labels(),
+                self._study.labels(), self._assay.labels(), self._weight.tolist()))
+        return self._points
 
-    @property
-    def ys(self) -> np.ndarray:
-        return self._column("y")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._column("weight")
+    xs = property(lambda self: self._x)
+    ys = property(lambda self: self._y)
+    weights = property(lambda self: self._weight)
 
     def study(self, study_id: str) -> StudyMeta:
         for s in self.studies:
@@ -137,33 +178,38 @@ class Dataset:
                 return s
         raise KeyError(study_id)
 
+    def _take(self, rows, label: str) -> "Dataset":
+        """The rows a mask or index array selects, with the studies they cite."""
+        study, unit, assay = (_Codes(c.codes[rows], c.table)
+                              for c in (self._study, self._unit, self._assay))
+        cited = {study.table[c] for c in np.unique(study.codes).tolist()}
+        return Dataset._from_columns(
+            self._x[rows], self._y[rows], self._weight[rows], study, unit, assay,
+            tuple(s for s in self.studies if s.study_id in cited), label)
+
     @staticmethod
     def from_points(points: Iterable[DataPoint], label: str = "",
                     studies: Optional[Iterable[StudyMeta]] = None) -> "Dataset":
         """Build a dataset, synthesizing per-study metadata from the rows."""
         pts = tuple(points)
         if studies is not None:
-            metas = tuple(sorted(studies, key=lambda s: s.study_id))
-        else:
-            metas = tuple(_synthesize_studies(pts))
-        return Dataset(points=pts, studies=metas, label=label)
+            studies = tuple(sorted(studies, key=lambda s: s.study_id))
+        return Dataset._from_columns(
+            *(np.array([getattr(p, a) for p in pts], dtype=float)
+              for a in ("x", "y", "weight")),
+            *(_Codes.of([getattr(p, a) for p in pts]) for a in ("study_id", "unit", "assay_id")),
+            studies, label, pts)
 
 
-def _synthesize_studies(points: Sequence[DataPoint]) -> list[StudyMeta]:
-    by_study: dict[str, list[float]] = {}
-    for p in points:
-        by_study.setdefault(p.study_id, []).append(p.x)
-    metas = []
-    for sid in sorted(by_study):
-        ages = sorted(by_study[sid])
-        metas.append(StudyMeta(
-            study_id=sid,
-            n_observations=len(ages),
-            min_age=ages[0],
-            max_age=ages[-1],
-            median_age=_median(ages),
-        ))
-    return metas
+def _synthesize_studies(x: np.ndarray, study: _Codes) -> list[StudyMeta]:
+    order = np.lexsort((x, study.codes))  # stable: tied ages keep row order
+    ages = x[order]
+    ends = np.searchsorted(study.codes[order], np.arange(len(study.table) + 1)).tolist()
+    return sorted((StudyMeta(study_id=sid, n_observations=b - a,
+                             min_age=float(ages[a]), max_age=float(ages[b - 1]),
+                             median_age=float(_median(ages[a:b])))
+                   for sid, a, b in zip(study.table, ends, ends[1:]) if b > a),
+                  key=lambda s: s.study_id)
 
 
 def _median(sorted_vals: Sequence[float]) -> float:
@@ -194,10 +240,7 @@ class Descriptives:
             raise ValueError("sd must be >= 0")
 
     def as_dict(self) -> dict:
-        return {
-            "count": self.count, "min": self.min, "max": self.max,
-            "median": self.median, "mean": self.mean, "sd": self.sd,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -254,10 +297,6 @@ def read_unit_table(source: TextIO | str) -> UnitTable:
     return UnitTable(entries=entries)
 
 
-_REQUIRED_COLUMNS = ("study_id", "x", "y")
-_OPTIONAL_COLUMNS = ("unit", "assay_id", "weight")
-
-
 def ingest_csv(source: TextIO | str,
                schema: Optional[Mapping[str, str]] = None,
                skip_bad_rows: bool = False,
@@ -271,89 +310,92 @@ def ingest_csv(source: TextIO | str,
     if isinstance(source, str):
         source = io.StringIO(source)
     schema = dict(schema or {})
-    reader = csv.DictReader(source)
-    if reader.fieldnames is None:
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
         raise IngestError("empty file: no CSV header found")
 
     colmap = {logical: schema.get(logical, logical)
-              for logical in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS}
-    for logical in _REQUIRED_COLUMNS:
-        if colmap[logical] not in reader.fieldnames:
+              for logical in ("study_id", "x", "y", "unit", "assay_id", "weight")}
+    for logical in ("study_id", "x", "y"):
+        if colmap[logical] not in header:
             raise IngestError(f"missing required column {colmap[logical]!r}")
 
-    points: list[DataPoint] = []
-    bad: list[str] = []
-    for rownum, row in enumerate(reader, start=2):  # header is line 1
-        try:
-            points.append(_parse_row(row, colmap))
-        except (ValueError, KeyError) as exc:
-            bad.append(f"row {rownum}: {exc}")
+    # Read as csv.DictReader reads: blank lines are skipped and not counted,
+    # a repeated header name means its last column, a short row's missing
+    # cells are empty, and extra cells are ignored.
+    position = {name: i for i, name in enumerate(header)}
+    at = {logical: position.get(name) for logical, name in colmap.items()}
+    width = 1 + max(i for i in at.values() if i is not None)
+    rows = list(filter(None, reader))
+    if min(map(len, rows), default=width) < width:
+        rows = [r + [""] * (width - len(r)) for r in rows]
+    cells = {logical: [""] * len(rows) if i is None else [r[i] for r in rows]
+             for logical, i in at.items()}
+    cells["weight"] = [w or "1" for w in cells["weight"]]  # an empty weight is 1.0
+    cells["assay_id"] = [a or None for a in cells["assay_id"]]
+
+    def build() -> Dataset:  # float() per cell: float's syntax and bits
+        return Dataset._from_columns(
+            *(np.array(list(map(float, cells[c]))) for c in ("x", "y", "weight")),
+            *(_Codes.of(cells[c]) for c in ("study_id", "unit", "assay_id")),
+            label=label)
+
+    bad = {}
+    try:
+        if rows:
+            return build()
+    except ValueError:  # name every bad row, in DataPoint's words
+        for rownum, (x, y, w) in enumerate(  # the header is row 1
+                zip(cells["x"], cells["y"], cells["weight"]), start=2):
+            try:
+                DataPoint(float(x), float(y), weight=float(w))
+            except ValueError as exc:
+                bad[rownum] = f"row {rownum}: {exc}"
     if bad and not skip_bad_rows:
-        raise IngestError("rejected rows:\n  " + "\n  ".join(bad))
-    if not points:
+        raise IngestError("rejected rows:\n  " + "\n  ".join(bad.values()))
+    cells = {k: [v for i, v in enumerate(col, start=2) if i not in bad]
+             for k, col in cells.items()}
+    if not cells["x"]:
         raise IngestError("no valid data rows")
-    return Dataset.from_points(points, label=label)
-
-
-def _parse_row(row: Mapping[str, str], colmap: Mapping[str, str]) -> DataPoint:
-    def get(logical, default=""):
-        val = row.get(colmap[logical])
-        return default if val is None or val == "" else val
-
-    x = float(get("x"))
-    y = float(get("y"))
-    weight_s = get("weight")
-    assay = get("assay_id") or None
-    return DataPoint(
-        x=x, y=y,
-        unit=get("unit"),
-        study_id=str(get("study_id")),
-        assay_id=assay,
-        weight=float(weight_s) if weight_s else 1.0,
-    )
+    return build()
 
 
 def write_csv(d: Dataset, sink: TextIO) -> None:
     """Serialize a dataset back to the point CSV schema (round-trip stable)."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["study_id", "x", "y", "unit", "assay_id", "weight"])
-    for p in d.points:
-        writer.writerow([
-            p.study_id, repr(p.x), repr(p.y), p.unit,
-            p.assay_id if p.assay_id is not None else "",
-            repr(p.weight),
-        ])
+    writer.writerows(zip(  # csv writes a None assay as an empty cell
+        d._study.labels(), map(repr, d.xs.tolist()), map(repr, d.ys.tolist()),
+        d._unit.labels(), d._assay.labels(), map(repr, d.weights.tolist())))
 
 
 def normalize_units(d: Dataset, table: UnitTable) -> Dataset:
     """Rewrite every point to its canonical unit label, scaling y by the factor."""
-    points = []
-    for p in d.points:
-        canon, factor = table.resolve(p.unit)
-        if canon == p.unit and factor == 1.0:
-            points.append(p)
-        else:
-            points.append(replace(p, unit=canon, y=p.y * factor))
-    return Dataset(points=tuple(points), studies=d.studies, label=d.label)
+    unit = d._unit
+    canon, factor = list(unit.table), np.ones(len(unit.table))
+    for c in dict.fromkeys(unit.codes.tolist()):  # labels in use, in row order
+        canon[c], factor[c] = table.resolve(unit.table[c])
+    with np.errstate(over="ignore"):  # a row scaled to inf is rejected as DataPoint would
+        y = d.ys * factor[unit.codes]
+    return Dataset._from_columns(d.xs, y, d.weights, d._study,
+                                 _Codes(unit.codes, tuple(canon)), d._assay,
+                                 d.studies, d.label)
 
 
 def merge(ds: Sequence[Dataset], label: str = "") -> Dataset:
     """Combine datasets: point union, study union; conflicting metadata is an error."""
-    points: list[DataPoint] = []
     studies: dict[str, StudyMeta] = {}
-    for d in ds:
-        points.extend(d.points)
-        for s in d.studies:
-            prior = studies.get(s.study_id)
-            if prior is not None and prior != s:
-                raise ValueError(
-                    f"study_id {s.study_id!r} appears with conflicting metadata")
-            studies[s.study_id] = s
-    return Dataset(
-        points=tuple(points),
-        studies=tuple(sorted(studies.values(), key=lambda s: s.study_id)),
-        label=label,
-    )
+    for s in (s for d in ds for s in d.studies):
+        if studies.setdefault(s.study_id, s) != s:
+            raise ValueError(
+                f"study_id {s.study_id!r} appears with conflicting metadata")
+    return Dataset._from_columns(
+        *(np.concatenate([np.empty(0)] + [getattr(d, c) for d in ds])
+          for c in ("_x", "_y", "_weight")),
+        *(_Codes.of([v for d in ds for v in getattr(d, c).labels()])
+          for c in ("_study", "_unit", "_assay")),
+        tuple(sorted(studies.values(), key=lambda s: s.study_id)), label)
 
 
 def describe(d: Dataset, axis: str = "y") -> Descriptives:
@@ -362,30 +404,22 @@ def describe(d: Dataset, axis: str = "y") -> Descriptives:
         raise ValueError("cannot describe an empty dataset")
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    vals = sorted(p.x if axis == "x" else p.y for p in d.points)
-    n = len(vals)
-    mean = float(np.mean(vals))
-    sd = float(np.std(vals, ddof=1)) if n > 1 else 0.0
+    vals = np.sort(d.xs if axis == "x" else d.ys, kind="stable")
     return Descriptives(
-        count=n, min=vals[0], max=vals[-1],
-        median=_median(vals), mean=mean, sd=sd,
-    )
+        count=len(vals), min=float(vals[0]), max=float(vals[-1]),
+        median=float(_median(vals)), mean=float(np.mean(vals)),
+        sd=float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
 
 
 def split_by_assay(d: Dataset) -> dict[str, Dataset]:
     """Partition a dataset by assay_id; every point must carry one."""
-    missing = sorted({p.study_id for p in d.points if p.assay_id is None})
+    missing = sorted({sid for sid, assay in zip(d._study.labels(), d._assay.labels())
+                      if assay is None})
     if missing:
         raise ValueError(
             "points without assay_id in studies: " + ", ".join(missing))
-    groups: dict[str, list[DataPoint]] = {}
-    for p in d.points:
-        groups.setdefault(p.assay_id, []).append(p)
-    out = {}
-    for assay in sorted(groups):
-        pts = groups[assay]
-        sids = {p.study_id for p in pts}
-        studies = tuple(s for s in d.studies if s.study_id in sids)
-        out[assay] = Dataset(points=tuple(pts), studies=studies,
-                             label=f"{d.label}/{assay}" if d.label else assay)
-    return out
+    codes, table = d._assay
+    groups = {table[c]: c for c in np.unique(codes).tolist()}
+    return {name: d._take(codes == groups[name],
+                          f"{d.label}/{name}" if d.label else name)
+            for name in sorted(groups)}

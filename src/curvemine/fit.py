@@ -19,9 +19,9 @@ from .dataset import Dataset
 from .models import (
     ModelSpec,
     PlausibilityConfig,
+    _param_columns,
     check_plausibility,
     evaluate,
-    gradient,
     initial_guess,
 )
 
@@ -73,8 +73,9 @@ def _bounds(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _residuals(spec, params, xs, ys, sw):
-    """Weighted residuals of a (k, n_params) batch, shape (k, n)."""
-    res = ys - evaluate(spec, params, xs)
+    """Weighted residuals of a (k, n_params) batch, shape (k, n). Calls the
+    model directly: the caller holds the ``np.errstate``."""
+    res = ys - spec.eval_fn(_param_columns(params, xs), xs)
     res *= sw
     return res
 
@@ -125,7 +126,9 @@ def _normal_equations(spec, params, xs, sw, res):
     """JᵀJ (k, p, p) and Jᵀr (k, p) of the weighted Jacobian at each row of
     ``params``; non-finite partials count as 0. The (k, p, n) Jacobian is
     freed on return, before the damping trials allocate their own arrays."""
-    raw = gradient(spec, params, xs)
+    raw = np.asarray(spec.grad_fn(_param_columns(params, xs), xs), dtype=float)
+    if raw.ndim == 3:  # (p, k, n) from the model; the kernel works in (k, p, n)
+        raw = raw.swapaxes(0, 1)
     jac = np.zeros(raw.shape)
     np.multiply(raw, sw, out=jac, where=np.isfinite(raw))
     if jac.ndim == 2:  # depends on x only: one Jacobian for all starts

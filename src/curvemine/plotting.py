@@ -62,8 +62,8 @@ def render_svg(dataset: Dataset,
     if len(dataset) == 0:
         raise ValueError("empty dataset")
 
-    xs_all = list(dataset.xs)
-    ys_all = list(dataset.ys)
+    xs_all = dataset.xs.tolist()
+    ys_all = dataset.ys.tolist()
     if curve is not None:
         xs_all += list(curve[0])
         ys_all += [y for y in curve[1] if math.isfinite(y)]
@@ -146,9 +146,13 @@ def render_svg(dataset: Dataset,
 
     study_ids = sorted({s.study_id for s in dataset.studies})
     colors = {sid: PALETTE[i % len(PALETTE)] for i, sid in enumerate(study_ids)}
-    for p in dataset.points:
-        parts.append(f'<circle cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" '
-                     f'r="2.5" fill="{colors[p.study_id]}" fill-opacity="0.75" '
+    # A fill per study code; a subset's label table may hold unused studies.
+    codes, table = dataset._study
+    fill = [colors.get(sid) for sid in table]
+    for px, py, c in zip(sx(dataset.xs).tolist(), sy(dataset.ys).tolist(),
+                         codes.tolist()):
+        parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
+                     f'r="2.5" fill="{fill[c]}" fill-opacity="0.75" '
                      f'class="datapoint"/>')
 
     if curve is not None:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .dataset import DataPoint, Dataset
+from .dataset import Dataset, _Codes
 
 __all__ = [
     "SummaryRow",
@@ -176,15 +176,24 @@ def reconstruct_dataset(rows: Sequence[SummaryRow], seed: int,
     """
     if not rows:
         raise ValueError("no summary rows")
-    points: list[DataPoint] = []
+    draws = []
     for i, row in enumerate(rows):
         vals = reconstruct_row(row, _derive_seed(seed, i),
                                moment_correct=moment_correct, z=z)
-        points.extend(
-            DataPoint(x=row.x, y=float(v), unit=unit, study_id=SYNTHETIC_STUDY_ID)
-            for v in vals
-        )
-    return Dataset.from_points(points, label=label)
+        bad = ~(np.isfinite(vals) & (vals >= 0))
+        if bad.any():
+            raise ValueError(
+                f"summary row {i} (x={row.x!r}, family {row.family}) drew "
+                f"{float(vals[bad.argmax()])!r}, but a reconstructed value must "
+                f"be finite and >= 0")
+        draws.append(vals)
+    n = sum(map(len, draws))
+    one = _Codes(np.zeros(n, dtype=np.intp), (None,))  # one label for every row
+    return Dataset._from_columns(
+        np.repeat(np.array([row.x for row in rows], dtype=float),
+                  [len(v) for v in draws]),
+        np.concatenate(draws), np.ones(n), one._replace(table=(SYNTHETIC_STUDY_ID,)),
+        one._replace(table=(unit,)), one, label=label)
 
 
 def replicate(rows: Sequence[SummaryRow], master_seed: int, k: int,

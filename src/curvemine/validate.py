@@ -8,8 +8,7 @@ collected cohorts.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,16 +43,7 @@ class ValidationReport:
     n_test: int
 
     def as_dict(self) -> dict:
-        return {
-            "r2_train": self.r2_train,
-            "r2_test": self.r2_test,
-            "agreement": self.agreement,
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+        return asdict(self)
 
 
 def split(d: Dataset, fraction: float, seed: int = 0,
@@ -68,39 +58,17 @@ def split(d: Dataset, fraction: float, seed: int = 0,
     if len(d) < 4:
         raise ValueError("need at least 4 points to split")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    idx = np.arange(len(d))
-
+    bins = np.zeros(len(d), dtype=int)
     if stratify_bins > 1:
-        xs = d.xs
-        lo, hi = xs.min(), xs.max()
-        width = (hi - lo) or 1.0
-        bins = np.minimum(((xs - lo) / width * stratify_bins).astype(int),
-                          stratify_bins - 1)
-        train_idx: list[int] = []
-        for b in range(stratify_bins):
-            members = idx[bins == b]
-            if members.size == 0:
-                continue
-            take = int(round(fraction * members.size))
-            perm = rng.permutation(members)
-            train_idx.extend(perm[:take])
-    else:
-        take = int(round(fraction * len(d)))
-        perm = rng.permutation(idx)
-        train_idx = list(perm[:take])
-
-    mask = np.zeros(len(d), dtype=bool)
-    mask[train_idx] = True
-    train_pts = tuple(p for p, m in zip(d.points, mask) if m)
-    test_pts = tuple(p for p, m in zip(d.points, mask) if not m)
-
-    def sub(points, suffix):
-        sids = {p.study_id for p in points}
-        studies = tuple(s for s in d.studies if s.study_id in sids)
-        return Dataset(points=points, studies=studies,
-                       label=f"{d.label}/{suffix}" if d.label else suffix)
-
-    return sub(train_pts, "train"), sub(test_pts, "test")
+        lo, hi = d.xs.min(), d.xs.max()
+        bins = np.minimum(((d.xs - lo) / ((hi - lo) or 1.0) * stratify_bins)
+                          .astype(int), stratify_bins - 1)
+    train = np.zeros(len(d), dtype=bool)
+    for b in np.unique(bins):  # the non-empty bins, in order
+        members = np.flatnonzero(bins == b)
+        train[rng.permutation(members)[:int(round(fraction * members.size))]] = True
+    return tuple(d._take(rows, f"{d.label}/{suffix}" if d.label else suffix)
+                 for rows, suffix in ((train, "train"), (~train, "test")))
 
 
 def holdout_validate(spec: ModelSpec, params: Sequence[float],
@@ -142,9 +110,6 @@ class SimilarityReport:
             "tolerance": self.tolerance,
             "passed": self.passed,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     def to_text(self) -> str:
         lines = [f"{'statistic':<10} {'a':>14} {'b':>14} {'rel.diff':>10}"]

@@ -1,0 +1,165 @@
+"""Reference row-at-a-time CSV ingest, writer, summaries, unit normalization
+and split: the dataset layer as it was before the column store, kept for
+the tests as a differential oracle.
+
+``csv.DictReader`` row by row, one validated ``DataPoint`` per row, study
+metadata and order statistics from sorted Python lists. Each function has
+the signature of its namesake in ``curvemine.dataset`` or
+``curvemine.validate``.
+"""
+
+import csv
+import io
+from dataclasses import replace
+
+import numpy as np
+
+from curvemine.dataset import (
+    DataPoint,
+    Dataset,
+    Descriptives,
+    IngestError,
+    StudyMeta,
+)
+
+_REQUIRED_COLUMNS = ("study_id", "x", "y")
+_OPTIONAL_COLUMNS = ("unit", "assay_id", "weight")
+
+
+def ingest_csv(source, schema=None, skip_bad_rows=False, label=""):
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    schema = dict(schema or {})
+    reader = csv.DictReader(source)
+    if reader.fieldnames is None:
+        raise IngestError("empty file: no CSV header found")
+
+    colmap = {logical: schema.get(logical, logical)
+              for logical in _REQUIRED_COLUMNS + _OPTIONAL_COLUMNS}
+    for logical in _REQUIRED_COLUMNS:
+        if colmap[logical] not in reader.fieldnames:
+            raise IngestError(f"missing required column {colmap[logical]!r}")
+
+    points = []
+    bad = []
+    for rownum, row in enumerate(reader, start=2):  # header is line 1
+        try:
+            points.append(_parse_row(row, colmap))
+        except (ValueError, KeyError) as exc:
+            bad.append(f"row {rownum}: {exc}")
+    if bad and not skip_bad_rows:
+        raise IngestError("rejected rows:\n  " + "\n  ".join(bad))
+    if not points:
+        raise IngestError("no valid data rows")
+    return Dataset.from_points(points, label=label,
+                               studies=_synthesize_studies(points))
+
+
+def _parse_row(row, colmap):
+    def get(logical, default=""):
+        val = row.get(colmap[logical])
+        return default if val is None or val == "" else val
+
+    x = float(get("x"))
+    y = float(get("y"))
+    weight_s = get("weight")
+    assay = get("assay_id") or None
+    return DataPoint(
+        x=x, y=y,
+        unit=get("unit"),
+        study_id=str(get("study_id")),
+        assay_id=assay,
+        weight=float(weight_s) if weight_s else 1.0,
+    )
+
+
+def _synthesize_studies(points):
+    by_study = {}
+    for p in points:
+        by_study.setdefault(p.study_id, []).append(p.x)
+    metas = []
+    for sid in sorted(by_study):
+        ages = sorted(by_study[sid])
+        metas.append(StudyMeta(
+            study_id=sid,
+            n_observations=len(ages),
+            min_age=ages[0],
+            max_age=ages[-1],
+            median_age=_median(ages),
+        ))
+    return metas
+
+
+def _median(sorted_vals):
+    n = len(sorted_vals)
+    mid = n // 2
+    if n % 2:
+        return sorted_vals[mid]
+    return 0.5 * (sorted_vals[mid - 1] + sorted_vals[mid])
+
+
+def write_csv(d, sink):
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(["study_id", "x", "y", "unit", "assay_id", "weight"])
+    for p in d.points:
+        writer.writerow([
+            p.study_id, repr(p.x), repr(p.y), p.unit,
+            p.assay_id if p.assay_id is not None else "",
+            repr(p.weight),
+        ])
+
+
+def describe(d, axis="y"):
+    vals = sorted(p.x if axis == "x" else p.y for p in d.points)
+    n = len(vals)
+    mean = float(np.mean(vals))
+    sd = float(np.std(vals, ddof=1)) if n > 1 else 0.0
+    return Descriptives(count=n, min=vals[0], max=vals[-1],
+                        median=_median(vals), mean=mean, sd=sd)
+
+
+def normalize_units(d, table):
+    points = []
+    for p in d.points:
+        canon, factor = table.resolve(p.unit)
+        if canon == p.unit and factor == 1.0:
+            points.append(p)
+        else:
+            points.append(replace(p, unit=canon, y=p.y * factor))
+    return Dataset(points=tuple(points), studies=d.studies, label=d.label)
+
+
+def split(d, fraction, seed=0, stratify_bins=1):
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    idx = np.arange(len(d))
+    if stratify_bins > 1:
+        xs = d.xs
+        lo, hi = xs.min(), xs.max()
+        width = (hi - lo) or 1.0
+        bins = np.minimum(((xs - lo) / width * stratify_bins).astype(int),
+                          stratify_bins - 1)
+        train_idx = []
+        for b in range(stratify_bins):
+            members = idx[bins == b]
+            if members.size == 0:
+                continue
+            take = int(round(fraction * members.size))
+            perm = rng.permutation(members)
+            train_idx.extend(perm[:take])
+    else:
+        take = int(round(fraction * len(d)))
+        perm = rng.permutation(idx)
+        train_idx = list(perm[:take])
+
+    mask = np.zeros(len(d), dtype=bool)
+    mask[train_idx] = True
+    train_pts = tuple(p for p, m in zip(d.points, mask) if m)
+    test_pts = tuple(p for p, m in zip(d.points, mask) if not m)
+
+    def sub(points, suffix):
+        sids = {p.study_id for p in points}
+        studies = tuple(s for s in d.studies if s.study_id in sids)
+        return Dataset(points=points, studies=studies,
+                       label=f"{d.label}/{suffix}" if d.label else suffix)
+
+    return sub(train_pts, "train"), sub(test_pts, "test")

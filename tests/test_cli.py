@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from curvemine.cli import main
-from curvemine.dataset import ingest_csv, write_csv
+from curvemine.dataset import DataPoint, ingest_csv, write_csv
 from curvemine.fit import multi_start
 from curvemine.models import get_model
 from curvemine.plotting import render_svg
@@ -114,6 +114,15 @@ class TestSynth:
                 "--seed", "9", "--out-dir", str(outdir))
             blobs.append((outdir / "replicate_000.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_negative_draw_names_its_row(self, capsys, tmp_path):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("x,n,mean,sd,upper_pl95,family\n"
+                           "25,10,5.0,1.0,,normal\n30,40,1.0,5.0,,normal\n")
+        code, _, err = run(capsys, "synth", "--summary", str(summary),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert "summary row 1 (x=30.0, family normal) drew -" in err
 
 
 class TestFitRank:
@@ -322,3 +331,51 @@ class TestConfigFile:
         assert code == 0, err
         assert set(json.loads(out)["result"]["percent_remaining"]) \
             == {"20.0", "35.0"}
+
+
+class TestNoPerRowObjects:
+    """CLI commands on a valid point CSV build columns only, never a DataPoint."""
+
+    def test_commands_construct_no_datapoint(self, capsys, tmp_path,
+                                             monkeypatch, summary_csv):
+        rng = np.random.default_rng(4)
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            xs = rng.uniform(0, 60, 120)
+            ys = np.clip(100 * np.exp(-((xs - 15) ** 2) / 50.0)
+                         + rng.normal(0, 2, 120), 0, None)
+            paths.append(tmp_path / name)
+            write_dataset_csv(paths[-1], make_dataset(xs, ys, unit="mm3"))
+        units = tmp_path / "units.cfg"
+        units.write_text("mm3 = ml,0.001\n")
+        a, b = map(str, paths)
+        model = ["--model", "gaussian_peak"]
+        commands = {
+            "ingest": ["ingest", "--data", a, "--units", str(units),
+                       "--out", str(tmp_path / "norm.csv")],
+            "describe": ["describe", "--data", a],
+            "validate split": ["validate", "--data", a, *model,
+                               "--stratify-bins", "4"],
+            "validate cohorts": ["validate", "--train", a, "--test", b, *model],
+            "analyze": ["analyze", "--data", a, *model,
+                        "--band-out", str(tmp_path / "band.csv")],
+            "plot": ["plot", "--data", a, *model, "--band",
+                     "--out", str(tmp_path / "fig.svg")],
+            "synth": ["synth", "--summary", str(summary_csv), "--replicates",
+                      "2", "--out-dir", str(tmp_path / "reps")],
+        }
+        made = []
+        check = DataPoint.__post_init__
+
+        def counted(point):
+            made.append(point)
+            check(point)
+
+        monkeypatch.setattr(DataPoint, "__post_init__", counted)
+        built = {}
+        for name, argv in commands.items():
+            code, _, err = run(capsys, *argv)
+            assert code == 0, err
+            built[name] = len(made)
+            made.clear()
+        assert built == dict.fromkeys(commands, 0)
