@@ -365,8 +365,13 @@ def write_csv(d: Dataset, sink: TextIO) -> None:
     """Serialize a dataset back to the point CSV schema (round-trip stable)."""
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["study_id", "x", "y", "unit", "assay_id", "weight"])
+    # ages repeat (synth draws many points per age): format each bit pattern once
+    _, first, inv = np.unique(d.xs.view(np.int64), return_index=True,
+                              return_inverse=True)
+    x_cells = [repr(v) for v in d.xs[first].tolist()]
     writer.writerows(zip(  # csv writes a None assay as an empty cell
-        d._study.labels(), map(repr, d.xs.tolist()), map(repr, d.ys.tolist()),
+        d._study.labels(), map(x_cells.__getitem__, inv.tolist()),
+        map(repr, d.ys.tolist()),
         d._unit.labels(), d._assay.labels(), map(repr, d.weights.tolist())))
 
 

@@ -5,6 +5,13 @@ analytic Jacobians from the model catalog, bound projection, and monotone
 RSS descent. Catalog ranking fits every family via multi-start, with all
 starts of a family advancing together as one batch, and orders the
 plausible results by coefficient of determination.
+
+The kernel works on the distinct x values of a dataset: the weighted RSS
+of replicated x depends on the data only through each distinct x's summed
+weight W_g and weighted mean y, plus the constant within-group ("pure
+error") sum C = sum w (y - ybar_g)^2 (Seber & Wild 1989, section 2.1).
+Every RSS the kernel compares or reports includes C, so it is the
+full-data weighted RSS, and data with no repeated x is fitted unchanged.
 """
 
 from __future__ import annotations
@@ -49,6 +56,8 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """One fit; ``rss`` is the weighted RSS over every point of the dataset."""
+
     spec_name: str
     params: tuple[float, ...]
     rss: float
@@ -85,12 +94,31 @@ def _row_dot(v: np.ndarray) -> np.ndarray:
     return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
-def _rss(res: np.ndarray) -> np.ndarray:
-    """Per-row RSS; inf where a residual is non-finite (a NaN residual
-    makes the sum NaN, an infinite one makes it inf)."""
-    rss = _row_dot(res)
+def _rss(res: np.ndarray, pure: float) -> np.ndarray:
+    """Per-row RSS plus the within-group sum ``pure``; inf where a residual
+    is non-finite (a NaN residual makes the sum NaN, an infinite one inf)."""
+    rss = _row_dot(res) + pure
     rss[np.isnan(rss)] = np.inf
     return rss
+
+
+def _distinct_x(d: Dataset):
+    """Group the rows of ``d`` by the bit pattern of x, groups in the order
+    of their first row. Returns the distinct x, each group's summed weight,
+    its weighted mean y, and the within-group sum sum w (y - ybar_g)^2.
+    A one-row group keeps its x, y and weight bit for bit (subtracting +0.0
+    keeps even a -0.0 y), so data with no repeated x comes back unchanged."""
+    xs, ys, w = d.xs, d.ys, d.weights
+    _, first, inv = np.unique(xs.view(np.int64), return_index=True,
+                              return_inverse=True)
+    order = np.argsort(first)
+    group = np.argsort(order)[inv]  # argsort inverts the permutation
+    first = first[order]
+    wsum = np.bincount(group, weights=w)
+    y0 = ys[first]
+    ybar = y0 - np.bincount(group, weights=w * (y0[group] - ys)) / wsum
+    pure = float(np.sum(w * (ys - ybar[group]) ** 2))
+    return xs[first], wsum, ybar, pure
 
 
 def r_squared(spec: ModelSpec, params: Sequence[float], d: Dataset) -> float:
@@ -143,6 +171,10 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
     Each start keeps its own damping, accept/reject decisions, stopping
     reason and iteration count; every operation acts row by row, so a
     start's result does not depend on the other starts in the batch.
+    Residuals and Jacobians run on the distinct x of ``d`` (weights summed,
+    y averaged per x, see ``_distinct_x``), and every RSS adds back the
+    within-group sum, so ``rss_rtol``, accept/reject and the returned RSS
+    refer to the full-data weighted RSS.
     Returns (params, rss, converged, iterations, ok), one entry per start;
     ``ok`` is False for a start whose residuals are non-finite, which is not
     iterated.
@@ -150,8 +182,8 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
     if len(d) < spec.n_params:
         raise ValueError(
             f"underdetermined: {len(d)} points for {spec.n_params} parameters")
-    xs, ys = d.xs, d.ys
-    sw = np.sqrt(d.weights)
+    xs, wsum, ys, pure = _distinct_x(d)
+    sw = np.sqrt(wsum)
     lo, hi = _bounds(spec)
     params = np.clip(np.asarray(starts, dtype=float), lo, hi)
     if np.ptp(xs) == 0.0 and spec.n_params > 1:
@@ -163,7 +195,7 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
     iterations = np.zeros(k, dtype=int)
     with np.errstate(all="ignore"):
         res = _residuals(spec, params, xs, ys, sw)
-        rss = _rss(res)
+        rss = _rss(res, pure)
         ok = np.isfinite(res).all(axis=1)
         live = ok.nonzero()[0]          # start index of each live row
         p, res, s = params[live], res[live], rss[live]
@@ -187,7 +219,7 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
                 step = _solve(damped, g)
                 p_new = np.minimum(np.maximum(p_old + step, lo), hi)
                 res_new = _residuals(spec, p_new, xs, ys, sw)
-                rss_new = _rss(res_new)
+                rss_new = _rss(res_new, pure)
                 win = pending & np.isfinite(step).all(axis=1) & (rss_new <= s_old)
                 np.copyto(p, p_new, where=win[:, None])
                 np.copyto(res, res_new, where=win[:, None])
