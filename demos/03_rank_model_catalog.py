@@ -7,7 +7,7 @@ win.
 
 import numpy as np
 
-from curvemine.dataset import DataPoint, Dataset
+from curvemine.dataset import Dataset
 from curvemine.fit import rank_all
 from curvemine.models import PlausibilityConfig, catalog
 
@@ -18,10 +18,7 @@ def main():
     ages = rng.uniform(0, 55, 250)
     truth = 300.0 * np.exp(-((ages - 16.0) ** 2) / (2 * 8.0 ** 2))
     values = np.clip(truth * (1 + rng.normal(0, 0.08, ages.size)), 0, None)
-    d = Dataset.from_points(
-        [DataPoint(x=float(a), y=float(v), study_id="demo")
-         for a, v in zip(ages, values)],
-        label="demo-population")
+    d = Dataset.from_points(ages, values, study="demo", label="demo-population")
 
     cfg = PlausibilityConfig(domain=(0.0, 55.0), require_nonnegative=True)
     ranked = rank_all(catalog(), d, cfg, n_starts=5, seed=42)

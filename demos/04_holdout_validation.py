@@ -7,7 +7,7 @@ checks that the two cohorts have similar descriptive statistics.
 
 import numpy as np
 
-from curvemine.dataset import DataPoint, Dataset
+from curvemine.dataset import Dataset
 from curvemine.fit import multi_start
 from curvemine.models import get_model
 from curvemine.validate import compare_descriptives, holdout_validate, split
@@ -18,10 +18,7 @@ def main():
     ages = rng.uniform(15, 50, 400)
     truth = 8.0 * np.exp(-((ages - 24.0) ** 2) / (2 * 10.0 ** 2))
     levels = np.clip(truth + rng.normal(0, 1.2, ages.size), 0, None)
-    d = Dataset.from_points(
-        [DataPoint(x=float(a), y=float(v), study_id="demo")
-         for a, v in zip(ages, levels)],
-        label="hormone-levels")
+    d = Dataset.from_points(ages, levels, study="demo", label="hormone-levels")
 
     train, test = split(d, fraction=0.5, seed=1, stratify_bins=8)
     print(compare_descriptives(train, test, tolerance=0.2).to_text())

@@ -16,7 +16,7 @@ from curvemine.analyze import (
     percent_remaining,
     prediction_band,
 )
-from curvemine.dataset import DataPoint, Dataset
+from curvemine.dataset import Dataset
 from curvemine.fit import multi_start
 from curvemine.models import evaluate, get_model
 from curvemine.plotting import render_svg
@@ -29,10 +29,7 @@ def main():
     ages = rng.uniform(0, 55, 300)
     truth = 250.0 * np.exp(-((ages - 14.5) ** 2) / (2 * 9.0 ** 2))
     values = np.clip(truth * (1 + rng.normal(0, 0.05, ages.size)), 0, None)
-    d = Dataset.from_points(
-        [DataPoint(x=float(a), y=float(v), study_id="demo")
-         for a, v in zip(ages, values)],
-        label="reserve")
+    d = Dataset.from_points(ages, values, study="demo", label="reserve")
 
     spec = get_model("gaussian_peak")
     fitted = multi_start(spec, d, n_starts=5, seed=3)

@@ -8,7 +8,6 @@ prediction bands.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -143,18 +142,6 @@ class CorrelationReport:
     transform_a: str
     transform_b: str
 
-    def as_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "age_range": list(self.age_range),
-            "grid_size": self.grid_size,
-            "transform_a": self.transform_a,
-            "transform_b": self.transform_b,
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
-
 
 def _series(spec, params, transform, xs):
     if transform == "value":
@@ -204,18 +191,6 @@ class IntervalBand:
     fitted: tuple[float, ...]
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "xs": list(self.xs),
-            "fitted": list(self.fitted),
-            "lower": list(self.lower),
-            "upper": list(self.upper),
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["x,lower,fit,upper"]

@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest, describe, synth, fit, rank, validate, analyze, plot.
 
-Every emitted report embeds the seed, tool version, and SHA-256 digests of
-its input files, so two runs on identical inputs are byte-identical.
+Every emitted report embeds the seed, the tool and numpy versions, and
+SHA-256 digests of its input files, so two runs on identical inputs with the
+same numpy are byte-identical.
 Machine-readable JSON is the primary output; plain-text mirrors accompany
 it where a human-readable form is useful.
 """
@@ -19,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .analyze import (
-    cross_correlation,
     monthly_loss,
     peak_age,
     percent_remaining,
@@ -57,6 +57,7 @@ def _report(command: str, args, result: dict,
     envelope = {
         "command": command,
         "version": __version__,
+        "numpy": np.__version__,
         "seed": getattr(args, "seed", None),
         "inputs": {str(p): _sha256(p) for p in input_paths},
         "result": result,
@@ -265,7 +266,8 @@ def _cmd_plot(args) -> int:
 def _cmd_catalog(args) -> int:
     result = {"models": [spec_to_dict(s) for s in catalog()]}
     sys.stdout.write(json.dumps(
-        {"command": "catalog", "version": __version__, "result": result},
+        {"command": "catalog", "version": __version__, "numpy": np.__version__,
+         "result": result},
         indent=2, sort_keys=True, default=str) + "\n")
     return 0
 

@@ -3,9 +3,9 @@
 Every observation keeps its study (and optionally assay) provenance so that
 combined datasets can always be traced back to their sources. A Dataset is a
 column store: float64 x, y and weight, and study, unit and assay as integer
-codes into label tables. Each operation builds and checks its result's columns
-once; ``Dataset.points`` is built lazily, and no CLI path builds a DataPoint.
-Datasets are immutable after construction and all operations here are pure.
+codes into label tables, built and checked once per operation. Datasets are
+immutable and all operations here are pure. ``Dataset.from_points`` builds
+one from point columns; its name stays because the benchmark's trace wraps it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
 import numpy as np
 
 __all__ = [
-    "DataPoint",
     "StudyMeta",
     "Dataset",
     "UnitTable",
@@ -48,28 +47,14 @@ class UnknownUnitError(KeyError):
 MIN_AGE = -1.0
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    """One (age, value) observation with provenance.
-
-    x is age in years (negative = pre-birth, >= -1.0), y is the measured
-    value in the canonical unit.
-    """
-
-    x: float
-    y: float
-    unit: str = ""
-    study_id: str = ""
-    assay_id: Optional[str] = None
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.x) or self.x < MIN_AGE:
-            raise ValueError(f"age {self.x!r} must be finite and >= {MIN_AGE}")
-        if not math.isfinite(self.y) or self.y < 0:
-            raise ValueError(f"value {self.y!r} must be finite and >= 0")
-        if not (self.weight > 0):
-            raise ValueError(f"weight {self.weight!r} must be > 0")
+def _check_row(x: float, y: float, w: float) -> None:
+    """The rules every row obeys; the message names the first one broken."""
+    if not math.isfinite(x) or x < MIN_AGE:
+        raise ValueError(f"age {x!r} must be finite and >= {MIN_AGE}")
+    if not math.isfinite(y) or y < 0:
+        raise ValueError(f"value {y!r} must be finite and >= 0")
+    if not (w > 0):
+        raise ValueError(f"weight {w!r} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -101,7 +86,12 @@ class _Codes(NamedTuple):
     table: tuple
 
     @staticmethod
-    def of(values: Sequence) -> "_Codes":
+    def of(name: str, values, n: int) -> "_Codes":
+        """One label for all n rows (a str or None), or a sequence of n labels."""
+        if values is None or isinstance(values, str):
+            return _Codes(np.zeros(n, dtype=np.intp), (values,))
+        if len(values) != n:
+            raise ValueError(f"{name} has {len(values)} labels for {n} rows")
         index = {v: i for i, v in enumerate(dict.fromkeys(values))}
         return _Codes(np.array(list(map(index.__getitem__, values)), dtype=np.intp),
                       tuple(index))
@@ -113,30 +103,47 @@ class _Codes(NamedTuple):
 class Dataset:
     """Immutable ordered collection of datapoints plus their study descriptors.
 
-    ``xs``, ``ys`` and ``weights`` are read-only float64 columns; ``points``
-    is built on first read. The benchmark's trace (perfbench/spans.py) wraps
-    the class from outside, so ``from_points`` stays a staticmethod in
-    ``Dataset.__dict__`` and ``xs``, ``ys`` and ``weights`` stay properties
-    defined on the class itself.
+    ``xs``, ``ys`` and ``weights`` are read-only float64 columns;
+    ``study_ids``, ``units`` and ``assay_ids`` are new per-row label lists.
+    ``from_points`` is the constructor. The benchmark's trace
+    (perfbench/spans.py) wraps the class from outside, so ``from_points``
+    keeps its name and stays a staticmethod in ``Dataset.__dict__``, and
+    ``xs``, ``ys`` and ``weights`` stay properties defined on the class.
     """
 
-    def __init__(self, points: Iterable[DataPoint],
-                 studies: Iterable[StudyMeta], label: str = ""):
-        studies = tuple(studies)  # kept in the given order
-        self.__dict__.update(vars(Dataset.from_points(points, label, studies)),
-                             studies=studies)
+    @staticmethod
+    def from_points(x, y, *, weight=1.0, study: str | Sequence = "",
+                    unit: str | Sequence = "", assay: Optional[str] | Sequence = None,
+                    studies: Optional[Iterable[StudyMeta]] = None,
+                    label: str = "") -> "Dataset":
+        """Build a dataset from point columns: ``weight`` is one number for all
+        rows or one per row, and ``study``, ``unit`` and ``assay`` are each one
+        label (a str, or None) for all rows or a sequence of one per row.
+        ``studies`` is sorted by id; None synthesizes them from the rows."""
+        x, y, weight = (np.array(c, dtype=float) for c in (x, y, weight))
+        if weight.ndim == 0:
+            weight = np.full(x.shape, weight)
+        if x.ndim != 1 or not x.shape == y.shape == weight.shape:
+            raise ValueError("x, y and weight must be 1-D and of one length, got "
+                             f"shapes {x.shape}, {y.shape} and {weight.shape}")
+        if studies is not None:
+            studies = tuple(sorted(studies, key=lambda s: s.study_id))
+        return Dataset._from_columns(
+            x, y, weight, *(_Codes.of(name, labels, len(x)) for name, labels in
+                            (("study", study), ("unit", unit), ("assay", assay))),
+            studies, label)
 
     @classmethod
     def _from_columns(cls, x, y, weight, study: _Codes, unit: _Codes, assay: _Codes,
-                      studies=None, label: str = "", points=None) -> "Dataset":
+                      studies=None, label: str = "") -> "Dataset":
         """Every dataset is built here, from float64 columns it then owns, with
-        DataPoint's rules on all rows at once; studies=None synthesizes them."""
+        the row rules on all rows at once; studies=None synthesizes them."""
         for col in (x, y, weight, study.codes, unit.codes, assay.codes):
             col.flags.writeable = False
         ok = np.isfinite(x) & (x >= MIN_AGE) & np.isfinite(y) & (y >= 0) & (weight > 0)
-        if not ok.all():  # the first bad row raises DataPoint's error
+        if not ok.all():  # the first bad row raises its error
             i = int(np.argmin(ok))
-            DataPoint(float(x[i]), float(y[i]), weight=float(weight[i]))
+            _check_row(float(x[i]), float(y[i]), float(weight[i]))
         if studies is None:
             studies = _synthesize_studies(x, study)
         known = {s.study_id for s in studies}
@@ -146,8 +153,7 @@ class Dataset:
                              f"{study.table[study.codes[unknown.argmax()]]!r}")
         d = cls.__new__(cls)
         d.__dict__.update(_x=x, _y=y, _weight=weight, _study=study, _unit=unit,
-                          _assay=assay, studies=tuple(studies), label=label,
-                          _points=points)
+                          _assay=assay, studies=tuple(studies), label=label)
         return d
 
     def __len__(self) -> int:
@@ -156,27 +162,23 @@ class Dataset:
     def __setattr__(self, name, value):
         raise AttributeError(f"Dataset is immutable: cannot set {name!r}")
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Dataset) and (
-            (self.points, self.studies, self.label) == (other.points, other.studies, other.label))
-
-    @property
-    def points(self) -> tuple[DataPoint, ...]:
-        if self._points is None:
-            self.__dict__["_points"] = tuple(map(
-                DataPoint, self._x.tolist(), self._y.tolist(), self._unit.labels(),
-                self._study.labels(), self._assay.labels(), self._weight.tolist()))
-        return self._points
+    def __eq__(self, other) -> bool:  # numbers by value: 0.0 equals -0.0
+        return (isinstance(other, Dataset) and len(self) == len(other)
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in ("_x", "_y", "_weight"))
+                and all(getattr(self, c).labels() == getattr(other, c).labels()
+                        for c in ("_study", "_unit", "_assay"))
+                and (self.studies, self.label) == (other.studies, other.label))
 
     xs = property(lambda self: self._x)
     ys = property(lambda self: self._y)
     weights = property(lambda self: self._weight)
+    study_ids = property(lambda self: self._study.labels())
+    units = property(lambda self: self._unit.labels())
+    assay_ids = property(lambda self: self._assay.labels())
 
     def study(self, study_id: str) -> StudyMeta:
-        for s in self.studies:
-            if s.study_id == study_id:
-                return s
-        raise KeyError(study_id)
+        return {s.study_id: s for s in self.studies}[study_id]
 
     def _take(self, rows, label: str) -> "Dataset":
         """The rows a mask or index array selects, with the studies they cite."""
@@ -186,19 +188,6 @@ class Dataset:
         return Dataset._from_columns(
             self._x[rows], self._y[rows], self._weight[rows], study, unit, assay,
             tuple(s for s in self.studies if s.study_id in cited), label)
-
-    @staticmethod
-    def from_points(points: Iterable[DataPoint], label: str = "",
-                    studies: Optional[Iterable[StudyMeta]] = None) -> "Dataset":
-        """Build a dataset, synthesizing per-study metadata from the rows."""
-        pts = tuple(points)
-        if studies is not None:
-            studies = tuple(sorted(studies, key=lambda s: s.study_id))
-        return Dataset._from_columns(
-            *(np.array([getattr(p, a) for p in pts], dtype=float)
-              for a in ("x", "y", "weight")),
-            *(_Codes.of([getattr(p, a) for p in pts]) for a in ("study_id", "unit", "assay_id")),
-            studies, label, pts)
 
 
 def _synthesize_studies(x: np.ndarray, study: _Codes) -> list[StudyMeta]:
@@ -297,10 +286,8 @@ def read_unit_table(source: TextIO | str) -> UnitTable:
     return UnitTable(entries=entries)
 
 
-def ingest_csv(source: TextIO | str,
-               schema: Optional[Mapping[str, str]] = None,
-               skip_bad_rows: bool = False,
-               label: str = "") -> Dataset:
+def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
+               skip_bad_rows: bool = False, label: str = "") -> Dataset:
     """Read a point CSV (header ``study_id,x,y,unit,assay_id,weight``) into a Dataset.
 
     ``schema`` maps logical column names to actual header names. Bad rows
@@ -336,20 +323,20 @@ def ingest_csv(source: TextIO | str,
     cells["assay_id"] = [a or None for a in cells["assay_id"]]
 
     def build() -> Dataset:  # float() per cell: float's syntax and bits
-        return Dataset._from_columns(
-            *(np.array(list(map(float, cells[c]))) for c in ("x", "y", "weight")),
-            *(_Codes.of(cells[c]) for c in ("study_id", "unit", "assay_id")),
-            label=label)
+        x, y, weight = (np.fromiter(map(float, cells[c]), float) for c in ("x", "y", "weight"))
+        return Dataset.from_points(x, y, weight=weight, study=cells["study_id"],
+                                   unit=cells["unit"], assay=cells["assay_id"],
+                                   label=label)
 
     bad = {}
     try:
         if rows:
             return build()
-    except ValueError:  # name every bad row, in DataPoint's words
+    except ValueError:  # name every bad row
         for rownum, (x, y, w) in enumerate(  # the header is row 1
                 zip(cells["x"], cells["y"], cells["weight"]), start=2):
             try:
-                DataPoint(float(x), float(y), weight=float(w))
+                _check_row(float(x), float(y), float(w))
             except ValueError as exc:
                 bad[rownum] = f"row {rownum}: {exc}"
     if bad and not skip_bad_rows:
@@ -370,9 +357,8 @@ def write_csv(d: Dataset, sink: TextIO) -> None:
                               return_inverse=True)
     x_cells = [repr(v) for v in d.xs[first].tolist()]
     writer.writerows(zip(  # csv writes a None assay as an empty cell
-        d._study.labels(), map(x_cells.__getitem__, inv.tolist()),
-        map(repr, d.ys.tolist()),
-        d._unit.labels(), d._assay.labels(), map(repr, d.weights.tolist())))
+        d.study_ids, map(x_cells.__getitem__, inv.tolist()),
+        map(repr, d.ys.tolist()), d.units, d.assay_ids, map(repr, d.weights.tolist())))
 
 
 def normalize_units(d: Dataset, table: UnitTable) -> Dataset:
@@ -381,7 +367,7 @@ def normalize_units(d: Dataset, table: UnitTable) -> Dataset:
     canon, factor = list(unit.table), np.ones(len(unit.table))
     for c in dict.fromkeys(unit.codes.tolist()):  # labels in use, in row order
         canon[c], factor[c] = table.resolve(unit.table[c])
-    with np.errstate(over="ignore"):  # a row scaled to inf is rejected as DataPoint would
+    with np.errstate(over="ignore"):  # a row scaled to inf is then rejected
         y = d.ys * factor[unit.codes]
     return Dataset._from_columns(d.xs, y, d.weights, d._study,
                                  _Codes(unit.codes, tuple(canon)), d._assay,
@@ -393,14 +379,13 @@ def merge(ds: Sequence[Dataset], label: str = "") -> Dataset:
     studies: dict[str, StudyMeta] = {}
     for s in (s for d in ds for s in d.studies):
         if studies.setdefault(s.study_id, s) != s:
-            raise ValueError(
-                f"study_id {s.study_id!r} appears with conflicting metadata")
-    return Dataset._from_columns(
-        *(np.concatenate([np.empty(0)] + [getattr(d, c) for d in ds])
-          for c in ("_x", "_y", "_weight")),
-        *(_Codes.of([v for d in ds for v in getattr(d, c).labels()])
-          for c in ("_study", "_unit", "_assay")),
-        tuple(sorted(studies.values(), key=lambda s: s.study_id)), label)
+            raise ValueError(f"study_id {s.study_id!r} appears with conflicting metadata")
+    x, y, weight = (np.concatenate([np.empty(0)] + [getattr(d, c) for d in ds])
+                    for c in ("_x", "_y", "_weight"))
+    study, unit, assay = ([v for d in ds for v in getattr(d, c)]
+                          for c in ("study_ids", "units", "assay_ids"))
+    return Dataset.from_points(x, y, weight=weight, study=study, unit=unit,
+                               assay=assay, studies=studies.values(), label=label)
 
 
 def describe(d: Dataset, axis: str = "y") -> Descriptives:
@@ -418,11 +403,10 @@ def describe(d: Dataset, axis: str = "y") -> Descriptives:
 
 def split_by_assay(d: Dataset) -> dict[str, Dataset]:
     """Partition a dataset by assay_id; every point must carry one."""
-    missing = sorted({sid for sid, assay in zip(d._study.labels(), d._assay.labels())
+    missing = sorted({sid for sid, assay in zip(d.study_ids, d.assay_ids)
                       if assay is None})
     if missing:
-        raise ValueError(
-            "points without assay_id in studies: " + ", ".join(missing))
+        raise ValueError("points without assay_id in studies: " + ", ".join(missing))
     codes, table = d._assay
     groups = {table[c]: c for c in np.unique(codes).tolist()}
     return {name: d._take(codes == groups[name],

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .dataset import Dataset, _Codes
+from .dataset import Dataset
 
 __all__ = [
     "SummaryRow",
@@ -187,13 +187,10 @@ def reconstruct_dataset(rows: Sequence[SummaryRow], seed: int,
                 f"{float(vals[bad.argmax()])!r}, but a reconstructed value must "
                 f"be finite and >= 0")
         draws.append(vals)
-    n = sum(map(len, draws))
-    one = _Codes(np.zeros(n, dtype=np.intp), (None,))  # one label for every row
-    return Dataset._from_columns(
+    return Dataset.from_points(
         np.repeat(np.array([row.x for row in rows], dtype=float),
                   [len(v) for v in draws]),
-        np.concatenate(draws), np.ones(n), one._replace(table=(SYNTHETIC_STUDY_ID,)),
-        one._replace(table=(unit,)), one, label=label)
+        np.concatenate(draws), study=SYNTHETIC_STUDY_ID, unit=unit, label=label)
 
 
 def replicate(rows: Sequence[SummaryRow], master_seed: int, k: int,

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from curvemine.dataset import DataPoint, Dataset
+from curvemine.dataset import Dataset
 
 
 def make_dataset(xs, ys, study_id="s", label="", assay=None, unit=""):
-    points = [
-        DataPoint(x=float(x), y=float(y), study_id=study_id, assay_id=assay,
-                  unit=unit)
-        for x, y in zip(xs, ys)
-    ]
-    return Dataset.from_points(points, label=label)
+    return Dataset.from_points(xs, ys, study=study_id, unit=unit, assay=assay,
+                               label=label)
 
 
 @pytest.fixture

@@ -2,25 +2,68 @@
 and split: the dataset layer as it was before the column store, kept for
 the tests as a differential oracle.
 
-``csv.DictReader`` row by row, one validated ``DataPoint`` per row, study
+``csv.DictReader`` row by row, one validated ``_Row`` per row, study
 metadata and order statistics from sorted Python lists. Each function has
 the signature of its namesake in ``curvemine.dataset`` or
-``curvemine.validate``.
+``curvemine.validate``; datasets go in and out as ``curvemine`` Datasets,
+read with ``rows`` and built from rows with ``_dataset``.
 """
 
 import csv
 import io
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
 from curvemine.dataset import (
-    DataPoint,
     Dataset,
     Descriptives,
     IngestError,
     StudyMeta,
 )
+
+MIN_AGE = -1.0  # ages are floored at conception
+
+
+@dataclass(frozen=True)
+class _Row:
+    """One (age, value) observation with provenance.
+
+    x is age in years (negative = pre-birth, >= -1.0), y is the measured
+    value in the canonical unit.
+    """
+
+    x: float
+    y: float
+    unit: str = ""
+    study_id: str = ""
+    assay_id: Optional[str] = None
+    weight: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.x) or self.x < MIN_AGE:
+            raise ValueError(f"age {self.x!r} must be finite and >= {MIN_AGE}")
+        if not math.isfinite(self.y) or self.y < 0:
+            raise ValueError(f"value {self.y!r} must be finite and >= 0")
+        if not (self.weight > 0):
+            raise ValueError(f"weight {self.weight!r} must be > 0")
+
+
+def rows(d):
+    """The rows of a dataset, each validated as it is built."""
+    return tuple(map(_Row, d.xs.tolist(), d.ys.tolist(), d.units, d.study_ids,
+                     d.assay_ids, d.weights.tolist()))
+
+
+def _dataset(points, studies, label):
+    return Dataset.from_points(
+        [p.x for p in points], [p.y for p in points],
+        weight=[p.weight for p in points], study=[p.study_id for p in points],
+        unit=[p.unit for p in points], assay=[p.assay_id for p in points],
+        studies=studies, label=label)
+
 
 _REQUIRED_COLUMNS = ("study_id", "x", "y")
 _OPTIONAL_COLUMNS = ("unit", "assay_id", "weight")
@@ -51,8 +94,7 @@ def ingest_csv(source, schema=None, skip_bad_rows=False, label=""):
         raise IngestError("rejected rows:\n  " + "\n  ".join(bad))
     if not points:
         raise IngestError("no valid data rows")
-    return Dataset.from_points(points, label=label,
-                               studies=_synthesize_studies(points))
+    return _dataset(points, _synthesize_studies(points), label)
 
 
 def _parse_row(row, colmap):
@@ -64,7 +106,7 @@ def _parse_row(row, colmap):
     y = float(get("y"))
     weight_s = get("weight")
     assay = get("assay_id") or None
-    return DataPoint(
+    return _Row(
         x=x, y=y,
         unit=get("unit"),
         study_id=str(get("study_id")),
@@ -101,7 +143,7 @@ def _median(sorted_vals):
 def write_csv(d, sink):
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(["study_id", "x", "y", "unit", "assay_id", "weight"])
-    for p in d.points:
+    for p in rows(d):
         writer.writerow([
             p.study_id, repr(p.x), repr(p.y), p.unit,
             p.assay_id if p.assay_id is not None else "",
@@ -110,7 +152,7 @@ def write_csv(d, sink):
 
 
 def describe(d, axis="y"):
-    vals = sorted(p.x if axis == "x" else p.y for p in d.points)
+    vals = sorted(p.x if axis == "x" else p.y for p in rows(d))
     n = len(vals)
     mean = float(np.mean(vals))
     sd = float(np.std(vals, ddof=1)) if n > 1 else 0.0
@@ -120,13 +162,13 @@ def describe(d, axis="y"):
 
 def normalize_units(d, table):
     points = []
-    for p in d.points:
+    for p in rows(d):
         canon, factor = table.resolve(p.unit)
         if canon == p.unit and factor == 1.0:
             points.append(p)
         else:
             points.append(replace(p, unit=canon, y=p.y * factor))
-    return Dataset(points=tuple(points), studies=d.studies, label=d.label)
+    return _dataset(points, d.studies, d.label)
 
 
 def split(d, fraction, seed=0, stratify_bins=1):
@@ -153,13 +195,14 @@ def split(d, fraction, seed=0, stratify_bins=1):
 
     mask = np.zeros(len(d), dtype=bool)
     mask[train_idx] = True
-    train_pts = tuple(p for p, m in zip(d.points, mask) if m)
-    test_pts = tuple(p for p, m in zip(d.points, mask) if not m)
+    points = rows(d)
+    train_pts = tuple(p for p, m in zip(points, mask) if m)
+    test_pts = tuple(p for p, m in zip(points, mask) if not m)
 
     def sub(points, suffix):
         sids = {p.study_id for p in points}
         studies = tuple(s for s in d.studies if s.study_id in sids)
-        return Dataset(points=points, studies=studies,
-                       label=f"{d.label}/{suffix}" if d.label else suffix)
+        return _dataset(points, studies,
+                        f"{d.label}/{suffix}" if d.label else suffix)
 
     return sub(train_pts, "train"), sub(test_pts, "test")

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from curvemine.cli import main
-from curvemine.dataset import DataPoint, ingest_csv, write_csv
+from curvemine.dataset import ingest_csv, write_csv
 from curvemine.fit import multi_start
 from curvemine.models import get_model
 from curvemine.plotting import render_svg
 from curvemine.synth import SummaryRow, reconstruct_dataset
-from curvemine.validate import holdout_validate
+from curvemine.validate import holdout_validate, split
 
 from conftest import make_dataset
 
@@ -56,6 +56,7 @@ class TestIngestDescribe:
         assert report["command"] == "ingest"
         assert report["result"]["n_points"] == 80
         assert report["version"]
+        assert report["numpy"] == np.__version__
         assert str(data_csv) in report["inputs"]
 
     def test_ingest_writes_normalized_csv(self, capsys, tmp_path):
@@ -69,8 +70,8 @@ class TestIngestDescribe:
         assert code == 0
         with open(out_csv) as fh:
             d = ingest_csv(fh)
-        assert d.points[0].y == pytest.approx(2.0)
-        assert d.points[0].unit == "ml"
+        assert d.ys[0] == pytest.approx(2.0)
+        assert d.units == ["ml"]
 
     def test_describe(self, capsys, data_csv):
         code, out, _ = run(capsys, "describe", "--data", str(data_csv),
@@ -168,6 +169,7 @@ class TestFitRank:
     def test_catalog_export(self, capsys):
         code, out, _ = run(capsys, "catalog")
         assert code == 0
+        assert json.loads(out)["numpy"] == np.__version__
         models = json.loads(out)["result"]["models"]
         assert len(models) >= 30
         assert {"name", "n_params", "family_class", "bounds"} <= set(models[0])
@@ -210,6 +212,15 @@ class TestValidateCmd:
         result = json.loads(out)["result"]
         assert result["validation"]["n_train"] == 40
         assert result["validation"]["n_test"] == 40
+
+    def test_stratified_split_mode(self, capsys, data_csv):
+        code, out, err = run(capsys, "validate", "--data", str(data_csv),
+                             "--model", "gaussian_peak", "--stratify-bins", "4")
+        assert code == 0, err
+        got = json.loads(out)["result"]["validation"]
+        train, test = split(ingest_csv(data_csv.read_text()), 0.5, seed=0,
+                            stratify_bins=4)
+        assert (got["n_train"], got["n_test"]) == (len(train), len(test))
 
 
 class TestAnalyzeCmd:
@@ -332,50 +343,3 @@ class TestConfigFile:
         assert set(json.loads(out)["result"]["percent_remaining"]) \
             == {"20.0", "35.0"}
 
-
-class TestNoPerRowObjects:
-    """CLI commands on a valid point CSV build columns only, never a DataPoint."""
-
-    def test_commands_construct_no_datapoint(self, capsys, tmp_path,
-                                             monkeypatch, summary_csv):
-        rng = np.random.default_rng(4)
-        paths = []
-        for name in ("a.csv", "b.csv"):
-            xs = rng.uniform(0, 60, 120)
-            ys = np.clip(100 * np.exp(-((xs - 15) ** 2) / 50.0)
-                         + rng.normal(0, 2, 120), 0, None)
-            paths.append(tmp_path / name)
-            write_dataset_csv(paths[-1], make_dataset(xs, ys, unit="mm3"))
-        units = tmp_path / "units.cfg"
-        units.write_text("mm3 = ml,0.001\n")
-        a, b = map(str, paths)
-        model = ["--model", "gaussian_peak"]
-        commands = {
-            "ingest": ["ingest", "--data", a, "--units", str(units),
-                       "--out", str(tmp_path / "norm.csv")],
-            "describe": ["describe", "--data", a],
-            "validate split": ["validate", "--data", a, *model,
-                               "--stratify-bins", "4"],
-            "validate cohorts": ["validate", "--train", a, "--test", b, *model],
-            "analyze": ["analyze", "--data", a, *model,
-                        "--band-out", str(tmp_path / "band.csv")],
-            "plot": ["plot", "--data", a, *model, "--band",
-                     "--out", str(tmp_path / "fig.svg")],
-            "synth": ["synth", "--summary", str(summary_csv), "--replicates",
-                      "2", "--out-dir", str(tmp_path / "reps")],
-        }
-        made = []
-        check = DataPoint.__post_init__
-
-        def counted(point):
-            made.append(point)
-            check(point)
-
-        monkeypatch.setattr(DataPoint, "__post_init__", counted)
-        built = {}
-        for name, argv in commands.items():
-            code, _, err = run(capsys, *argv)
-            assert code == 0, err
-            built[name] = len(made)
-            made.clear()
-        assert built == dict.fromkeys(commands, 0)

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvemine.dataset import (
-    DataPoint,
     Dataset,
     IngestError,
     StudyMeta,
@@ -23,6 +23,7 @@ from curvemine.dataset import (
 )
 
 from conftest import make_dataset
+from reference_ingest import rows
 
 
 CSV_BAKER = """study_id,x,y
@@ -49,7 +50,7 @@ class TestIngest:
 
     def test_row_order_preserved(self):
         d = ingest_csv(CSV_BAKER)
-        assert [p.x for p in d.points] == [-0.6, 7.0, -0.2]
+        assert d.xs.tolist() == [-0.6, 7.0, -0.2]
 
     def test_500_rows_against_sort_oracle(self):
         rng = np.random.default_rng(0)
@@ -99,7 +100,7 @@ class TestIngest:
     def test_schema_mapping(self):
         d = ingest_csv("ref,age,count\nA,5,10\n",
                        schema={"study_id": "ref", "x": "age", "y": "count"})
-        assert d.points[0].x == 5.0
+        assert d.xs.tolist() == [5.0]
 
     def test_round_trip_fixed_point(self):
         csv_text = ("study_id,x,y,unit,assay_id,weight\n"
@@ -108,7 +109,7 @@ class TestIngest:
         buf = io.StringIO()
         write_csv(d1, buf)
         d2 = ingest_csv(buf.getvalue())
-        assert d1.points == d2.points
+        assert rows(d1) == rows(d2)
         buf2 = io.StringIO()
         write_csv(d2, buf2)
         assert buf.getvalue() == buf2.getvalue()
@@ -119,8 +120,8 @@ class TestUnits:
         t = UnitTable({"ng/ml": ("µg/l", 1.0)})
         d = make_dataset([1.0], [3.5], unit="ng/ml")
         out = normalize_units(d, t)
-        assert out.points[0].unit == "µg/l"
-        assert out.points[0].y == 3.5
+        assert out.units == ["µg/l"]
+        assert out.ys.tolist() == [3.5]
 
     def test_already_canonical_identity(self):
         t = UnitTable({"µg/l": ("µg/l", 1.0)})
@@ -130,7 +131,7 @@ class TestUnits:
     def test_factor_arithmetic(self):
         t = UnitTable({"mm3": ("ml", 0.001)})
         d = make_dataset([1.0], [2000.0], unit="mm3")
-        assert normalize_units(d, t).points[0].y == pytest.approx(2.0)
+        assert normalize_units(d, t).ys[0] == pytest.approx(2.0)
 
     def test_unknown_unit_names_label(self):
         t = UnitTable({})
@@ -159,8 +160,8 @@ class TestUnits:
 class TestMerge:
     def test_identity_element(self):
         d = make_dataset([1.0, 2.0], [3.0, 4.0])
-        empty = Dataset(points=(), studies=(), label="")
-        assert merge([d, empty]).points == d.points
+        empty = Dataset.from_points([], [], studies=(), label="")
+        assert rows(merge([d, empty])) == rows(d)
 
     def test_table_counts_sum_to_325(self):
         counts = [11, 11, 15, 19, 122, 86, 52, 9]
@@ -176,15 +177,16 @@ class TestMerge:
         labels = rng.integers(0, 3, 200)
         parts = []
         for g in range(3):
-            pts = tuple(p for p, l in zip(d.points, labels) if l == g)
-            parts.append(Dataset(points=pts, studies=d.studies))
+            keep = labels == g
+            parts.append(Dataset.from_points(d.xs[keep], d.ys[keep], study="s",
+                                             studies=d.studies))
         back = merge(parts)
         for axis in ("x", "y"):
             assert describe(back, axis) == describe(d, axis)
 
     def test_conflicting_metadata(self):
-        a = Dataset(points=(), studies=(StudyMeta("s", year=1999),))
-        b = Dataset(points=(), studies=(StudyMeta("s", year=2000),))
+        a = Dataset.from_points([], [], studies=(StudyMeta("s", year=1999),))
+        b = Dataset.from_points([], [], studies=(StudyMeta("s", year=2000),))
         with pytest.raises(ValueError, match="conflicting"):
             merge([a, b])
 
@@ -233,17 +235,13 @@ class TestDescribe:
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            describe(Dataset(points=(), studies=()), "y")
+            describe(Dataset.from_points([], [], studies=()), "y")
 
 
 class TestSplitByAssay:
     def test_basic_partition(self):
-        pts = [
-            DataPoint(x=1, y=1, study_id="s", assay_id="A"),
-            DataPoint(x=2, y=2, study_id="s", assay_id="A"),
-            DataPoint(x=3, y=3, study_id="s", assay_id="B"),
-        ]
-        d = Dataset.from_points(pts)
+        d = Dataset.from_points([1, 2, 3], [1, 2, 3], study="s",
+                                assay=["A", "A", "B"])
         out = split_by_assay(d)
         assert {k: len(v) for k, v in out.items()} == {"A": 2, "B": 1}
 
@@ -251,51 +249,43 @@ class TestSplitByAssay:
         d = make_dataset([1, 2, 3], [1, 2, 3], assay="A")
         out = split_by_assay(d)
         assert list(out) == ["A"]
-        assert out["A"].points == d.points
+        assert rows(out["A"]) == rows(d)
 
     def test_missing_assay_lists_studies(self):
-        pts = [
-            DataPoint(x=1, y=1, study_id="good", assay_id="A"),
-            DataPoint(x=2, y=2, study_id="bad", assay_id=None),
-        ]
-        d = Dataset.from_points(pts)
+        d = Dataset.from_points([1, 2], [1, 2], study=["good", "bad"],
+                                assay=["A", None])
         with pytest.raises(ValueError, match="bad"):
             split_by_assay(d)
 
     def test_merge_back_oracle(self):
         rng = np.random.default_rng(9)
-        pts = [
-            DataPoint(x=float(x), y=float(y), study_id="s",
-                      assay_id=rng.choice(["A", "B", "C"]))
-            for x, y in zip(rng.uniform(0, 9, 100), rng.uniform(0, 9, 100))
-        ]
-        d = Dataset.from_points(pts)
+        xs, ys = rng.uniform(0, 9, 100), rng.uniform(0, 9, 100)
+        assay = [rng.choice(["A", "B", "C"]) for _ in range(100)]
+        d = Dataset.from_points(xs, ys, study="s", assay=assay)
         parts = split_by_assay(d)
         assert sum(len(v) for v in parts.values()) == len(d)
         back = merge(list(parts.values()))
-        assert sorted(back.points, key=lambda p: (p.x, p.y)) == \
-            sorted(d.points, key=lambda p: (p.x, p.y))
+        assert sorted(rows(back), key=lambda p: (p.x, p.y)) == \
+            sorted(rows(d), key=lambda p: (p.x, p.y))
 
 
 class TestInvariants:
-    def test_point_validation(self):
-        with pytest.raises(ValueError):
-            DataPoint(x=-1.5, y=1.0, study_id="s")
-        with pytest.raises(ValueError):
-            DataPoint(x=1.0, y=-0.1, study_id="s")
-        with pytest.raises(ValueError):
-            DataPoint(x=1.0, y=float("nan"), study_id="s")
-        with pytest.raises(ValueError):
-            DataPoint(x=1.0, y=1.0, study_id="s", weight=0.0)
-
-    def test_point_study_must_be_known(self):
-        with pytest.raises(ValueError):
-            Dataset(points=(DataPoint(x=1, y=1, study_id="ghost"),), studies=())
+    @pytest.mark.parametrize("change, message", [
+        (dict(x=[-1.5]), "age -1.5 must be finite and >= -1.0"),
+        (dict(y=[-0.1]), "value -0.1 must be finite and >= 0"),
+        (dict(y=[float("nan")]), "value nan must be finite and >= 0"),
+        (dict(weight=0.0), "weight 0.0 must be > 0"),
+        (dict(study="ghost", studies=()), "point references unknown study 'ghost'"),
+    ], ids=["age", "negative_y", "nan_y", "zero_weight", "unknown_study"])
+    def test_row_rules(self, change, message):
+        kw = {"x": [1.0], "y": [1.0], "study": "s", **change}
+        with pytest.raises(ValueError) as exc:
+            Dataset.from_points(kw.pop("x"), kw.pop("y"), **kw)
+        assert str(exc.value) == message
 
     def test_columns_built_once_and_read_only(self):
-        d = Dataset.from_points([
-            DataPoint(x=float(i), y=2.0 * i, study_id="s", weight=1.0 + i)
-            for i in range(5)])
+        i = np.arange(5.0)
+        d = Dataset.from_points(i, 2.0 * i, study="s", weight=1.0 + i)
         for name, want in (("xs", [0, 1, 2, 3, 4]), ("ys", [0, 2, 4, 6, 8]),
                            ("weights", [1, 2, 3, 4, 5])):
             col = getattr(d, name)
@@ -305,4 +295,54 @@ class TestInvariants:
             with pytest.raises(ValueError):
                 col += 1.0
             assert getattr(d, name).tolist() == want
-        assert d == Dataset.from_points(d.points)
+        assert i.flags.writeable  # the dataset owns a copy
+        assert d == Dataset.from_points(d.xs, d.ys, weight=d.weights,
+                                        study=d.study_ids, unit=d.units,
+                                        assay=d.assay_ids)
+
+
+class TestFromPoints:
+    @pytest.mark.parametrize("x, y, kw, message", [
+        ([1.0, 2.0], [1.0], {}, "x, y and weight must be 1-D and of one length, "
+                                "got shapes (2,), (1,) and (2,)"),
+        ([1.0, 2.0], [1.0, 2.0], {"weight": [1.0]}, "got shapes (2,), (2,) and (1,)"),
+        ([[1.0], [2.0]], [[1.0], [2.0]], {}, "must be 1-D"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], {"study": ["a", "b"]},
+         "study has 2 labels for 3 rows"),
+        ([1.0], [1.0], {"assay": ["A", "B"]}, "assay has 2 labels for 1 rows"),
+    ], ids=["y_length", "weight_length", "2d_x", "study_labels", "assay_labels"])
+    def test_malformed_columns_named(self, x, y, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset.from_points(x, y, **kw)
+
+    def test_scalar_labels_apply_to_every_row(self):
+        d = Dataset.from_points([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], weight=2.0,
+                                study="s", unit="ml", assay="A")
+        assert (d.study_ids, d.units, d.assay_ids) == (["s"] * 3, ["ml"] * 3, ["A"] * 3)
+        assert d.weights.tolist() == [2.0] * 3
+        d = Dataset.from_points([1.0, 2.0], [4.0, 5.0])
+        assert (d.study_ids, d.units, d.assay_ids) == ([""] * 2, [""] * 2, [None] * 2)
+
+    def test_studies_sorted_by_id(self):
+        studies = (StudyMeta("b"), StudyMeta("a"))
+        d = Dataset.from_points([], [], studies=studies)
+        assert [s.study_id for s in d.studies] == ["a", "b"]
+
+    def test_equality_by_value(self):
+        assert Dataset.from_points([0.0, 1.0], [0.0, 2.0]) \
+            == Dataset.from_points([-0.0, 1.0], [-0.0, 2.0])
+        assert Dataset.from_points([0.0], [1.0], unit="ml") \
+            != Dataset.from_points([0.0], [1.0], unit="l")
+        assert Dataset.from_points([0.0], [1.0]) != Dataset.from_points([0.0], [1.0], label="t")
+
+    def test_equality_ignores_label_tables(self):
+        d = Dataset.from_points([1.0, 2.0, 3.0], [4.0, 5.0, 6.0],
+                                study=["a", "b", "a"], assay=["A", "B", "A"])
+        part = split_by_assay(d)["A"]  # keeps d's label tables, "b" and "B" unused
+        direct = Dataset.from_points([1.0, 3.0], [4.0, 6.0], study="a", assay="A",
+                                     label="A")
+        assert part == direct
+        assert merge([part], label="A") == part  # merge drops the unused labels
+        back = merge(list(split_by_assay(d).values()))
+        assert back == Dataset.from_points([1.0, 3.0, 2.0], [4.0, 6.0, 5.0],
+                                           study=["a", "a", "b"], assay=["A", "A", "B"])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvemine.fit as fit_module
-from curvemine.dataset import DataPoint, Dataset
+from curvemine.dataset import Dataset
 from curvemine.fit import (
     FitOptions,
     FitResult,
@@ -82,12 +82,9 @@ class TestFitLeastSquares:
         # heavy weight on one outlier pulls the constant fit toward it
         d_plain = make_dataset([0, 1, 2, 3], [1.0, 1.0, 1.0, 9.0])
         r_plain = fit_least_squares(get_model("poly0"), d_plain, [0.0])
-        from curvemine.dataset import DataPoint, Dataset
-        pts = [DataPoint(x=float(i), y=y, study_id="s",
-                         weight=(100.0 if y == 9.0 else 1.0))
-               for i, y in enumerate([1.0, 1.0, 1.0, 9.0])]
-        r_heavy = fit_least_squares(get_model("poly0"),
-                                    Dataset.from_points(pts), [0.0])
+        d_heavy = Dataset.from_points([0, 1, 2, 3], [1.0, 1.0, 1.0, 9.0], study="s",
+                                      weight=[1.0, 1.0, 1.0, 100.0])
+        r_heavy = fit_least_squares(get_model("poly0"), d_heavy, [0.0])
         assert r_heavy.params[0] > r_plain.params[0]
 
     def test_underdetermined_error(self):
@@ -254,9 +251,8 @@ def paper_scale_dataset(seed, n=330):
     ys = 1e5 * np.exp(-((xs - 15.0) ** 2) / (2 * 8.0 ** 2))
     ys *= np.exp(rng.normal(0.0, 0.3, n))
     studies = rng.integers(0, 8, n)
-    return Dataset.from_points(
-        [DataPoint(x=float(x), y=float(y), study_id=f"study{s}")
-         for x, y, s in zip(xs, ys, studies)], label=f"paper{seed}")
+    return Dataset.from_points(xs, ys, study=[f"study{s}" for s in studies],
+                               label=f"paper{seed}")
 
 
 def demo_03_dataset():
@@ -281,15 +277,12 @@ def grid_dataset(seed, n=5000):
     weights = np.ones(n)
     weights[rng.permutation(n)[:n // 3]] = 2.0
     studies = rng.integers(0, 8, n)
-    return Dataset.from_points(
-        [DataPoint(x=float(x), y=float(y), study_id=f"study{s}", weight=float(w))
-         for x, y, w, s in zip(xs, ys, weights, studies)], label=f"grid{seed}")
+    return Dataset.from_points(xs, ys, weight=weights,
+                               study=[f"study{s}" for s in studies], label=f"grid{seed}")
 
 
 def weighted_dataset(xs, ys, weights):
-    return Dataset.from_points(
-        [DataPoint(x=float(x), y=float(y), study_id="s", weight=float(w))
-         for x, y, w in zip(xs, ys, weights)])
+    return Dataset.from_points(xs, ys, weight=weights, study="s")
 
 
 def acceptance_datasets():

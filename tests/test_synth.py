@@ -135,9 +135,9 @@ class TestReconstructDataset:
         rows = [SummaryRow(x=30.0, n=5, mean=10.0, sd=0.0001)]
         d = reconstruct_dataset(rows, seed=0)
         assert len(d) == 5
-        assert all(p.x == 30.0 for p in d.points)
-        assert all(abs(p.y - 10.0) < 0.01 for p in d.points)
-        assert all(p.study_id == "synthetic" for p in d.points)
+        assert d.xs.tolist() == [30.0] * 5
+        assert all(abs(y - 10.0) < 0.01 for y in d.ys.tolist())
+        assert d.study_ids == ["synthetic"] * 5
 
     def test_count_additivity(self):
         rows = [SummaryRow(x=1.0, n=3, mean=5.0, sd=1.0),
@@ -164,10 +164,10 @@ class TestReconstructDataset:
         rows = [SummaryRow(x=1.0, n=4, mean=5.0, sd=1.0),
                 SummaryRow(x=2.0, n=4, mean=6.0, sd=1.0)]
         d = reconstruct_dataset(rows, seed=0)
-        ys_row0 = sorted(p.y for p in d.points if p.x == 1.0)
+        ys_row0 = sorted(d.ys[d.xs == 1.0].tolist())
         # same first row alone produces the same values
         d_single = reconstruct_dataset(rows[:1], seed=0)
-        assert sorted(p.y for p in d_single.points) == ys_row0
+        assert sorted(d_single.ys.tolist()) == ys_row0
 
 
 class TestReplicate:
@@ -176,19 +176,19 @@ class TestReplicate:
         [d] = replicate(rows, master_seed=7, k=1)
         from curvemine.synth import _derive_seed
         expected = reconstruct_dataset(rows, _derive_seed(7, 1))
-        assert [p.y for p in d.points] == [p.y for p in expected.points]
+        assert d.ys.tolist() == expected.ys.tolist()
 
     def test_determinism_across_runs(self):
         rows = [SummaryRow(x=1.0, n=5, mean=5.0, sd=1.0)]
         run1 = replicate(rows, master_seed=3, k=2)
         run2 = replicate(rows, master_seed=3, k=2)
         for a, b in zip(run1, run2):
-            assert [p.y for p in a.points] == [p.y for p in b.points]
+            assert a.ys.tolist() == b.ys.tolist()
 
     def test_replicates_are_distinct(self):
         rows = [SummaryRow(x=1.0, n=5, mean=5.0, sd=1.0)]
         a, b = replicate(rows, master_seed=3, k=2)
-        assert [p.y for p in a.points] != [p.y for p in b.points]
+        assert a.ys.tolist() != b.ys.tolist()
 
     def test_monte_carlo_spread(self):
         rows = [SummaryRow(x=1.0, n=400, mean=10.0, sd=2.0)]
