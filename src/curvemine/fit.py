@@ -12,6 +12,15 @@ weight W_g and weighted mean y, plus the constant within-group ("pure
 error") sum C = sum w (y - ybar_g)^2 (Seber & Wild 1989, section 2.1).
 Every RSS the kernel compares or reports includes C, so it is the
 full-data weighted RSS, and data with no repeated x is fitted unchanged.
+
+For a family that declares ``linear`` parameters c, the kernel uses
+variable projection (Golub & Pereyra 1973, SIAM J. Numer. Anal. 10:413):
+at every value of the other parameters theta it solves the weighted linear
+least-squares problem for c exactly, from the basis phi(theta, x) that the
+rows of ``grad_fn`` for c give, so Levenberg-Marquardt moves theta only.
+Its Jacobian is Kaufman's (1975, BIT 15:49): the theta rows of the
+weighted Jacobian at (theta, c), projected onto the complement of the
+basis. A family linear in every parameter is one solve.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ class FitResult:
     r2: float
     converged: bool
     iterations: int
+    stop_reason: Optional[str] = None  # one of STOP_REASONS; None if never fitted
 
     def as_dict(self) -> dict:
         return {
@@ -73,7 +83,16 @@ class FitResult:
             "r2": self.r2,
             "converged": self.converged,
             "iterations": self.iterations,
+            "stop_reason": self.stop_reason,
         }
+
+
+# Why a start stopped; the kernel returns each as its index. The first three
+# count as converged; a start_nonfinite start is never iterated.
+STOP_REASONS = ("rss_rtol", "step_tol", "no_descent", "max_iterations",
+                "nonfinite_jacobian", "start_nonfinite")
+(_RSS_RTOL, _STEP_TOL, _NO_DESCENT, _MAX_ITERATIONS, _NONFINITE_JACOBIAN,
+ _START_NONFINITE) = range(len(STOP_REASONS))
 
 
 def _bounds(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -81,11 +100,40 @@ def _bounds(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
             np.array([b[1] for b in spec.bounds]))
 
 
+def _basis(spec, params, xs, sw):
+    """sqrt(w) times the ``grad_fn`` rows of the linear parameters, the basis
+    phi (k, l, n); C-contiguous, so that matmul rounds every row alike."""
+    lin = list(spec.linear)
+    raw = np.asarray(spec.grad_fn(_param_columns(params, xs), xs), dtype=float)[lin]
+    phi = np.empty((len(params), len(lin), len(xs)))
+    np.multiply(raw.swapaxes(0, 1) if raw.ndim == 3 else raw, sw, out=phi)
+    return phi
+
+
+def _coefficients(phi, b):
+    """Weighted least-squares coefficients of each column of b (k, n, m) on
+    the basis rows of phi (k, l, n): (phi phiᵀ) c = phi b, solved with the
+    rows of phi scaled to unit norm, shape (k, l, m)."""
+    norm = np.sqrt((phi * phi).sum(axis=2))[:, :, None]
+    phi = phi / norm
+    return _solve(phi @ phi.transpose(0, 2, 1), phi @ b) / norm
+
+
 def _residuals(spec, params, xs, ys, sw):
-    """Weighted residuals of a (k, n_params) batch, shape (k, n). Calls the
-    model directly: the caller holds the ``np.errstate``."""
+    """Weighted residuals of a (k, n_params) batch, shape (k, n). For a family
+    with ``linear`` parameters, first overwrites them in ``params`` with the
+    coefficients that minimize the weighted RSS at the other parameters
+    (variable projection). Calls the model directly: the caller holds the
+    ``np.errstate``."""
+    if spec.linear:
+        params[:, spec.linear] = 0.0
+        phi = _basis(spec, params, xs, sw)
     res = ys - spec.eval_fn(_param_columns(params, xs), xs)
     res *= sw
+    if spec.linear:
+        c = _coefficients(phi, res[:, :, None])
+        params[:, spec.linear] = c[:, :, 0]
+        res -= (phi.transpose(0, 2, 1) @ c)[:, :, 0]
     return res
 
 
@@ -136,24 +184,29 @@ def r_squared(spec: ModelSpec, params: Sequence[float], d: Dataset) -> float:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a[i] @ x[i] = b[i] for a (k, p, p) stack; a singular a[i]
-    gives a NaN row instead of failing the whole stack."""
+    """Solve a[i] @ x[i] = b[i] for a (k, p, p) stack and b of shape (k, p)
+    or (k, p, m); a singular a[i] gives a NaN x[i] instead of failing the
+    whole stack."""
+    if b.ndim == 2:
+        return _solve(a, b[:, :, None])[:, :, 0]
     try:
-        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         out = np.full(b.shape, np.nan)
         for i in range(len(a)):
             try:
-                out[i] = np.linalg.solve(a[i:i + 1], b[i:i + 1, :, None])[0, :, 0]
+                out[i] = np.linalg.solve(a[i:i + 1], b[i:i + 1])[0]
             except np.linalg.LinAlgError:
                 pass
         return out
 
 
-def _normal_equations(spec, params, xs, sw, res):
-    """JᵀJ (k, p, p) and Jᵀr (k, p) of the weighted Jacobian at each row of
-    ``params``; non-finite partials count as 0. The (k, p, n) Jacobian is
-    freed on return, before the damping trials allocate their own arrays."""
+def _normal_equations(spec, params, xs, sw, res, free):
+    """JᵀJ (k, q, q) and Jᵀr (k, q) of the weighted Jacobian at each row of
+    ``params``, over the q parameters ``free`` that are not ``linear``; for
+    a family with linear ones, J is Kaufman's projected Jacobian. Non-finite partials
+    count as 0. The (k, p, n) Jacobian is freed on return, before the
+    damping trials allocate their own arrays."""
     raw = np.asarray(spec.grad_fn(_param_columns(params, xs), xs), dtype=float)
     if raw.ndim == 3:  # (p, k, n) from the model; the kernel works in (k, p, n)
         raw = raw.swapaxes(0, 1)
@@ -161,7 +214,19 @@ def _normal_equations(spec, params, xs, sw, res):
     np.multiply(raw, sw, out=jac, where=np.isfinite(raw))
     if jac.ndim == 2:  # depends on x only: one Jacobian for all starts
         jac = np.broadcast_to(jac, (len(params),) + jac.shape)
+    if spec.linear:
+        phi, jac = np.ascontiguousarray(jac[:, spec.linear]), jac[:, free]
+        jac = jac - (phi.transpose(0, 2, 1)
+                     @ _coefficients(phi, jac.transpose(0, 2, 1))).transpose(0, 2, 1)
     return jac @ jac.transpose(0, 2, 1), (jac @ res[:, :, None])[:, :, 0]
+
+
+def _groups(d: Dataset):
+    """``_distinct_x(d)``, computed once per dataset: a Dataset is immutable,
+    so the families of one ``rank_all`` share one grouping."""
+    if "_groups" not in d.__dict__:
+        d.__dict__["_groups"] = _distinct_x(d)
+    return d.__dict__["_groups"]
 
 
 def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
@@ -174,29 +239,39 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
     Residuals and Jacobians run on the distinct x of ``d`` (weights summed,
     y averaged per x, see ``_distinct_x``), and every RSS adds back the
     within-group sum, so ``rss_rtol``, accept/reject and the returned RSS
-    refer to the full-data weighted RSS.
-    Returns (params, rss, converged, iterations, ok), one entry per start;
-    ``ok`` is False for a start whose residuals are non-finite, which is not
-    iterated.
+    refer to the full-data weighted RSS. Steps, bounds and ``step_tol``
+    apply to the parameters that are not ``linear``; the linear ones are
+    solved at every start and trial (see the module docstring).
+    Returns (params, rss, converged, iterations, ok, stop), one entry per
+    start; ``ok`` is False for a start whose residuals are non-finite,
+    which is not iterated, and ``stop`` indexes ``STOP_REASONS``.
     """
     if len(d) < spec.n_params:
         raise ValueError(
             f"underdetermined: {len(d)} points for {spec.n_params} parameters")
-    xs, wsum, ys, pure = _distinct_x(d)
+    xs, wsum, ys, pure = _groups(d)
     sw = np.sqrt(wsum)
     lo, hi = _bounds(spec)
     params = np.clip(np.asarray(starts, dtype=float), lo, hi)
     if np.ptp(xs) == 0.0 and spec.n_params > 1:
         raise ValueError("all x identical: singular system for an x-dependent family")
+    free = slice(None)
+    if spec.linear:  # LM moves the other parameters only
+        free = [j for j in range(spec.n_params) if j not in spec.linear]
+    lo, hi = lo[free], hi[free]
 
     k = len(params)
-    diag = slice(None, None, spec.n_params + 1)  # the diagonal of a flattened p x p
+    diag = slice(None, None, len(lo) + 1)  # the diagonal of a flattened q x q
     converged = np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=int)
     with np.errstate(all="ignore"):
         res = _residuals(spec, params, xs, ys, sw)
         rss = _rss(res, pure)
         ok = np.isfinite(res).all(axis=1)
+        if not len(lo):  # linear in every parameter: the start's solve is the fit
+            return (params, rss, ok.copy(), ok.astype(int), ok,
+                    np.where(ok, _STEP_TOL, _START_NONFINITE))
+        stop_code = np.where(ok, _MAX_ITERATIONS, _START_NONFINITE)
         live = ok.nonzero()[0]          # start index of each live row
         p, res, s = params[live], res[live], rss[live]
         lam = np.full(live.size, options.lambda0)
@@ -204,7 +279,7 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
         while live.size and it < options.max_iterations:
             it += 1
             m = live.size
-            a, g = _normal_equations(spec, p, xs, sw, res)
+            a, g = _normal_equations(spec, p, xs, sw, res, free)
             finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
             scale = np.maximum(a.reshape(m, -1)[:, diag], 1e-12)
 
@@ -217,7 +292,8 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
                 damped = a.copy()
                 damped.reshape(m, -1)[:, diag] += lam[:, None] * scale
                 step = _solve(damped, g)
-                p_new = np.minimum(np.maximum(p_old + step, lo), hi)
+                p_new = p_old.copy()
+                p_new[:, free] = np.minimum(np.maximum(p_old[:, free] + step, lo), hi)
                 res_new = _residuals(spec, p_new, xs, ys, sw)
                 rss_new = _rss(res_new, pure)
                 win = pending & np.isfinite(step).all(axis=1) & (rss_new <= s_old)
@@ -228,24 +304,27 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
                 np.multiply(lam, options.lambda_up, out=lam, where=pending)
             # a finite row still pending cannot improve at any damping
             accepted = finite & ~pending
-            step_norm = np.sqrt(_row_dot(p - p_old))
+            step_norm = np.sqrt(_row_dot((p - p_old)[:, free]))
             rel_drop = (s_old - s) / np.maximum(s_old, 1e-300)
             np.maximum(lam * options.lambda_down, 1e-12, out=lam, where=accepted)
-            done = pending | (accepted & ((rel_drop < options.rss_rtol)
-                                          | (step_norm < options.step_tol)))
+            small_drop = rel_drop < options.rss_rtol
+            done = pending | (accepted & (small_drop | (step_norm < options.step_tol)))
             stop = done | ~finite
             if stop.any():
                 params[live[stop]], rss[live[stop]] = p[stop], s[stop]
                 converged[live[stop]] = done[stop]
                 iterations[live[stop]] = it
+                stop_code[live[stop]] = np.select(
+                    [~finite, pending, small_drop],
+                    [_NONFINITE_JACOBIAN, _NO_DESCENT, _RSS_RTOL], _STEP_TOL)[stop]
                 keep = ~stop
                 live, p, res, s, lam = live[keep], p[keep], res[keep], s[keep], lam[keep]
     params[live], rss[live], iterations[live] = p, s, it
-    return params, rss, converged, iterations, ok
+    return params, rss, converged, iterations, ok, stop_code
 
 
 def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
-                converged, iterations) -> FitResult:
+                converged, iterations, stop) -> FitResult:
     try:
         r2 = r_squared(spec, params, d)
     except ValueError:
@@ -257,6 +336,7 @@ def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
         r2=r2,
         converged=bool(converged),
         iterations=int(iterations),
+        stop_reason=STOP_REASONS[stop],
     )
 
 
@@ -269,11 +349,12 @@ def fit_least_squares(spec: ModelSpec, d: Dataset,
     accepted ones; parameters are projected onto the spec's bounds after
     every step. Accepted iterations never increase the RSS.
     """
-    params, rss, converged, iterations, ok = _levenberg_marquardt(
+    params, rss, converged, iterations, ok, stop = _levenberg_marquardt(
         spec, d, np.asarray(start, dtype=float)[None], options)
     if not ok[0]:
         raise ValueError(f"{spec.name}: start point evaluates non-finite")
-    return _fit_result(spec, d, params[0], rss[0], converged[0], iterations[0])
+    return _fit_result(spec, d, params[0], rss[0], converged[0], iterations[0],
+                       stop[0])
 
 
 def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
@@ -304,7 +385,7 @@ def multi_start(spec: ModelSpec, d: Dataset, n_starts: int = 5,
     """
     starts = _start_points(spec, d, n_starts, seed)
     try:
-        params, rss, converged, iterations, ok = _levenberg_marquardt(
+        params, rss, converged, iterations, ok, stop = _levenberg_marquardt(
             spec, d, starts, options)
     except ValueError:  # the data rule out every start, e.g. all x identical
         ok = np.zeros(n_starts, dtype=bool)
@@ -315,7 +396,7 @@ def multi_start(spec: ModelSpec, d: Dataset, n_starts: int = 5,
     if best is None:
         raise ValueError(f"{spec.name}: no start point produced a fit")
     return _fit_result(spec, d, params[best], rss[best], converged[best],
-                       iterations[best])
+                       iterations[best], stop[best])
 
 
 @dataclass(frozen=True)
@@ -364,6 +445,8 @@ class RankedFits:
                 status = f"excluded: {e.reason}"
             elif not e.result.converged:
                 status = "excluded: not converged"
+                if e.result.stop_reason:
+                    status += f" ({e.result.stop_reason})"
             elif not np.isfinite(e.result.r2):
                 status = "excluded: r2 not finite"
             else:

@@ -59,7 +59,14 @@ class ModelSpec:
     dy/dx is Im f(x + ih) / h (see ``x_derivative``): numpy functions only,
     no ``math``, no comparisons on x and no casts of x to float.
 
-    ``register_model`` checks both contracts with a 2-vector probe.
+    ``linear`` lists the parameters that enter linearly: f(theta, c) =
+    f(theta, 0) + sum_j c_j phi_j(theta, x), where phi_j is row j of
+    ``grad_fn`` and may not depend on c. Their bounds must be unbounded. The
+    fitter then solves them exactly at every value of the other parameters
+    (variable projection, see ``curvemine.fit``) and overwrites the entries
+    ``guess_fn`` gives them. Declare only what an oracle shows fits no worse.
+
+    ``register_model`` checks these contracts with a 2-vector probe.
     """
 
     name: str
@@ -69,6 +76,7 @@ class ModelSpec:
     grad_fn: GradFn          # returns array of shape (n_params,) + x.shape
     guess_fn: GuessFn        # (xs, ys) -> params
     bounds: tuple[tuple[float, float], ...] = ()
+    linear: tuple[int, ...] = ()
 
     def __post_init__(self):
         if not self.bounds:
@@ -77,6 +85,11 @@ class ModelSpec:
                 tuple((-np.inf, np.inf) for _ in range(self.n_params)))
         if len(self.bounds) != self.n_params:
             raise ValueError(f"{self.name}: bounds/params length mismatch")
+        object.__setattr__(self, "linear", tuple(sorted(self.linear)))
+        if (len(set(self.linear)) != len(self.linear)
+                or not set(self.linear) <= set(range(self.n_params))):
+            raise ValueError(f"{self.name}: linear must list distinct parameter "
+                             f"indices below {self.n_params}")
 
 
 @dataclass(frozen=True)
@@ -263,9 +276,37 @@ def _check_batch_contract(spec: ModelSpec) -> None:
                            rtol=1e-6, atol=1e-9 * np.abs(central).max()):
             raise ValueError("complex-step dy/dx differs from a central "
                              "difference: eval_fn must take complex x")
+        if spec.linear:
+            _check_linear(spec, batch, x)
     except (TypeError, ValueError, IndexError) as exc:
         raise ValueError(
             f"model {spec.name!r} breaks the ModelSpec contract: {exc}") from exc
+
+
+def _check_linear(spec: ModelSpec, batch: Array, x: Array) -> None:
+    """The ``linear`` parameters of ``batch`` must be unbounded, and moving
+    them must change eval_fn by exactly sum_j c_j phi_j and leave their own
+    grad_fn rows phi_j unchanged."""
+    lin = list(spec.linear)
+    if any(spec.bounds[j] != (-np.inf, np.inf) for j in lin):
+        raise ValueError("a linear parameter must have (-inf, inf) bounds")
+
+    def basis(q):
+        return np.broadcast_to(gradient(spec, q, x), q.shape + x.shape)[:, lin]
+
+    zero = batch.copy()
+    zero[:, lin] = 0.0
+    phi, base = basis(zero), evaluate(spec, zero, x)
+    for c in (batch[:, lin], 3.0 * batch[:, lin] - 2.0):
+        moved = zero.copy()
+        moved[:, lin] = c
+        if not np.allclose(basis(moved), phi, rtol=1e-9, atol=0.0):
+            raise ValueError("grad_fn rows of the linear parameters change "
+                             "with those parameters")
+        want = base + np.einsum("kl,kln->kn", c, phi)
+        if not np.allclose(evaluate(spec, moved, x), want, rtol=1e-9,
+                           atol=1e-12 * np.abs(want).max()):
+            raise ValueError("eval_fn is not additive in its linear parameters")
 
 
 def _add(spec: ModelSpec) -> ModelSpec:
@@ -294,20 +335,24 @@ def catalog() -> list[ModelSpec]:
     return list(_REGISTRY.values())
 
 
-def _register(name, family, n, eval_fn, grad_fn, guess_fn, bounds=()):
+def _register(name, family, n, eval_fn, grad_fn, guess_fn, bounds=(),
+              linear=()):
     # Built-ins skip the import-time batch probe, which would slow every CLI
     # start; the test suite runs it on each of them.
     _add(ModelSpec(
         name=name, n_params=n, family_class=family,
         eval_fn=eval_fn, grad_fn=grad_fn, guess_fn=guess_fn,
-        bounds=tuple(bounds),
+        bounds=tuple(bounds), linear=linear,
     ))
 
 
-def _with_offset(base: ModelSpec, name: str, lift: float) -> ModelSpec:
+def _with_offset(base: ModelSpec, name: str, lift: float,
+                 linear: tuple[int, ...] = ()) -> ModelSpec:
     """``base`` plus a free constant c as the last parameter. The guess fits
     ``base`` to ys - min(ys) + lift and starts c at min(ys); a log-based
-    base guess needs lift > 0 to keep every point positive."""
+    base guess needs lift > 0 to keep every point positive. ``linear``
+    names base parameters that the offset family declares linear; c then
+    joins them."""
     n = base.n_params
 
     def f(p, x):
@@ -323,7 +368,8 @@ def _with_offset(base: ModelSpec, name: str, lift: float) -> ModelSpec:
 
     return ModelSpec(name=name, n_params=n + 1, family_class=base.family_class,
                      eval_fn=f, grad_fn=g, guess_fn=guess,
-                     bounds=base.bounds + ((-np.inf, np.inf),))
+                     bounds=base.bounds + ((-np.inf, np.inf),),
+                     linear=linear + (n,) if linear else ())
 
 
 def _ones_like(x):
@@ -339,7 +385,8 @@ def _make_poly(deg: int):
     def g(p, x):
         return np.stack([x ** j * _ones_like(x) for j in range(deg + 1)])
 
-    _register(f"poly{deg}", "polynomial", deg + 1, f, g, _poly_guess(deg))
+    _register(f"poly{deg}", "polynomial", deg + 1, f, g, _poly_guess(deg),
+              linear=range(deg + 1))
 
 
 for _deg in range(6):
@@ -359,7 +406,8 @@ def _exp_decay_g(p, x):
 
 _register("exp_decay", "exponential", 2, _exp_decay, _exp_decay_g,
           lambda xs, ys: np.array(_log_linear_decay(xs, ys)))
-_add(_with_offset(get_model("exp_decay"), "exp_decay_offset", lift=1e-3))
+_add(_with_offset(get_model("exp_decay"), "exp_decay_offset", lift=1e-3,
+                  linear=(0,)))
 
 
 def _dbl_exp(p, x):
@@ -374,7 +422,8 @@ def _dbl_exp_g(p, x):
 _register("double_exp_decay", "exponential", 4, _dbl_exp, _dbl_exp_g,
           lambda xs, ys: np.array([
               0.7 * max(float(ys.max()), _TINY), 2.0 / _span(xs),
-              0.3 * max(float(ys.max()), _TINY), 0.3 / _span(xs)]))
+              0.3 * max(float(ys.max()), _TINY), 0.3 / _span(xs)]),
+          linear=(0, 2))
 
 
 def _exp_sat(p, x):
@@ -387,7 +436,8 @@ def _exp_sat_g(p, x):
     return np.stack([1.0 - e, a * x * e])
 
 _register("exp_saturating", "exponential", 2, _exp_sat, _exp_sat_g,
-          lambda xs, ys: np.array([float(ys.max()), 2.0 / _span(xs)]))
+          lambda xs, ys: np.array([float(ys.max()), 2.0 / _span(xs)]),
+          linear=(0,))
 
 
 def _exp_quad(p, x):
@@ -629,7 +679,8 @@ def _rat_lq_g(p, x):
 
 _register("rational_lin_quad", "rational", 4, _rat_lq, _rat_lq_g,
           lambda xs, ys: np.concatenate([
-              _lstsq(np.vander(xs, 2, increasing=True), ys), [1e-3, 1e-4]]))
+              _lstsq(np.vander(xs, 2, increasing=True), ys), [1e-3, 1e-4]]),
+          linear=(0, 1))
 
 
 def _inv_shift(p, x):
@@ -666,7 +717,8 @@ def _power_guess(xs, ys):
     return np.array([max(float(np.abs(ys).mean()), _TINY), 1.0])
 
 _register("power_law", "power", 2, _power, _power_g, _power_guess)
-_add(_with_offset(get_model("power_law"), "power_offset", lift=1e-3))
+_add(_with_offset(get_model("power_law"), "power_offset", lift=1e-3,
+                  linear=(0,)))
 
 
 def _sqrt_law(p, x):
@@ -676,7 +728,8 @@ def _sqrt_law(p, x):
 _register("sqrt_law", "power", 2, _sqrt_law,
           lambda p, x: np.stack([_ones_like(x), np.sqrt(x)]),
           lambda xs, ys: _lstsq(
-              np.stack([np.ones_like(xs), np.sqrt(np.abs(xs))], axis=1), ys))
+              np.stack([np.ones_like(xs), np.sqrt(np.abs(xs))], axis=1), ys),
+          linear=(0, 1))
 
 
 def _log_law(p, x):
@@ -686,4 +739,5 @@ def _log_law(p, x):
 _register("log_law", "power", 2, _log_law,
           lambda p, x: np.stack([_ones_like(x), np.log1p(x)]),
           lambda xs, ys: _lstsq(
-              np.stack([np.ones_like(xs), np.log1p(np.abs(xs))], axis=1), ys))
+              np.stack([np.ones_like(xs), np.log1p(np.abs(xs))], axis=1), ys),
+          linear=(0, 1))

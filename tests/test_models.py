@@ -178,6 +178,84 @@ class TestRegisterBatchContract:
             register_model(spec)
 
 
+class TestLinearContract:
+    """``linear`` declarations: which built-ins declare them, and the probe
+    ``register_model`` runs on a declaration."""
+
+    @pytest.fixture(autouse=True)
+    def private_registry(self, monkeypatch):
+        monkeypatch.setattr(models_module, "_REGISTRY",
+                            dict(models_module._REGISTRY))
+
+    def test_declared_built_ins(self):
+        declared = {s.name: s.linear for s in catalog() if s.linear}
+        assert declared == {
+            "double_exp_decay": (0, 2), "exp_decay_offset": (0, 2),
+            "exp_saturating": (0,), "log_law": (0, 1), "sqrt_law": (0, 1),
+            "rational_lin_quad": (0, 1), "power_offset": (0, 2),
+            **{f"poly{d}": tuple(range(d + 1)) for d in range(6)}}
+
+    def test_built_ins_pass_the_probe(self):
+        for spec in catalog():
+            if spec.linear:
+                models_module._check_linear(
+                    spec, np.array([[0.7, 1.1, 0.4, 0.9, 1.3, 0.6][:spec.n_params],
+                                    [1.2, 0.3, 0.8, 0.5, 0.7, 1.4][:spec.n_params]]),
+                    np.linspace(0.5, 3.0, 4))
+
+    def test_additive_user_family_registers(self):
+        spec = ModelSpec(
+            name="decay_plus_line", n_params=3, family_class="exponential",
+            eval_fn=lambda p, x: np.exp(-p[1] * x) + p[0] * x + p[2],
+            grad_fn=lambda p, x: np.stack([x * np.ones_like(p[1]),
+                                           -x * np.exp(-p[1] * x),
+                                           np.ones_like(x * p[1])]),
+            guess_fn=lambda xs, ys: np.array([0.0, 1.0, 0.0]), linear=(2, 0))
+        assert spec.linear == (0, 2)
+        assert register_model(spec) is spec
+
+    @pytest.mark.parametrize("name, linear, bounds, grad_a, why", [
+        # b sits in the exponent, so its grad_fn row moves with it
+        ("rate_declared", (1,), (), None, "grad_fn rows"),
+        # a's row is fixed but is not the basis that eval_fn adds
+        ("wrong_basis", (0,), (), lambda p, x: 2.0 * np.exp(-p[1] * x),
+         "not additive"),
+        ("bounded_amplitude", (0,), ((0.0, np.inf), (-np.inf, np.inf)), None,
+         "bounds"),
+        # eval is linear in a, but its grad_fn row scales with a
+        ("row_moves_with_a", (0,), (), lambda p, x: p[0] * np.exp(-p[1] * x),
+         "grad_fn rows"),
+    ])
+    def test_misdeclared_family_rejected_by_name(self, name, linear, bounds,
+                                                grad_a, why):
+        def grad(p, x):
+            e = np.exp(-p[1] * x)
+            return np.stack([e if grad_a is None else grad_a(p, x), -p[0] * x * e])
+
+        spec = ModelSpec(
+            name=name, n_params=2, family_class="exponential",
+            eval_fn=lambda p, x: p[0] * np.exp(-p[1] * x), grad_fn=grad,
+            guess_fn=lambda xs, ys: np.array([1.0, 0.1]), bounds=bounds,
+            linear=linear)
+        with pytest.raises(ValueError, match=f"{name}.*{why}"):
+            register_model(spec)
+        assert name not in {s.name for s in catalog()}
+
+    @pytest.mark.parametrize("linear", [(2,), (0, 0), (-1,)])
+    def test_indices_checked_at_construction(self, linear):
+        with pytest.raises(ValueError, match="line2.*linear"):
+            ModelSpec(name="line2", n_params=2, family_class="polynomial",
+                      eval_fn=lambda p, x: p[0] + p[1] * x,
+                      grad_fn=lambda p, x: np.stack([np.ones_like(x), x]),
+                      guess_fn=lambda xs, ys: np.zeros(2), linear=linear)
+
+    def test_offset_joins_the_declared_base_parameters(self):
+        assert get_model("exp_decay").linear == ()
+        assert get_model("exp_decay_offset").linear == (0, 2)
+        for name in ("gaussian_peak_offset", "logistic_offset"):
+            assert get_model(name).linear == (), name
+
+
 class TestGradient:
     def test_linear_gradient(self):
         g = gradient(get_model("poly1"), [1.0, 2.0], np.asarray(3.0))
