@@ -225,7 +225,7 @@ def _cmd_analyze(args) -> int:
         lambda t: float(evaluate(spec, fitted.params, t)), domain)
     remaining = {
         str(age): percent_remaining(spec, fitted.params, age,
-                                    reference="peak", domain=domain)
+                                    reference=value_peak.age)
         for age in args.ages
     }
     band = prediction_band(spec, fitted, d, level=args.level)

@@ -35,6 +35,8 @@ from .dataset import Dataset
 from .models import (
     ModelSpec,
     PlausibilityConfig,
+    _bounds,
+    _jacobian,
     _param_columns,
     check_plausibility,
     evaluate,
@@ -42,7 +44,6 @@ from .models import (
 )
 
 __all__ = [
-    "FitOptions",
     "FitResult",
     "RankedFits",
     "RankedEntry",
@@ -53,14 +54,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FitOptions:
-    max_iterations: int = 200
-    rss_rtol: float = 1e-10
-    step_tol: float = 1e-10
-    lambda0: float = 1e-3
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
+# Levenberg-Marquardt settings: the iteration cap, the relative RSS drop
+# (rss_rtol) and step norm (step_tol) that stop a start, and the damping's
+# start, growth on a rejected trial and shrink after an accepted step.
+_MAX_ITER = 200
+_RTOL = 1e-10
+_XTOL = 1e-10
+_LAMBDA0, _LAMBDA_UP, _LAMBDA_DOWN = 1e-3, 10.0, 0.1
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class FitResult:
     params: tuple[float, ...]
     rss: float
     r2: float
-    converged: bool
+    converged: bool          # implied by stop_reason, see _CONVERGED
     iterations: int
     stop_reason: Optional[str] = None  # one of STOP_REASONS; None if never fitted
 
@@ -87,26 +87,22 @@ class FitResult:
         }
 
 
-# Why a start stopped; the kernel returns each as its index. The first three
-# count as converged; a start_nonfinite start is never iterated.
+# Why a start stopped; the kernel returns each as its index. A
+# start_nonfinite start is never iterated.
 STOP_REASONS = ("rss_rtol", "step_tol", "no_descent", "max_iterations",
                 "nonfinite_jacobian", "start_nonfinite")
 (_RSS_RTOL, _STEP_TOL, _NO_DESCENT, _MAX_ITERATIONS, _NONFINITE_JACOBIAN,
  _START_NONFINITE) = range(len(STOP_REASONS))
-
-
-def _bounds(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([b[0] for b in spec.bounds]),
-            np.array([b[1] for b in spec.bounds]))
+# The stop codes that count as converged.
+_CONVERGED = (_RSS_RTOL, _STEP_TOL, _NO_DESCENT)
 
 
 def _basis(spec, params, xs, sw):
     """sqrt(w) times the ``grad_fn`` rows of the linear parameters, the basis
     phi (k, l, n); C-contiguous, so that matmul rounds every row alike."""
     lin = list(spec.linear)
-    raw = np.asarray(spec.grad_fn(_param_columns(params, xs), xs), dtype=float)[lin]
     phi = np.empty((len(params), len(lin), len(xs)))
-    np.multiply(raw.swapaxes(0, 1) if raw.ndim == 3 else raw, sw, out=phi)
+    np.multiply(_jacobian(spec, params, xs)[:, lin], sw, out=phi)
     return phi
 
 
@@ -204,16 +200,12 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _normal_equations(spec, params, xs, sw, res, free):
     """JᵀJ (k, q, q) and Jᵀr (k, q) of the weighted Jacobian at each row of
     ``params``, over the q parameters ``free`` that are not ``linear``; for
-    a family with linear ones, J is Kaufman's projected Jacobian. Non-finite partials
-    count as 0. The (k, p, n) Jacobian is freed on return, before the
-    damping trials allocate their own arrays."""
-    raw = np.asarray(spec.grad_fn(_param_columns(params, xs), xs), dtype=float)
-    if raw.ndim == 3:  # (p, k, n) from the model; the kernel works in (k, p, n)
-        raw = raw.swapaxes(0, 1)
+    a family with linear ones, J is Kaufman's projected Jacobian. Non-finite
+    partials count as 0. The (k, p, n) Jacobian is freed on return, before
+    the damping trials allocate their own arrays."""
+    raw = _jacobian(spec, params, xs)
     jac = np.zeros(raw.shape)
     np.multiply(raw, sw, out=jac, where=np.isfinite(raw))
-    if jac.ndim == 2:  # depends on x only: one Jacobian for all starts
-        jac = np.broadcast_to(jac, (len(params),) + jac.shape)
     if spec.linear:
         phi, jac = np.ascontiguousarray(jac[:, spec.linear]), jac[:, free]
         jac = jac - (phi.transpose(0, 2, 1)
@@ -229,8 +221,7 @@ def _groups(d: Dataset):
     return d.__dict__["_groups"]
 
 
-def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
-                         options: FitOptions):
+def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray):
     """Levenberg-Marquardt from every row of ``starts`` (k, n_params) at once.
 
     Each start keeps its own damping, accept/reject decisions, stopping
@@ -242,9 +233,8 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
     refer to the full-data weighted RSS. Steps, bounds and ``step_tol``
     apply to the parameters that are not ``linear``; the linear ones are
     solved at every start and trial (see the module docstring).
-    Returns (params, rss, converged, iterations, ok, stop), one entry per
-    start; ``ok`` is False for a start whose residuals are non-finite,
-    which is not iterated, and ``stop`` indexes ``STOP_REASONS``.
+    Returns (params, rss, iterations, stop), one entry per start; ``stop``
+    indexes ``STOP_REASONS``.
     """
     if len(d) < spec.n_params:
         raise ValueError(
@@ -260,23 +250,21 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
         free = [j for j in range(spec.n_params) if j not in spec.linear]
     lo, hi = lo[free], hi[free]
 
-    k = len(params)
     diag = slice(None, None, len(lo) + 1)  # the diagonal of a flattened q x q
-    converged = np.zeros(k, dtype=bool)
-    iterations = np.zeros(k, dtype=int)
+    iterations = np.zeros(len(params), dtype=int)
     with np.errstate(all="ignore"):
         res = _residuals(spec, params, xs, ys, sw)
         rss = _rss(res, pure)
         ok = np.isfinite(res).all(axis=1)
         if not len(lo):  # linear in every parameter: the start's solve is the fit
-            return (params, rss, ok.copy(), ok.astype(int), ok,
+            return (params, rss, ok.astype(int),
                     np.where(ok, _STEP_TOL, _START_NONFINITE))
         stop_code = np.where(ok, _MAX_ITERATIONS, _START_NONFINITE)
         live = ok.nonzero()[0]          # start index of each live row
         p, res, s = params[live], res[live], rss[live]
-        lam = np.full(live.size, options.lambda0)
+        lam = np.full(live.size, _LAMBDA0)
         it = 0
-        while live.size and it < options.max_iterations:
+        while live.size and it < _MAX_ITER:
             it += 1
             m = live.size
             a, g = _normal_equations(spec, p, xs, sw, res, free)
@@ -301,18 +289,17 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
                 np.copyto(res, res_new, where=win[:, None])
                 np.copyto(s, rss_new, where=win)
                 pending &= ~win
-                np.multiply(lam, options.lambda_up, out=lam, where=pending)
+                np.multiply(lam, _LAMBDA_UP, out=lam, where=pending)
             # a finite row still pending cannot improve at any damping
             accepted = finite & ~pending
             step_norm = np.sqrt(_row_dot((p - p_old)[:, free]))
             rel_drop = (s_old - s) / np.maximum(s_old, 1e-300)
-            np.maximum(lam * options.lambda_down, 1e-12, out=lam, where=accepted)
-            small_drop = rel_drop < options.rss_rtol
-            done = pending | (accepted & (small_drop | (step_norm < options.step_tol)))
+            np.maximum(lam * _LAMBDA_DOWN, 1e-12, out=lam, where=accepted)
+            small_drop = rel_drop < _RTOL
+            done = pending | (accepted & (small_drop | (step_norm < _XTOL)))
             stop = done | ~finite
             if stop.any():
                 params[live[stop]], rss[live[stop]] = p[stop], s[stop]
-                converged[live[stop]] = done[stop]
                 iterations[live[stop]] = it
                 stop_code[live[stop]] = np.select(
                     [~finite, pending, small_drop],
@@ -320,11 +307,11 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray,
                 keep = ~stop
                 live, p, res, s, lam = live[keep], p[keep], res[keep], s[keep], lam[keep]
     params[live], rss[live], iterations[live] = p, s, it
-    return params, rss, converged, iterations, ok, stop_code
+    return params, rss, iterations, stop_code
 
 
 def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
-                converged, iterations, stop) -> FitResult:
+                iterations, stop) -> FitResult:
     try:
         r2 = r_squared(spec, params, d)
     except ValueError:
@@ -334,32 +321,33 @@ def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
         params=tuple(float(v) for v in params),
         rss=float(rss),
         r2=r2,
-        converged=bool(converged),
+        converged=stop in _CONVERGED,
         iterations=int(iterations),
         stop_reason=STOP_REASONS[stop],
     )
 
 
 def fit_least_squares(spec: ModelSpec, d: Dataset,
-                      start: Sequence[float],
-                      options: FitOptions = FitOptions()) -> FitResult:
+                      start: Sequence[float]) -> FitResult:
     """Levenberg-Marquardt minimization of the weighted residual sum of squares.
 
-    Damping starts at lambda0, grows on rejected steps and shrinks on
-    accepted ones; parameters are projected onto the spec's bounds after
-    every step. Accepted iterations never increase the RSS.
+    Damping grows on rejected steps and shrinks on accepted ones;
+    parameters are projected onto the spec's bounds after every step.
+    Accepted iterations never increase the RSS. The fitter has no options:
+    its settings are the module constants above.
     """
-    params, rss, converged, iterations, ok, stop = _levenberg_marquardt(
-        spec, d, np.asarray(start, dtype=float)[None], options)
-    if not ok[0]:
+    params, rss, iterations, stop = _levenberg_marquardt(
+        spec, d, np.asarray(start, dtype=float)[None])
+    if stop[0] == _START_NONFINITE:
         raise ValueError(f"{spec.name}: start point evaluates non-finite")
-    return _fit_result(spec, d, params[0], rss[0], converged[0], iterations[0],
-                       stop[0])
+    return _fit_result(spec, d, params[0], rss[0], iterations[0], stop[0])
 
 
 def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
                   seed: int) -> np.ndarray:
-    """The heuristic guess plus n_starts - 1 seeded perturbations, (n_starts, p)."""
+    """The heuristic guess plus n_starts - 1 seeded perturbations, (n_starts, p).
+    Linear entries are perturbed from 0 too, so each start draws the same
+    normals whatever the family declares; the kernel solves them anyway."""
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     base = initial_guess(spec, d)
@@ -376,8 +364,7 @@ def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
 
 
 def multi_start(spec: ModelSpec, d: Dataset, n_starts: int = 5,
-                seed: int = 0,
-                options: FitOptions = FitOptions()) -> FitResult:
+                seed: int = 0) -> FitResult:
     """Fit from the heuristic guess plus seeded perturbations; keep the best RSS.
 
     All starts run as one batch. Returns the lowest-RSS converged result,
@@ -385,18 +372,16 @@ def multi_start(spec: ModelSpec, d: Dataset, n_starts: int = 5,
     """
     starts = _start_points(spec, d, n_starts, seed)
     try:
-        params, rss, converged, iterations, ok, stop = _levenberg_marquardt(
-            spec, d, starts, options)
+        params, rss, iterations, stop = _levenberg_marquardt(spec, d, starts)
     except ValueError:  # the data rule out every start, e.g. all x identical
-        ok = np.zeros(n_starts, dtype=bool)
-    best = None
-    for i in np.flatnonzero(ok):
-        if best is None or (converged[i], -rss[i]) > (converged[best], -rss[best]):
-            best = i
-    if best is None:
+        stop = np.full(n_starts, _START_NONFINITE)
+    ok = np.flatnonzero(stop != _START_NONFINITE)
+    if not ok.size:
         raise ValueError(f"{spec.name}: no start point produced a fit")
-    return _fit_result(spec, d, params[best], rss[best], converged[best],
-                       iterations[best], stop[best])
+    # converged before not, then the lowest RSS; the first start wins a tie
+    best = ok[np.lexsort((rss[ok], ~np.isin(stop[ok], _CONVERGED)))[0]]
+    return _fit_result(spec, d, params[best], rss[best], iterations[best],
+                       stop[best])
 
 
 @dataclass(frozen=True)
@@ -404,6 +389,12 @@ class RankedEntry:
     result: FitResult
     plausible: bool
     reason: str
+
+    @property
+    def qualifies(self) -> bool:
+        """Plausible, converged and with a finite r^2: a gold-standard candidate."""
+        return (self.plausible and self.result.converged
+                and bool(np.isfinite(self.result.r2)))
 
 
 @dataclass(frozen=True)
@@ -416,10 +407,7 @@ class RankedFits:
     @property
     def gold_standard(self) -> Optional[FitResult]:
         """Best plausible converged fit, or None when nothing qualifies."""
-        for e in self.entries:
-            if e.plausible and e.result.converged and np.isfinite(e.result.r2):
-                return e.result
-        return None
+        return next((e.result for e in self.entries if e.qualifies), None)
 
     def as_dict(self) -> dict:
         return {
@@ -441,16 +429,16 @@ class RankedFits:
         shown = self.entries if top is None else self.entries[:top]
         for i, e in enumerate(shown, start=1):
             r2 = f"{e.result.r2:.6f}" if np.isfinite(e.result.r2) else "nan"
-            if not e.plausible:
+            if e.qualifies:
+                status = "plausible"
+            elif not e.plausible:
                 status = f"excluded: {e.reason}"
             elif not e.result.converged:
                 status = "excluded: not converged"
                 if e.result.stop_reason:
                     status += f" ({e.result.stop_reason})"
-            elif not np.isfinite(e.result.r2):
-                status = "excluded: r2 not finite"
             else:
-                status = "plausible"
+                status = "excluded: r2 not finite"
             lines.append(
                 f"{i:>4}  {e.result.spec_name:<22} {r2:>10} "
                 f"{len(e.result.params):>6} {str(e.result.converged):>5}  {status}")
@@ -459,8 +447,7 @@ class RankedFits:
 
 def rank_all(specs: Sequence[ModelSpec], d: Dataset,
              plaus: PlausibilityConfig,
-             n_starts: int = 5, seed: int = 0,
-             options: FitOptions = FitOptions()) -> RankedFits:
+             n_starts: int = 5, seed: int = 0) -> RankedFits:
     """Fit every family, tag plausibility, and rank by r^2.
 
     Plausible entries sort by r^2 descending, ties broken by fewer
@@ -472,8 +459,7 @@ def rank_all(specs: Sequence[ModelSpec], d: Dataset,
     entries: list[RankedEntry] = []
     for spec in specs:
         try:
-            result = multi_start(spec, d, n_starts=n_starts, seed=seed,
-                                 options=options)
+            result = multi_start(spec, d, n_starts=n_starts, seed=seed)
         except (ValueError, np.linalg.LinAlgError) as exc:
             result = FitResult(
                 spec_name=spec.name,
@@ -487,9 +473,8 @@ def rank_all(specs: Sequence[ModelSpec], d: Dataset,
         entries.append(RankedEntry(result, plausible, reason))
 
     def sort_key(e: RankedEntry):
-        ok = e.plausible and e.result.converged and np.isfinite(e.result.r2)
         r2 = e.result.r2 if np.isfinite(e.result.r2) else -np.inf
-        return (not ok, -r2, len(e.result.params), e.result.spec_name)
+        return (not e.qualifies, -r2, len(e.result.params), e.result.spec_name)
 
     return RankedFits(entries=tuple(sorted(entries, key=sort_key)),
                       dataset_label=d.label)

@@ -63,8 +63,9 @@ class ModelSpec:
     f(theta, 0) + sum_j c_j phi_j(theta, x), where phi_j is row j of
     ``grad_fn`` and may not depend on c. Their bounds must be unbounded. The
     fitter then solves them exactly at every value of the other parameters
-    (variable projection, see ``curvemine.fit``) and overwrites the entries
-    ``guess_fn`` gives them. Declare only what an oracle shows fits no worse.
+    (variable projection, see ``curvemine.fit``), and ``guess_fn(xs, ys)``
+    returns starting values only for the other parameters, in index order
+    (by default none). Declare only what an oracle shows fits no worse.
 
     ``register_model`` checks these contracts with a 2-vector probe.
     """
@@ -73,8 +74,8 @@ class ModelSpec:
     n_params: int
     family_class: str  # polynomial | exponential | sigmoidal | peaked | rational | power
     eval_fn: EvalFn
-    grad_fn: GradFn          # returns array of shape (n_params,) + x.shape
-    guess_fn: GuessFn        # (xs, ys) -> params
+    grad_fn: GradFn
+    guess_fn: GuessFn = lambda xs, ys: ()
     bounds: tuple[tuple[float, float], ...] = ()
     linear: tuple[int, ...] = ()
 
@@ -115,6 +116,21 @@ def _param_columns(p: np.ndarray, xv: np.ndarray) -> np.ndarray:
     return p.T.reshape(p.shape[::-1] + (1,) * xv.ndim)
 
 
+def _jacobian(spec: ModelSpec, p: np.ndarray, xv: np.ndarray) -> np.ndarray:
+    """``grad_fn`` at one vector p, shape (n_params,) + x.shape, or at a
+    (k, n_params) batch, shape (k, n_params) + x.shape; a Jacobian of x only
+    is broadcast to every row. The caller holds the ``np.errstate``."""
+    g = np.asarray(spec.grad_fn(_param_columns(p, xv), xv), dtype=float)
+    if g.ndim == xv.ndim + 2:  # (n_params, k) + x.shape from a batch
+        return g.swapaxes(0, 1)
+    return g if p.ndim == 1 else np.broadcast_to(g, p.shape + xv.shape)
+
+
+def _bounds(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper bounds of ``spec`` as two arrays."""
+    return tuple(np.array(spec.bounds, dtype=float).T)
+
+
 def evaluate(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray | float:
     """Evaluate the model; poles/overflow come back as non-finite, never raise.
 
@@ -134,16 +150,13 @@ def evaluate(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray | float:
 def gradient(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray:
     """Analytic partials dy/dtheta_j, shape (n_params,) + shape(x).
 
-    A batch (k, n_params) gives (k, n_params) + shape(x), or
-    (n_params,) + shape(x) for a family whose Jacobian depends on x only.
+    A batch (k, n_params) gives (k, n_params) + shape(x), also for a family
+    whose Jacobian depends on x only.
     """
     p = np.asarray(params, dtype=float)
     xv = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        g = np.asarray(spec.grad_fn(_param_columns(p, xv), xv), dtype=float)
-    if p.ndim == 2 and g.ndim == xv.ndim + 2:
-        g = g.swapaxes(0, 1)
-    return g
+        return _jacobian(spec, p, xv)
 
 
 def x_derivative(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray | float:
@@ -171,16 +184,26 @@ def x_derivative(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray | fl
 
 
 def initial_guess(spec: ModelSpec, d: Dataset) -> np.ndarray:
-    """Data-driven starting parameters, clipped into the spec's bounds."""
+    """Data-driven starting parameters, clipped into the spec's bounds; the
+    ``linear`` ones, which the fitter solves, start at 0."""
     if len(d) < spec.n_params:
         raise ValueError(
             f"{spec.name}: need >= {spec.n_params} points, got {len(d)}")
+    return _guess(spec, d.xs, d.ys)
+
+
+def _guess(spec: ModelSpec, xs: Array, ys: Array) -> Array:
+    """``initial_guess`` from the points (xs, ys); raises if ``guess_fn``
+    does not give one value per parameter that is not ``linear``."""
     with np.errstate(all="ignore"):
-        p = np.asarray(spec.guess_fn(d.xs, d.ys), dtype=float)
-    p = np.where(np.isfinite(p), p, 0.0)
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
-    return np.clip(p, lo, hi)
+        theta = np.asarray(spec.guess_fn(xs, ys), dtype=float)
+    free = [j for j in range(spec.n_params) if j not in spec.linear]
+    if theta.shape != (len(free),):
+        raise ValueError(f"{spec.name}: guess_fn gave shape {theta.shape}, not "
+                         f"({len(free)},), one per parameter not linear")
+    p = np.zeros(spec.n_params)
+    p[free] = np.where(np.isfinite(theta), theta, 0.0)
+    return np.clip(p, *_bounds(spec))
 
 
 def check_plausibility(spec: ModelSpec, params: Sequence[float],
@@ -227,13 +250,6 @@ def _lstsq(design: Array, ys: Array) -> Array:
     return sol
 
 
-def _poly_guess(deg: int) -> GuessFn:
-    def guess(xs, ys):
-        design = np.vander(xs, deg + 1, increasing=True)
-        return _lstsq(design, ys)
-    return guess
-
-
 def _log_linear_decay(xs, ys):
     """Fit log y ~ intercept + slope*x on the strictly-positive points."""
     mask = ys > 0
@@ -253,18 +269,15 @@ _REGISTRY: dict[str, ModelSpec] = {}
 def _check_batch_contract(spec: ModelSpec) -> None:
     """Evaluate and differentiate a 2-vector batch; each row must match its
     own single-vector call, and the complex-step dy/dx of the first row must
-    match a central difference (see ``ModelSpec``)."""
-    lo = np.array([b[0] for b in spec.bounds])
-    hi = np.array([b[1] for b in spec.bounds])
+    match a central difference (see ``ModelSpec``). Also checks the
+    ``linear`` declaration and the length of ``guess_fn``'s output."""
     ramp = np.linspace(0.6, 1.4, spec.n_params)
-    batch = np.clip(np.stack([ramp, ramp[::-1] + 0.05]), lo, hi)
+    batch = np.clip(np.stack([ramp, ramp[::-1] + 0.05]), *_bounds(spec))
     x = np.linspace(0.5, 3.0, 4)
     try:
         for fn in (evaluate, gradient):
             got = fn(spec, batch, x)
             rows = np.stack([fn(spec, row, x) for row in batch])
-            if got.shape == rows.shape[1:]:  # a Jacobian of x only
-                got = np.broadcast_to(got, rows.shape)
             if not (got.shape == rows.shape and np.allclose(
                     got, rows, rtol=1e-9, atol=0.0, equal_nan=True)):
                 raise ValueError(f"{fn.__name__} of a batch differs from "
@@ -278,6 +291,7 @@ def _check_batch_contract(spec: ModelSpec) -> None:
                              "difference: eval_fn must take complex x")
         if spec.linear:
             _check_linear(spec, batch, x)
+        _guess(spec, x, evaluate(spec, batch[0], x))
     except (TypeError, ValueError, IndexError) as exc:
         raise ValueError(
             f"model {spec.name!r} breaks the ModelSpec contract: {exc}") from exc
@@ -290,17 +304,14 @@ def _check_linear(spec: ModelSpec, batch: Array, x: Array) -> None:
     lin = list(spec.linear)
     if any(spec.bounds[j] != (-np.inf, np.inf) for j in lin):
         raise ValueError("a linear parameter must have (-inf, inf) bounds")
-
-    def basis(q):
-        return np.broadcast_to(gradient(spec, q, x), q.shape + x.shape)[:, lin]
-
     zero = batch.copy()
     zero[:, lin] = 0.0
-    phi, base = basis(zero), evaluate(spec, zero, x)
+    phi, base = gradient(spec, zero, x)[:, lin], evaluate(spec, zero, x)
     for c in (batch[:, lin], 3.0 * batch[:, lin] - 2.0):
         moved = zero.copy()
         moved[:, lin] = c
-        if not np.allclose(basis(moved), phi, rtol=1e-9, atol=0.0):
+        if not np.allclose(gradient(spec, moved, x)[:, lin], phi, rtol=1e-9,
+                           atol=0.0):
             raise ValueError("grad_fn rows of the linear parameters change "
                              "with those parameters")
         want = base + np.einsum("kl,kln->kn", c, phi)
@@ -335,8 +346,8 @@ def catalog() -> list[ModelSpec]:
     return list(_REGISTRY.values())
 
 
-def _register(name, family, n, eval_fn, grad_fn, guess_fn, bounds=(),
-              linear=()):
+def _register(name, family, n, eval_fn, grad_fn, guess_fn=ModelSpec.guess_fn,
+              bounds=(), linear=()):
     # Built-ins skip the import-time batch probe, which would slow every CLI
     # start; the test suite runs it on each of them.
     _add(ModelSpec(
@@ -352,7 +363,7 @@ def _with_offset(base: ModelSpec, name: str, lift: float,
     ``base`` to ys - min(ys) + lift and starts c at min(ys); a log-based
     base guess needs lift > 0 to keep every point positive. ``linear``
     names base parameters that the offset family declares linear; c then
-    joins them."""
+    joins them, and the guess drops them."""
     n = base.n_params
 
     def f(p, x):
@@ -364,7 +375,8 @@ def _with_offset(base: ModelSpec, name: str, lift: float,
 
     def guess(xs, ys):
         c = float(ys.min())
-        return np.append(base.guess_fn(xs, ys - c + lift), c)
+        p = base.guess_fn(xs, ys - c + lift)
+        return np.delete(p, linear) if linear else np.append(p, c)
 
     return ModelSpec(name=name, n_params=n + 1, family_class=base.family_class,
                      eval_fn=f, grad_fn=g, guess_fn=guess,
@@ -385,7 +397,7 @@ def _make_poly(deg: int):
     def g(p, x):
         return np.stack([x ** j * _ones_like(x) for j in range(deg + 1)])
 
-    _register(f"poly{deg}", "polynomial", deg + 1, f, g, _poly_guess(deg),
+    _register(f"poly{deg}", "polynomial", deg + 1, f, g,
               linear=range(deg + 1))
 
 
@@ -420,9 +432,7 @@ def _dbl_exp_g(p, x):
     return np.stack([e1, -a * x * e1, e2, -c * x * e2])
 
 _register("double_exp_decay", "exponential", 4, _dbl_exp, _dbl_exp_g,
-          lambda xs, ys: np.array([
-              0.7 * max(float(ys.max()), _TINY), 2.0 / _span(xs),
-              0.3 * max(float(ys.max()), _TINY), 0.3 / _span(xs)]),
+          lambda xs, ys: np.array([2.0 / _span(xs), 0.3 / _span(xs)]),
           linear=(0, 2))
 
 
@@ -436,8 +446,7 @@ def _exp_sat_g(p, x):
     return np.stack([1.0 - e, a * x * e])
 
 _register("exp_saturating", "exponential", 2, _exp_sat, _exp_sat_g,
-          lambda xs, ys: np.array([float(ys.max()), 2.0 / _span(xs)]),
-          linear=(0,))
+          lambda xs, ys: np.array([2.0 / _span(xs)]), linear=(0,))
 
 
 def _exp_quad(p, x):
@@ -467,9 +476,8 @@ def _stretched_g(p, x):
     a, b, q = p
     u = x / b
     uq = np.power(u, q)
-    y = a * np.exp(-uq)
-    logu = np.log(u)
-    return np.stack([y / a, y * uq * q / b, -y * uq * logu])
+    e = np.exp(-uq)
+    return np.stack([e, a * e * uq * q / b, -a * e * uq * np.log(u)])
 
 _register("stretched_exp", "exponential", 3, _stretched, _stretched_g,
           lambda xs, ys: np.array([max(float(ys.max()), _TINY), _span(xs) / 2.0, 1.0]),
@@ -662,8 +670,7 @@ def _rat_ql_g(p, x):
     return np.stack([1.0 / den, x / den, -num * x / den ** 2, x * x / den])
 
 _register("rational_quad_lin", "rational", 4, _rat_ql, _rat_ql_g,
-          lambda xs, ys: np.concatenate([
-              _lstsq(np.vander(xs, 2, increasing=True), ys), [1e-3, 0.0]]))
+          lambda xs, ys: np.append(_rat_guess(xs, ys), 0.0))
 
 
 def _rat_lq(p, x):
@@ -678,9 +685,7 @@ def _rat_lq_g(p, x):
                      -num * x * x / den ** 2])
 
 _register("rational_lin_quad", "rational", 4, _rat_lq, _rat_lq_g,
-          lambda xs, ys: np.concatenate([
-              _lstsq(np.vander(xs, 2, increasing=True), ys), [1e-3, 1e-4]]),
-          linear=(0, 1))
+          lambda xs, ys: np.array([1e-3, 1e-4]), linear=(0, 1))
 
 
 def _inv_shift(p, x):
@@ -726,10 +731,7 @@ def _sqrt_law(p, x):
     return a + b * np.sqrt(x)
 
 _register("sqrt_law", "power", 2, _sqrt_law,
-          lambda p, x: np.stack([_ones_like(x), np.sqrt(x)]),
-          lambda xs, ys: _lstsq(
-              np.stack([np.ones_like(xs), np.sqrt(np.abs(xs))], axis=1), ys),
-          linear=(0, 1))
+          lambda p, x: np.stack([_ones_like(x), np.sqrt(x)]), linear=(0, 1))
 
 
 def _log_law(p, x):
@@ -737,7 +739,4 @@ def _log_law(p, x):
     return a + b * np.log1p(x)
 
 _register("log_law", "power", 2, _log_law,
-          lambda p, x: np.stack([_ones_like(x), np.log1p(x)]),
-          lambda xs, ys: _lstsq(
-              np.stack([np.ones_like(xs), np.log1p(np.abs(xs))], axis=1), ys),
-          linear=(0, 1))
+          lambda p, x: np.stack([_ones_like(x), np.log1p(x)]), linear=(0, 1))

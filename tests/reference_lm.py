@@ -8,7 +8,8 @@ a test can swap it into ``rank_all``.
 
 import numpy as np
 
-from curvemine.fit import FitOptions, FitResult, r_squared
+from curvemine import fit as fit_module
+from curvemine.fit import FitResult, r_squared
 from curvemine.models import evaluate, gradient, initial_guess
 
 
@@ -25,7 +26,7 @@ def _rss(res):
         return float(res @ res)
 
 
-def fit_least_squares(spec, d, start, options=FitOptions()):
+def fit_least_squares(spec, d, start):
     if len(d) < spec.n_params:
         raise ValueError(
             f"underdetermined: {len(d)} points for {spec.n_params} parameters")
@@ -42,10 +43,10 @@ def fit_least_squares(spec, d, start, options=FitOptions()):
     if not np.all(np.isfinite(res)):
         raise ValueError(f"{spec.name}: start point evaluates non-finite")
     rss = _rss(res)
-    lam = options.lambda0
+    lam = fit_module._LAMBDA0
     converged = False
     it = 0
-    for it in range(1, options.max_iterations + 1):
+    for it in range(1, fit_module._MAX_ITER + 1):
         jac = gradient(spec, p, xs)
         with np.errstate(all="ignore"):
             jac = np.where(np.isfinite(jac), jac, 0.0) * sw
@@ -67,15 +68,15 @@ def fit_least_squares(spec, d, start, options=FitOptions()):
                 if rss_new <= rss:
                     accepted = True
                     break
-            lam *= options.lambda_up
+            lam *= fit_module._LAMBDA_UP
         if not accepted:
             converged = True
             break
         step_norm = float(np.linalg.norm(p_new - p))
         rel_drop = (rss - rss_new) / max(rss, 1e-300)
         p, res, rss = p_new, res_new, rss_new
-        lam = max(lam * options.lambda_down, 1e-12)
-        if rel_drop < options.rss_rtol or step_norm < options.step_tol:
+        lam = max(lam * fit_module._LAMBDA_DOWN, 1e-12)
+        if rel_drop < fit_module._RTOL or step_norm < fit_module._XTOL:
             converged = True
             break
 
@@ -93,7 +94,7 @@ def fit_least_squares(spec, d, start, options=FitOptions()):
     )
 
 
-def multi_start(spec, d, n_starts=5, seed=0, options=FitOptions()):
+def multi_start(spec, d, n_starts=5, seed=0):
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     base = initial_guess(spec, d)
@@ -111,7 +112,7 @@ def multi_start(spec, d, n_starts=5, seed=0, options=FitOptions()):
     best = None
     for start in starts:
         try:
-            result = fit_least_squares(spec, d, start, options)
+            result = fit_least_squares(spec, d, start)
         except (ValueError, np.linalg.LinAlgError):
             continue
         if best is None or (result.converged, -result.rss) > (best.converged, -best.rss):

@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from curvemine.analyze import percent_remaining
 from curvemine.cli import main
 from curvemine.dataset import ingest_csv, write_csv
 from curvemine.fit import multi_start
@@ -234,6 +235,12 @@ class TestAnalyzeCmd:
         result = json.loads(out)["result"]
         assert "monthly_loss_peak" in result
         assert set(result["percent_remaining"]) == {"30.0", "40.0"}
+        # relative to the model's peak over the domain, to the last bit
+        params = result["fit"]["params"]
+        for age in (30.0, 40.0):
+            assert result["percent_remaining"][str(age)] == percent_remaining(
+                get_model("gaussian_peak"), params, age, reference="peak",
+                domain=(0.0, 60.0))
         assert band_csv.read_text().startswith("x,lower,fit,upper")
 
 

@@ -9,7 +9,6 @@ import curvemine.fit as fit_module
 from curvemine.dataset import Dataset
 from curvemine.fit import (
     STOP_REASONS,
-    FitOptions,
     FitResult,
     RankedEntry,
     RankedFits,
@@ -306,20 +305,19 @@ def acceptance_datasets():
 class TestBatchedKernel:
     def test_batch_member_equals_single_start_fit(self):
         d = paper_scale_dataset(3)
-        options = FitOptions()
         for spec in catalog():
             starts = _start_points(spec, d, 5, seed=4)
-            params, rss, converged, iterations, ok, _ = _levenberg_marquardt(
-                spec, d, starts, options)
+            params, rss, iterations, stop = _levenberg_marquardt(spec, d, starts)
+            ok = stop != STOP_REASONS.index("start_nonfinite")
             for i, start in enumerate(starts):
                 if not ok[i]:
                     with pytest.raises(ValueError, match="non-finite"):
-                        fit_least_squares(spec, d, start, options)
+                        fit_least_squares(spec, d, start)
                     continue
-                alone = fit_least_squares(spec, d, start, options)
+                alone = fit_least_squares(spec, d, start)
                 assert alone.params == tuple(params[i]), spec.name
-                assert (alone.rss, alone.converged, alone.iterations) == \
-                    (rss[i], converged[i], iterations[i]), spec.name
+                assert (alone.rss, alone.iterations, alone.stop_reason) == \
+                    (rss[i], iterations[i], STOP_REASONS[stop[i]]), spec.name
             if ok.any():
                 best = multi_start(spec, d, n_starts=5, seed=4)
                 assert best.params in {tuple(params[i]) for i in np.flatnonzero(ok)}
@@ -332,9 +330,9 @@ class TestBatchedKernel:
         good = _start_points(spec, d, 3, seed=1)
         batch = np.vstack([good[:1], [[0.0, 20.0, 5.0]], good[1:2],
                            [[np.nan, 1.0, 1.0]], good[2:]])
-        params, rss, converged, iterations, ok, _ = _levenberg_marquardt(
-            spec, d, batch, FitOptions())
-        assert ok.tolist() == [True, True, True, False, True]
+        params, rss, iterations, stop = _levenberg_marquardt(spec, d, batch)
+        assert [STOP_REASONS[c] == "start_nonfinite" for c in stop] == \
+            [False, False, False, True, False]
         for i, start in zip((0, 2, 4), good):
             alone = fit_least_squares(spec, d, start)
             assert alone.params == tuple(params[i])
@@ -352,19 +350,18 @@ class TestBatchedKernel:
             assert np.array_equal(x[i], _solve(a[i:i + 1], b[i:i + 1])[0])
             assert np.allclose(a[i] @ x[i], b[i])
 
-    def test_start_failures_and_iteration_cap(self):
+    def test_start_failures_and_iteration_cap(self, monkeypatch):
         d = paper_scale_dataset(6)
         spec = get_model("double_exp_decay")
         starts = _start_points(spec, d, 5, seed=2)
-        capped = FitOptions(max_iterations=3)
-        params, rss, converged, iterations, ok, _ = _levenberg_marquardt(
-            spec, d, starts, capped)
-        for i in np.flatnonzero(ok):
-            alone = fit_least_squares(spec, d, starts[i], capped)
+        monkeypatch.setattr(fit_module, "_MAX_ITER", 3)
+        params, rss, iterations, stop = _levenberg_marquardt(spec, d, starts)
+        for i in np.flatnonzero(stop != STOP_REASONS.index("start_nonfinite")):
+            alone = fit_least_squares(spec, d, starts[i])
             assert alone.iterations == iterations[i] <= 3
             assert alone.params == tuple(params[i])
-        none = FitOptions(max_iterations=0)
-        r = fit_least_squares(spec, d, starts[0], none)
+        monkeypatch.setattr(fit_module, "_MAX_ITER", 0)
+        r = fit_least_squares(spec, d, starts[0])
         assert (r.iterations, r.converged) == (0, False)
 
 
@@ -495,8 +492,9 @@ class TestDistinctX:
     def test_kernel_rss_is_the_full_data_rss(self, name):
         d = grid_dataset(3, n=2000)
         spec = get_model(name)
-        params, rss, _, _, ok, _ = _levenberg_marquardt(
-            spec, d, _start_points(spec, d, 5, seed=1), FitOptions())
+        params, rss, _, stop = _levenberg_marquardt(
+            spec, d, _start_points(spec, d, 5, seed=1))
+        ok = stop != STOP_REASONS.index("start_nonfinite")
         assert ok.any()
         for p, r in zip(params[ok], rss[ok]):
             pred = evaluate(spec, p, d.xs)
@@ -510,11 +508,12 @@ class TestDistinctX:
     def test_converged_starts_match_the_per_point_reference(self, d, name, seed):
         spec = get_model(name)
         starts = _start_points(spec, d, 3, seed=seed)
-        params, rss, converged, _, ok, _ = _levenberg_marquardt(
-            spec, d, starts, FitOptions())
+        params, rss, _, stop = _levenberg_marquardt(spec, d, starts)
         # an exact fit leaves an RSS of rounding noise, ~eps^2 sum w y^2
         floor = 1e-20 * float(np.sum(d.weights * d.ys ** 2))
-        for i in np.flatnonzero(ok & converged):
+        converged = [STOP_REASONS.index(r) for r in ("rss_rtol", "step_tol",
+                                                     "no_descent")]
+        for i in np.flatnonzero(np.isin(stop, converged)):
             want = reference_lm.fit_least_squares(spec, d, starts[i])
             assert rss[i] == pytest.approx(want.rss, rel=1e-9, abs=floor)
 
@@ -565,24 +564,22 @@ class TestVariableProjection:
         d = paper_scale_dataset(2)
         spec = get_model("poly3")
         starts = _start_points(spec, d, 5, seed=3)
-        params, rss, converged, iterations, ok, stop = _levenberg_marquardt(
-            spec, d, starts, FitOptions())
-        assert ok.all() and converged.all()
+        params, rss, iterations, stop = _levenberg_marquardt(spec, d, starts)
         assert iterations.tolist() == [1] * 5
         assert {STOP_REASONS[c] for c in stop} == {"step_tol"}
         # every start's own coefficients are overwritten by the one solution
         assert (params == params[0]).all()
         assert params[0] == pytest.approx(closed_form_poly(d, 3), rel=1e-8)
 
-    def test_step_tol_measures_the_nonlinear_step_only(self):
+    def test_step_tol_measures_the_nonlinear_step_only(self, monkeypatch):
         # b moves by less than 10 per step while the solved amplitude (~1e4)
         # moves by thousands, so only a theta-only norm stops at once
         d = paper_scale_dataset(4)
         spec = get_model("exp_saturating")
         starts = _start_points(spec, d, 3, seed=1)
-        _, _, converged, iterations, ok, stop = _levenberg_marquardt(
-            spec, d, starts, FitOptions(rss_rtol=0.0, step_tol=10.0))
-        assert ok.all() and converged.all()
+        monkeypatch.setattr(fit_module, "_RTOL", 0.0)
+        monkeypatch.setattr(fit_module, "_XTOL", 10.0)
+        _, _, iterations, stop = _levenberg_marquardt(spec, d, starts)
         assert iterations.tolist() == [1, 1, 1]
         assert {STOP_REASONS[c] for c in stop} == {"step_tol"}
 
@@ -592,8 +589,8 @@ class TestVariableProjection:
         starts = _start_points(spec, d, 3, seed=1)
         moved = starts.copy()
         moved[:, list(spec.linear)] = [[1e9, -5.0], [0.0, 0.0], [np.nan, 3.0]]
-        a = _levenberg_marquardt(spec, d, starts, FitOptions())
-        b = _levenberg_marquardt(spec, d, moved, FitOptions())
+        a = _levenberg_marquardt(spec, d, starts)
+        b = _levenberg_marquardt(spec, d, moved)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -621,38 +618,51 @@ class TestStopReasons:
     """Every stop code the kernel returns is reachable and named."""
 
     @pytest.mark.parametrize("reason", STOP_REASONS)
-    def test_each_reason_is_reached(self, reason, gaussian_dataset):
+    def test_each_reason_is_reached(self, reason, gaussian_dataset, monkeypatch):
         d = gaussian_dataset
         spec = get_model("gaussian_peak")
         start = [[90.0, 15.0, 4.0]]
-        options = FitOptions()
         if reason == "step_tol":  # no RSS drop is small enough; any step is
-            options = FitOptions(rss_rtol=0.0, step_tol=np.inf)
+            monkeypatch.setattr(fit_module, "_RTOL", 0.0)
+            monkeypatch.setattr(fit_module, "_XTOL", np.inf)
         elif reason == "no_descent":  # every trial point evaluates NaN
             spec = _counting_model("nan_trials", nan_after=1)
         elif reason == "max_iterations":
-            options = FitOptions(max_iterations=1)
+            monkeypatch.setattr(fit_module, "_MAX_ITER", 1)
         elif reason == "nonfinite_jacobian":  # JᵀJ overflows
             spec = _counting_model("huge_jacobian", grad_scale=1e200)
         elif reason == "start_nonfinite":
             start = [[np.nan, 15.0, 4.0]]
         if spec.n_params == 2:
             start = [[50.0, 0.05]]
-        params, rss, converged, iterations, ok, stop = _levenberg_marquardt(
-            spec, d, np.array(start), options)
+        params, rss, iterations, stop = _levenberg_marquardt(
+            spec, d, np.array(start))
         assert STOP_REASONS[stop[0]] == reason
-        assert converged[0] == (reason in ("rss_rtol", "step_tol", "no_descent"))
-        assert ok[0] == (reason != "start_nonfinite")
-        if ok[0]:
-            r = fit_least_squares(spec, d, start[0], options) \
-                if reason != "no_descent" else None
-            assert r is None or r.stop_reason == reason
+        if reason == "no_descent":  # the model counts its calls: start afresh
+            spec = _counting_model("nan_trials", nan_after=1)
+        if reason == "start_nonfinite":
+            with pytest.raises(ValueError, match="non-finite"):
+                fit_least_squares(spec, d, start[0])
+        else:
+            r = fit_least_squares(spec, d, start[0])
+            assert r.stop_reason == reason
+            assert r.converged == (reason in ("rss_rtol", "step_tol", "no_descent"))
 
-    def test_winner_reason_reaches_rank_json_and_leaderboard(self):
+    def test_converged_is_the_stop_code(self):
+        # a family whose every start fails has no stop code and is not converged
+        cfg = PlausibilityConfig(domain=(-1.0, 55.0))
+        ranked = rank_all(catalog(), paper_scale_dataset(7), cfg, seed=3)
+        assert len(ranked.entries) == len(catalog())
+        for e in ranked.entries:
+            r = e.result
+            assert r.converged == (r.stop_reason in
+                                   {"rss_rtol", "step_tol", "no_descent"}), r.spec_name
+
+    def test_winner_reason_reaches_rank_json_and_leaderboard(self, monkeypatch):
         d = paper_scale_dataset(6)
         cfg = PlausibilityConfig(domain=(-1.0, 55.0), require_nonnegative=True)
-        capped = rank_all(catalog(), d, cfg, seed=2,
-                          options=FitOptions(max_iterations=2))
+        monkeypatch.setattr(fit_module, "_MAX_ITER", 2)
+        capped = rank_all(catalog(), d, cfg, seed=2)
         entries = capped.as_dict()["entries"]
         assert {e["stop_reason"] for e in entries} <= set(STOP_REASONS) | {None}
         assert any(e["stop_reason"] == "max_iterations" for e in entries)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import curvemine.models as models_module
+from curvemine.fit import fit_least_squares
 from curvemine.models import (
     ModelSpec,
     PlausibilityConfig,
@@ -112,9 +113,9 @@ class TestBatch:
             assert np.allclose(y, rows, rtol=1e-12, atol=0, equal_nan=True), spec.name
             g = gradient(spec, batch, xs)
             rows = np.stack([gradient(spec, p, xs) for p in batch])
-            assert g.shape in {rows.shape, rows.shape[1:]}, spec.name
-            assert np.allclose(np.broadcast_to(g, rows.shape), rows,
-                               rtol=1e-12, atol=0, equal_nan=True), spec.name
+            assert g.shape == rows.shape, spec.name
+            assert np.allclose(g, rows, rtol=1e-12, atol=0, equal_nan=True), \
+                spec.name
 
     def test_batch_at_scalar_x(self):
         spec = get_model("logistic")
@@ -210,9 +211,41 @@ class TestLinearContract:
             grad_fn=lambda p, x: np.stack([x * np.ones_like(p[1]),
                                            -x * np.exp(-p[1] * x),
                                            np.ones_like(x * p[1])]),
-            guess_fn=lambda xs, ys: np.array([0.0, 1.0, 0.0]), linear=(2, 0))
+            guess_fn=lambda xs, ys: np.array([1.0]), linear=(2, 0))
         assert spec.linear == (0, 2)
         assert register_model(spec) is spec
+
+    @pytest.mark.parametrize("name, linear, guess", [
+        ("full_vector_guess", (0,), lambda xs, ys: np.array([1.0, 0.1])),
+        ("short_guess", (), lambda xs, ys: np.array([1.0])),
+        ("scalar_guess", (0,), lambda xs, ys: 0.1),
+    ])
+    def test_guess_of_the_wrong_length_rejected_by_name(self, name, linear,
+                                                        guess):
+        def grad(p, x):
+            e = np.exp(-p[1] * x)
+            return np.stack([e, -p[0] * x * e])
+
+        spec = ModelSpec(
+            name=name, n_params=2, family_class="exponential",
+            eval_fn=lambda p, x: p[0] * np.exp(-p[1] * x), grad_fn=grad,
+            guess_fn=guess, linear=linear)
+        with pytest.raises(ValueError, match=f"{name}.*guess_fn"):
+            register_model(spec)
+        assert name not in {s.name for s in catalog()}
+        with pytest.raises(ValueError, match=f"{name}.*guess_fn"):
+            initial_guess(spec, make_dataset([0.0, 1.0, 2.0], [3.0, 2.0, 1.5]))
+
+    def test_fully_linear_family_needs_no_guess(self):
+        spec = ModelSpec(
+            name="line_no_guess", n_params=2, family_class="polynomial",
+            eval_fn=lambda p, x: p[0] + p[1] * x,
+            grad_fn=lambda p, x: np.stack([np.ones_like(x), x]), linear=(0, 1))
+        assert register_model(spec) is spec
+        d = make_dataset([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
+        assert initial_guess(spec, d).tolist() == [0.0, 0.0]
+        assert fit_least_squares(spec, d, initial_guess(spec, d)).params == \
+            pytest.approx([1.0, 2.0])
 
     @pytest.mark.parametrize("name, linear, bounds, grad_a, why", [
         # b sits in the exponent, so its grad_fn row moves with it
@@ -265,6 +298,16 @@ class TestGradient:
         g = gradient(get_model("poly0"), [5.0], np.asarray(2.0))
         assert np.allclose(g.ravel(), [1.0])
 
+    def test_stretched_exp_amplitude_row_at_zero_amplitude(self):
+        spec = get_model("stretched_exp")
+        x = np.linspace(0.5, 40.0, 9)
+        g = gradient(spec, [0.0, 2.0, 1.5], x)[0]
+        h = 1e-6
+        central = (evaluate(spec, [h, 2.0, 1.5], x)
+                   - evaluate(spec, [-h, 2.0, 1.5], x)) / (2 * h)
+        assert np.isfinite(g).all()
+        assert g == pytest.approx(central, rel=1e-9, abs=1e-15)
+
     def test_against_finite_differences(self):
         # full-catalog sweep lives in the acceptance suite; spot-check here
         rng = np.random.default_rng(2)
@@ -295,8 +338,10 @@ class TestGradient:
 
 class TestInitialGuess:
     def test_linear_closed_form(self, line_dataset):
-        p = initial_guess(get_model("poly1"), line_dataset)
-        assert p == pytest.approx([1.0, 2.0])
+        spec = get_model("poly1")
+        fit = fit_least_squares(spec, line_dataset,
+                                initial_guess(spec, line_dataset))
+        assert fit.params == pytest.approx([1.0, 2.0])
 
     def test_gaussian_center_in_range(self, gaussian_dataset):
         p = initial_guess(get_model("gaussian_peak"), gaussian_dataset)
@@ -305,7 +350,9 @@ class TestInitialGuess:
 
     def test_constant_is_mean(self):
         d = make_dataset([0, 1, 2], [2.0, 4.0, 6.0])
-        assert initial_guess(get_model("poly0"), d) == pytest.approx([4.0])
+        spec = get_model("poly0")
+        fit = fit_least_squares(spec, d, initial_guess(spec, d))
+        assert fit.params == pytest.approx([4.0])
 
     def test_too_few_points(self):
         d = make_dataset([0.0, 1.0], [1.0, 2.0])
