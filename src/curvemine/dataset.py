@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
@@ -293,12 +294,24 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     ``schema`` maps logical column names to actual header names. Bad rows
     (non-numeric x/y, age < -1, negative y) abort ingestion with row-numbered
     diagnostics unless ``skip_bad_rows`` is set.
+
+    The text is read whole, and the text alone decides how it is split.
+    Plain text (no ``"``, ``\\r`` or NUL, and no line longer than
+    ``csv.field_size_limit()``) is split at ``\\n`` and ``,`` and converted
+    a chunk of rows at a time; if a row is ragged or bad, the split rows are
+    read one by one instead. Other text goes through ``csv.reader``, and a
+    row it cannot read, such as one with a field over the limit, is an
+    IngestError naming the row. Either way the columns, labels, studies and
+    error text are the same.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
+    text = source if isinstance(source, str) else source.read()
     schema = dict(schema or {})
-    reader = csv.reader(source)
-    header = next(reader, None)
+    lines = _plain_lines(text)
+    if lines is None:
+        reader = _csv_rows(text)
+        header = next(reader, None)
+    else:
+        header = lines[0].split(",") if lines[0] else []  # a blank line has no cells
     if header is None:
         raise IngestError("empty file: no CSV header found")
 
@@ -314,7 +327,16 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     position = {name: i for i, name in enumerate(header)}
     at = {logical: position.get(name) for logical, name in colmap.items()}
     width = 1 + max(i for i in at.values() if i is not None)
-    rows = list(filter(None, reader))
+    if lines is None:
+        rows = list(reader)
+    else:
+        data = list(filter(None, islice(lines, 1, None)))
+        try:
+            if data:
+                return _split_dataset(data, at, len(header), label)
+        except ValueError:  # a ragged or bad row: read row by row to name it
+            pass
+        rows = [line.split(",") for line in data]
     if min(map(len, rows), default=width) < width:
         rows = [r + [""] * (width - len(r)) for r in rows]
     cells = {logical: [""] * len(rows) if i is None else [r[i] for r in rows]
@@ -346,6 +368,78 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     if not cells["x"]:
         raise IngestError("no valid data rows")
     return build()
+
+
+# Rows the split path converts at a time: it bounds the cell strings alive at once.
+_CHUNK_ROWS = 4096
+
+
+def _plain_lines(text: str) -> Optional[list[str]]:
+    """The lines of text that no csv quoting, line-end or size rule can
+    apply to, or None: then csv.reader reads it."""
+    if not text or '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    return None if max(map(len, lines)) > csv.field_size_limit() else lines
+
+
+def _csv_rows(text: str):
+    """The header row, then every non-blank row, as csv.reader reads them; a
+    row it cannot read raises IngestError naming it (the header is row 1)."""
+    rownum = 1
+    try:
+        for row in csv.reader(io.StringIO(text, newline="")):
+            if row or rownum == 1:
+                yield row
+                rownum += 1
+    except csv.Error as exc:
+        raise IngestError(f"row {rownum}: {exc}") from None
+
+
+def _split_dataset(data: list[str], at: Mapping[str, Optional[int]], ncols: int,
+                   label: str) -> Dataset:
+    """Build a dataset from plain lines of ncols cells each, a chunk of lines
+    at a time; a ragged line or a bad cell or row raises ValueError.
+
+    Each chunk is split in one go, with a NUL cell after every line, and its
+    columns taken by stride; that every NUL lands on its stride shows every
+    line has ncols cells. Ages, weights and labels repeat, so each is
+    converted once per distinct cell in a chunk; values rarely repeat, so
+    float() runs on every y cell.
+    """
+    n, stride = len(data), ncols + 1
+    x, y, weight = np.empty(n), np.empty(n), np.ones(n)
+    tables = {c: {} for c in ("study_id", "unit", "assay_id")}  # label -> code
+    codes = {c: np.zeros(n, dtype=np.intp) for c in tables}
+    for a in range(0, n, _CHUNK_ROWS):
+        chunk = data[a:a + _CHUNK_ROWS]
+        b = a + len(chunk)
+        cells = ",\0,".join(chunk).split(",")
+        if (len(cells) != len(chunk) * stride - 1
+                or cells[ncols::stride].count("\0") != len(chunk) - 1):
+            raise ValueError("rows of differing widths")
+        x[a:b] = _by_distinct(cells[at["x"]::stride], float, float)
+        y[a:b] = np.fromiter(map(float, cells[at["y"]::stride]), float, b - a)
+        if at["weight"] is not None:  # an empty weight is 1.0
+            weight[a:b] = _by_distinct(cells[at["weight"]::stride],
+                                       lambda w: float(w or "1"), float)
+        for c, table in tables.items():
+            if at[c] is not None:  # a new label takes the next code
+                codes[c][a:b] = _by_distinct(cells[at[c]::stride],
+                                             lambda s: table.setdefault(s, len(table)),
+                                             np.intp)
+    study, unit, assay = (_Codes(codes[c], tuple(t) or ("",)) for c, t in tables.items())
+    assay = assay._replace(table=tuple(s or None for s in assay.table))  # "" is no assay
+    return Dataset._from_columns(x, y, weight, study, unit, assay, None, label)
+
+
+def _by_distinct(cells: list[str], convert, dtype):
+    """convert() of each cell, called once per distinct cell; when all cells
+    are one, that one value, for the caller to broadcast."""
+    value = {cell: convert(cell) for cell in dict.fromkeys(cells)}
+    if len(value) == 1:
+        return value[cells[0]]
+    return np.fromiter(map(value.__getitem__, cells), dtype, len(cells))
 
 
 def write_csv(d: Dataset, sink: TextIO) -> None:

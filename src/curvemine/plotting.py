@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .analyze import IntervalBand
 from .dataset import Dataset
 
@@ -149,9 +151,11 @@ def render_svg(dataset: Dataset,
     # A fill per study code; a subset's label table may hold unused studies.
     codes, table = dataset._study
     fill = [colors.get(sid) for sid in table]
-    for px, py, c in zip(sx(dataset.xs).tolist(), sy(dataset.ys).tolist(),
-                         codes.tolist()):
-        parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" '
+    # Ages repeat: format each distinct scaled x once.
+    px, at = np.unique(sx(dataset.xs), return_inverse=True)
+    cx = [_fmt(v) for v in px.tolist()]
+    for i, py, c in zip(at.tolist(), sy(dataset.ys).tolist(), codes.tolist()):
+        parts.append(f'<circle cx="{cx[i]}" cy="{py:.3f}" '
                      f'r="2.5" fill="{fill[c]}" fill-opacity="0.75" '
                      f'class="datapoint"/>')
 

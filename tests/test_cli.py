@@ -88,6 +88,17 @@ class TestIngestDescribe:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_over_long_field_names_its_row(self, capsys, tmp_path, quote):
+        long = tmp_path / "long.csv"
+        long.write_text(f"study_id,x,y\nA,1,2\n{quote}{'B' * 200_000}{quote},3,4\n",
+                        encoding="utf-8")
+        code, out, err = run(capsys, "describe", "--data", str(long))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: row 3: field larger than field limit (131072)"]
+
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import re
@@ -21,7 +22,9 @@ from curvemine.dataset import (
     split_by_assay,
     write_csv,
 )
+from curvemine.synth import SummaryRow, reconstruct_dataset
 
+import reference_ingest
 from conftest import make_dataset
 from reference_ingest import rows
 
@@ -113,6 +116,89 @@ class TestIngest:
         buf2 = io.StringIO()
         write_csv(d2, buf2)
         assert buf.getvalue() == buf2.getvalue()
+
+
+@pytest.fixture
+def reader_calls(monkeypatch):
+    """The texts csv.reader is handed while the test runs."""
+    calls = []
+    real = csv.reader
+
+    def spy(lines, *args, **kwargs):
+        calls.append(lines)
+        return real(lines, *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spy)
+    return calls
+
+
+class TestReadPaths:
+    """Plain text is split without csv.reader; quoted text goes through it."""
+
+    def test_synth_replicate_never_calls_csv_reader(self, reader_calls):
+        rows = [SummaryRow(x=x, n=3000, mean=50.0 + x, sd=5.0, family=f)
+                for x, f in ((-0.5, "normal"), (3.0, "lognormal"), (20.0, "normal"))]
+        d = reconstruct_dataset(rows, seed=3)
+        buf = io.StringIO()
+        write_csv(d, buf)
+        again = ingest_csv(io.StringIO(buf.getvalue()), label=d.label)
+        assert reader_calls == []
+        assert again == d
+        for col in ("xs", "ys", "weights"):
+            assert getattr(again, col).tobytes() == getattr(d, col).tobytes()
+
+    def test_quoted_table_calls_csv_reader(self, reader_calls):
+        d = ingest_csv('study_id,x,y\n"Lee, 2004",1,2\n')
+        assert len(reader_calls) == 1
+        assert d.study_ids == ["Lee, 2004"]
+
+    @pytest.mark.parametrize("skip_bad_rows", [False, True])
+    def test_ragged_rows_of_whole_total_width_match_reference(self, skip_bad_rows):
+        # 4 + 2 cells are two rows' worth: split as one, they would read as
+        # rows (A, 1, 2) and (the line end, 4, 5).
+        text = "study_id,x,y\nA,1,2,3\n4,5\n"
+
+        def outcome(ingest):
+            try:
+                return ingest(text, skip_bad_rows=skip_bad_rows)
+            except IngestError as exc:
+                return str(exc)
+
+        assert outcome(ingest_csv) == outcome(reference_ingest.ingest_csv)
+
+    def test_labels_first_seen_in_later_chunks_match_reference(self, reader_calls):
+        # 10,000 rows span several chunks; labels, units and assays first
+        # appear in different chunks, and some weights are empty.
+        lines = ["weight,x,study_id,y,assay_id,unit"]
+        for i in range(10_000):
+            lines.append(f"{'' if i % 7 else 0.5 + i % 3},{i % 120 / 2 - 1},"
+                         f"s{i // 3000},{i * 0.37},{'' if i % 5 else f'k{i // 4500}'},"
+                         f"{'ng/ml' if i > 6000 and i % 2 else ''}")
+        text = "\n".join(lines) + "\n"
+        got = ingest_csv(io.StringIO(text), label="t")
+        assert reader_calls == []
+        want = reference_ingest.ingest_csv(io.StringIO(text), label="t")
+        for col in ("xs", "ys", "weights"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+        for col in ("study_ids", "units", "assay_ids"):
+            assert getattr(got, col) == getattr(want, col)
+        assert got == want
+
+    def test_write_ingest_write_round_trip_with_quoted_labels(self, reader_calls):
+        d = Dataset.from_points(
+            [-0.5, 1.0, 1.0], [2.0, 0.25, 3.0],
+            study=['Lee, "2004"', "B", 'Lee, "2004"'],
+            unit=['ng/ml, "dry"', "", 'ng/ml, "dry"'], assay=[None, 'k"1', None])
+        first = io.StringIO()
+        write_csv(d, first)
+        again = ingest_csv(io.StringIO(first.getvalue()))
+        second = io.StringIO()
+        write_csv(again, second)
+        assert reader_calls  # quoted labels take the csv.reader path
+        assert second.getvalue() == first.getvalue()
+        for col in ("study_ids", "units", "assay_ids"):
+            assert getattr(again, col) == getattr(d, col)
+        assert again == d
 
 
 class TestUnits:

@@ -33,8 +33,17 @@ numbers = st.one_of(
                      "-1", "-1.0000001", "0", "-0", "-0.0", "nan", "inf",
                      "-inf", "1e400", "0x10", "0.5", "-0.5", "1e-320"]),
 )
+# Numbers every row rule accepts, so that some tables read whole.
+good_numbers = st.one_of(
+    st.floats(0.001, 80.0).map(repr),
+    st.sampled_from(["1", "2.5", " 7 ", "1_0", "0.5", "1e-320"]),
+)
 LABELS = ("", "A", "B", "s1", " A", "ng/ml", "k1", "nope")
 labels = st.sampled_from(LABELS)
+# Labels csv.writer quotes (a comma, a doubled quote, an embedded newline),
+# written quoted.
+QUOTED = ("a,b", 'say "hi"', "two\nlines")
+quoted_labels = st.sampled_from(['"' + q.replace('"', '""') + '"' for q in QUOTED])
 
 
 @st.composite
@@ -50,20 +59,25 @@ def point_tables(draw):
     remap = draw(st.booleans())
     header = [REMAP.get(c, c) if remap else c for c in cols]
     lines = [""] if draw(st.integers(0, 30)) == 0 else []
+    number_cells = good_numbers if draw(st.integers(0, 3)) == 0 else numbers
+    label_cells = labels | quoted_labels if draw(st.integers(0, 3)) == 0 else labels
     lines.append(",".join(header))
     for _ in range(draw(st.integers(0, 10))):
-        cells = [draw(labels if c in ("study_id", "unit", "assay_id", "note")
-                      else numbers) for c in cols]
+        cells = [draw(label_cells if c in ("study_id", "unit", "assay_id", "note")
+                      else number_cells) for c in cols]
         cut = draw(st.integers(0, 4))
         if cut == 1:     # short row
             cells = cells[:draw(st.integers(1, len(cells)))]
         elif cut == 2:   # long row
-            cells += draw(st.lists(numbers | labels, min_size=1, max_size=2))
+            cells += draw(st.lists(number_cells | label_cells, min_size=1, max_size=2))
+        if draw(st.integers(0, 40)) == 0:  # a line over csv.field_size_limit()
+            cells += ["n" * 70_000] * 2
         lines.append(",".join(cells))
         if draw(st.integers(0, 6)) == 0:
             lines.append("")  # blank line
     schema = dict(REMAP) if remap else None
-    return "\n".join(lines) + "\n", schema
+    eol = "\r\n" if draw(st.integers(0, 4)) == 0 else "\n"
+    return eol.join(lines) + eol, schema
 
 
 # One table resolves some labels, with factors that cannot overflow; the
@@ -71,7 +85,7 @@ def point_tables(draw):
 # resolve before any value is scaled, so when one table does both, the
 # unknown label is named even if an earlier row overflows.)
 UNIT_TABLES = (UnitTable({"ng/ml": ("µg/l", 0.001), "A": ("B", 1.0), "": ("count", 0.5)}),
-               UnitTable({u: ("count", 1e300 if u == "" else 1.0) for u in LABELS}))
+               UnitTable({u: ("count", 1e300 if u == "" else 1.0) for u in LABELS + QUOTED}))
 
 
 def _outcome(call, *args, **kw):
