@@ -34,20 +34,10 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def derivative(spec: ModelSpec, params: Sequence[float], x: float,
-               method: str = "analytic") -> float:
-    """dy/dx at x: "analytic" is the complex-step derivative of
-    ``models.x_derivative``, exact to rounding; "central" is a central
-    difference."""
-    if method not in ("analytic", "central"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "analytic":
-        val = float(x_derivative(spec, params, x))
-    else:
-        h = 1e-6 * max(1.0, abs(x))
-        hi = float(evaluate(spec, params, x + h))
-        lo = float(evaluate(spec, params, x - h))
-        val = (hi - lo) / (2.0 * h)
+def derivative(spec: ModelSpec, params: Sequence[float], x: float) -> float:
+    """dy/dx at x: the complex-step derivative of ``models.x_derivative``,
+    exact to rounding."""
+    val = float(x_derivative(spec, params, x))
     if not math.isfinite(val):
         raise ValueError(f"non-finite derivative of {spec.name} at x={x}")
     return val

@@ -386,7 +386,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     if not getattr(args, "config", None):
         return args
     flags = []
-    for lineno, raw in enumerate(args.config.read_text().splitlines(), start=1):
+    lines = args.config.read_text(encoding="utf-8").splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import count, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
@@ -278,12 +278,11 @@ def read_unit_table(source: TextIO | str) -> UnitTable:
         if "=" not in line:
             raise ValueError(f"unit table line {lineno}: expected 'alias = canonical,factor'")
         alias, rhs = (part.strip() for part in line.split("=", 1))
-        if "," in rhs:
-            canon, factor_s = (part.strip() for part in rhs.rsplit(",", 1))
-            factor = float(factor_s)
-        else:
-            canon, factor = rhs, 1.0
-        entries[alias] = (canon, factor)
+        canon, _, factor = rhs.rpartition(",") if "," in rhs else (rhs, "", "1")
+        try:
+            entries[alias] = (canon.strip(), float(factor.strip()))
+        except ValueError as exc:
+            raise ValueError(f"unit table line {lineno}: {exc}") from None
     return UnitTable(entries=entries)
 
 
@@ -295,23 +294,12 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     (non-numeric x/y, age < -1, negative y) abort ingestion with row-numbered
     diagnostics unless ``skip_bad_rows`` is set.
 
-    The text is read whole, and the text alone decides how it is split.
-    Plain text (no ``"``, ``\\r`` or NUL, and no line longer than
-    ``csv.field_size_limit()``) is split at ``\\n`` and ``,`` and converted
-    a chunk of rows at a time; if a row is ragged or bad, the split rows are
-    read one by one instead. Other text goes through ``csv.reader``, and a
-    row it cannot read, such as one with a field over the limit, is an
-    IngestError naming the row. Either way the columns, labels, studies and
-    error text are the same.
+    The text is read whole. Plain text is split at ``\\n`` and ``,``, other
+    text by ``csv.reader`` (see ``_rows``); one converter turns either rows
+    into columns, so the result and the error text do not depend on which.
     """
-    text = source if isinstance(source, str) else source.read()
     schema = dict(schema or {})
-    lines = _plain_lines(text)
-    if lines is None:
-        reader = _csv_rows(text)
-        header = next(reader, None)
-    else:
-        header = lines[0].split(",") if lines[0] else []  # a blank line has no cells
+    header, rows = _rows(source if isinstance(source, str) else source.read())
     if header is None:
         raise IngestError("empty file: no CSV header found")
 
@@ -321,66 +309,48 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
         if colmap[logical] not in header:
             raise IngestError(f"missing required column {colmap[logical]!r}")
 
-    # Read as csv.DictReader reads: blank lines are skipped and not counted,
-    # a repeated header name means its last column, a short row's missing
-    # cells are empty, and extra cells are ignored.
+    # As in csv.DictReader, a repeated header name means its last column.
     position = {name: i for i, name in enumerate(header)}
     at = {logical: position.get(name) for logical, name in colmap.items()}
-    width = 1 + max(i for i in at.values() if i is not None)
-    if lines is None:
-        rows = list(reader)
-    else:
-        data = list(filter(None, islice(lines, 1, None)))
-        try:
-            if data:
-                return _split_dataset(data, at, len(header), label)
-        except ValueError:  # a ragged or bad row: read row by row to name it
-            pass
-        rows = [line.split(",") for line in data]
-    if min(map(len, rows), default=width) < width:
-        rows = [r + [""] * (width - len(r)) for r in rows]
-    cells = {logical: [""] * len(rows) if i is None else [r[i] for r in rows]
-             for logical, i in at.items()}
-    cells["weight"] = [w or "1" for w in cells["weight"]]  # an empty weight is 1.0
-    cells["assay_id"] = [a or None for a in cells["assay_id"]]
-
-    def build() -> Dataset:  # float() per cell: float's syntax and bits
-        x, y, weight = (np.fromiter(map(float, cells[c]), float) for c in ("x", "y", "weight"))
-        return Dataset.from_points(x, y, weight=weight, study=cells["study_id"],
-                                   unit=cells["unit"], assay=cells["assay_id"],
-                                   label=label)
-
-    bad = {}
+    rows, ncols, bad = list(rows), len(header), {}
     try:
         if rows:
-            return build()
-    except ValueError:  # name every bad row
-        for rownum, (x, y, w) in enumerate(  # the header is row 1
-                zip(cells["x"], cells["y"], cells["weight"]), start=2):
-            try:
-                _check_row(float(x), float(y), float(w))
-            except ValueError as exc:
-                bad[rownum] = f"row {rownum}: {exc}"
+            return _convert(rows, at, ncols, label)
+    except ValueError:  # name every bad row; the header is row 1
+        for a in range(0, len(rows), _CHUNK_ROWS):
+            cells = _cells(rows[a:a + _CHUNK_ROWS], ncols)
+            for rownum, x, y, w in zip(count(a + 2), *(
+                    repeat("") if i is None else cells[i::ncols + 1]
+                    for i in (at["x"], at["y"], at["weight"]))):
+                try:
+                    _check_row(float(x), float(y), float(w or "1"))
+                except ValueError as exc:
+                    bad[rownum] = f"row {rownum}: {exc}"
     if bad and not skip_bad_rows:
         raise IngestError("rejected rows:\n  " + "\n  ".join(bad.values()))
-    cells = {k: [v for i, v in enumerate(col, start=2) if i not in bad]
-             for k, col in cells.items()}
-    if not cells["x"]:
+    rows = [row for rownum, row in enumerate(rows, start=2) if rownum not in bad]
+    if not rows:
         raise IngestError("no valid data rows")
-    return build()
+    return _convert(rows, at, ncols, label)
 
 
-# Rows the split path converts at a time: it bounds the cell strings alive at once.
+# Rows converted at a time: it bounds the cell strings alive at once.
 _CHUNK_ROWS = 4096
 
 
-def _plain_lines(text: str) -> Optional[list[str]]:
-    """The lines of text that no csv quoting, line-end or size rule can
-    apply to, or None: then csv.reader reads it."""
-    if not text or '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    return None if max(map(len, lines)) > csv.field_size_limit() else lines
+def _rows(text: str):
+    """The header row (None if there is none) and an iterator over the
+    non-blank data rows, which csv.DictReader skips and does not count.
+    Plain text (no ``"``, ``\\r`` or NUL, and no line longer than
+    ``csv.field_size_limit()``), which no csv quoting, line-end or size rule
+    applies to, gives its lines; other text gives csv.reader rows."""
+    if text and not ('"' in text or "\r" in text or "\0" in text):
+        lines = text.split("\n")
+        if max(map(len, lines)) <= csv.field_size_limit():
+            header = lines.pop(0)
+            return header.split(",") if header else [], filter(None, lines)
+    rows = _csv_rows(text)
+    return next(rows, None), rows
 
 
 def _csv_rows(text: str):
@@ -396,28 +366,38 @@ def _csv_rows(text: str):
         raise IngestError(f"row {rownum}: {exc}") from None
 
 
-def _split_dataset(data: list[str], at: Mapping[str, Optional[int]], ncols: int,
-                   label: str) -> Dataset:
-    """Build a dataset from plain lines of ncols cells each, a chunk of lines
-    at a time; a ragged line or a bad cell or row raises ValueError.
+def _cells(chunk: list, ncols: int) -> list[str]:
+    """The cells of a chunk of rows, ncols to a row and a filler cell after
+    each, so that column i is cells[i::ncols + 1]. Plain lines are split in
+    one go, with a NUL cell after every line; that every NUL lands on its
+    stride shows every line has ncols cells. Else each row, a ragged line
+    or a csv.reader row, gets empty cells or is cut to ncols, as in
+    csv.DictReader."""
+    stride = ncols + 1
+    if isinstance(chunk[0], str):
+        cells = ",\0,".join(chunk).split(",")
+        if (len(cells) == len(chunk) * stride - 1
+                and cells[ncols::stride].count("\0") == len(chunk) - 1):
+            return cells
+        chunk = [line.split(",") for line in chunk]
+    pad = [""] * ncols
+    return [cell for row in chunk
+            for cell in (*row[:ncols], *pad[len(row):], "\0")]
 
-    Each chunk is split in one go, with a NUL cell after every line, and its
-    columns taken by stride; that every NUL lands on its stride shows every
-    line has ncols cells. Ages, weights and labels repeat, so each is
-    converted once per distinct cell in a chunk; values rarely repeat, so
-    float() runs on every y cell.
-    """
-    n, stride = len(data), ncols + 1
+
+def _convert(rows: list, at: Mapping[str, Optional[int]], ncols: int,
+             label: str) -> Dataset:
+    """The dataset of the data rows under a header of ncols names, built a
+    chunk of rows at a time; a bad cell or row raises ValueError. Ages,
+    weights and labels repeat, so each is converted once per distinct cell
+    in a chunk; values rarely repeat, so float() runs on every y cell."""
+    n, stride = len(rows), ncols + 1
     x, y, weight = np.empty(n), np.empty(n), np.ones(n)
     tables = {c: {} for c in ("study_id", "unit", "assay_id")}  # label -> code
     codes = {c: np.zeros(n, dtype=np.intp) for c in tables}
     for a in range(0, n, _CHUNK_ROWS):
-        chunk = data[a:a + _CHUNK_ROWS]
-        b = a + len(chunk)
-        cells = ",\0,".join(chunk).split(",")
-        if (len(cells) != len(chunk) * stride - 1
-                or cells[ncols::stride].count("\0") != len(chunk) - 1):
-            raise ValueError("rows of differing widths")
+        b = min(a + _CHUNK_ROWS, n)
+        cells = _cells(rows[a:b], ncols)
         x[a:b] = _by_distinct(cells[at["x"]::stride], float, float)
         y[a:b] = np.fromiter(map(float, cells[at["y"]::stride]), float, b - a)
         if at["weight"] is not None:  # an empty weight is 1.0

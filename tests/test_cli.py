@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,3 +366,17 @@ class TestConfigFile:
         assert set(json.loads(out)["result"]["percent_remaining"]) \
             == {"20.0", "35.0"}
 
+    def test_config_is_read_as_utf8_in_any_locale(self, data_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("title = Gewicht Ø\n", encoding="utf-8")
+        svg_path = tmp_path / "p.svg"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "curvemine.cli", "plot",
+             "--data", str(data_csv), "--out", str(svg_path), "--config", str(cfg)],
+            env=env, capture_output=True, encoding="utf-8")
+        assert proc.returncode == 0, proc.stderr
+        root = ET.fromstring(svg_path.read_bytes())
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "Gewicht Ø" in texts

@@ -174,15 +174,35 @@ class TestReadPaths:
             lines.append(f"{'' if i % 7 else 0.5 + i % 3},{i % 120 / 2 - 1},"
                          f"s{i // 3000},{i * 0.37},{'' if i % 5 else f'k{i // 4500}'},"
                          f"{'ng/ml' if i > 6000 and i % 2 else ''}")
-        text = "\n".join(lines) + "\n"
-        got = ingest_csv(io.StringIO(text), label="t")
-        assert reader_calls == []
-        want = reference_ingest.ingest_csv(io.StringIO(text), label="t")
-        for col in ("xs", "ys", "weights"):
-            assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
-        for col in ("study_ids", "units", "assay_ids"):
-            assert getattr(got, col) == getattr(want, col)
-        assert got == want
+        whole = "\n".join(lines) + "\n"
+        lines[8601] = "1.5,2,s9"  # the third chunk: a short row, a bad age
+        lines[9001] = "0.5,abc,s9,2.0,,"
+        broken = "\n".join(lines) + "\n"
+
+        def outcome(ingest, text, skip_bad_rows):
+            try:
+                return ingest(io.StringIO(text), skip_bad_rows=skip_bad_rows, label="t")
+            except IngestError as exc:
+                return str(exc)
+
+        for text, skip_bad_rows, n in ((whole, False, 10_000), (broken, False, None),
+                                       (broken, True, 9_998)):
+            got = outcome(ingest_csv, text, skip_bad_rows)
+            assert reader_calls == []
+            want = outcome(reference_ingest.ingest_csv, text, skip_bad_rows)
+            reader_calls.clear()  # the reference reads through csv.reader
+            if n is None:
+                assert got == want == (
+                    "rejected rows:\n"
+                    "  row 8602: could not convert string to float: ''\n"
+                    "  row 9002: could not convert string to float: 'abc'")
+                continue
+            for col in ("xs", "ys", "weights"):
+                assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+            for col in ("study_ids", "units", "assay_ids"):
+                assert getattr(got, col) == getattr(want, col)
+            assert got == want
+            assert len(got) == n
 
     def test_write_ingest_write_round_trip_with_quoted_labels(self, reader_calls):
         d = Dataset.from_points(
@@ -241,6 +261,11 @@ class TestUnits:
     def test_bad_factor(self):
         with pytest.raises(ValueError):
             UnitTable({"a": ("b", -1.0)})
+
+    def test_non_numeric_factor_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^unit table line 3: could not "
+                           r"convert string to float: 'abc'$"):
+            read_unit_table("# units\nng/ml = µg/l\nmega = count,abc\n")
 
 
 class TestMerge:
