@@ -1,10 +1,12 @@
-"""Command-line pipeline: ingest, describe, synth, fit, rank, validate, analyze, plot.
+"""Command-line pipeline: ingest, describe, synth, fit, rank, validate,
+analyze, plot, catalog.
 
-Every emitted report embeds the seed, the tool and numpy versions, and
-SHA-256 digests of its input files, so two runs on identical inputs with the
-same numpy are byte-identical.
-Machine-readable JSON is the primary output; plain-text mirrors accompany
-it where a human-readable form is useful.
+Every command but ``plot`` prints one JSON report envelope: the command, the
+seed, the tool and numpy versions, SHA-256 digests of the files its path
+options name (``--data``, ``--train``, ``--test``, ``--summary``,
+``--units``), and the command's result. Two runs on identical inputs with
+the same numpy are byte-identical. Plain-text mirrors accompany a report
+where a human-readable form is useful.
 """
 
 from __future__ import annotations
@@ -48,37 +50,47 @@ from .validate import compare_descriptives, holdout_validate, split
 __all__ = ["main"]
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _report(command: str, args, result: dict,
-            input_paths: Sequence[Path]) -> str:
+def _report(args, result: dict) -> str:
+    inputs = [getattr(args, k) for k in ("data", "train", "test", "summary", "units")
+              if getattr(args, k, None)]
     envelope = {
-        "command": command,
+        "command": args.subcommand,
         "version": __version__,
         "numpy": np.__version__,
         "seed": getattr(args, "seed", None),
-        "inputs": {str(p): _sha256(p) for p in input_paths},
+        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in inputs},
         "result": result,
     }
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
-def _load_dataset(path: Path, units: Optional[Path], skip_bad_rows: bool,
-                  label: Optional[str] = None) -> Dataset:
+def _load(args, path: Optional[Path] = None,
+          label: Optional[str] = None) -> Dataset:
+    """Read the point CSV at ``path`` (default ``--data``) and apply ``--units``."""
+    path = path or args.data
     with open(path, encoding="utf-8") as fh:
-        d = ingest_csv(fh, skip_bad_rows=skip_bad_rows,
-                       label=label if label is not None else path.stem)
-    if units is not None:
-        with open(units, encoding="utf-8") as fh:
+        d = ingest_csv(fh, skip_bad_rows=args.skip_bad_rows,
+                       label=path.stem if label is None else label)
+    if args.units is not None:
+        with open(args.units, encoding="utf-8") as fh:
             d = normalize_units(d, read_unit_table(fh))
     return d
 
 
+def _fit(args, d: Dataset):
+    """``--model``'s spec and its fit to ``d`` from ``--starts`` starts
+    seeded by ``--seed``."""
+    spec = get_model(args.model)
+    return spec, multi_start(spec, d, n_starts=args.starts, seed=args.seed)
+
+
 def _parse_domain(text: str) -> tuple[float, float]:
-    lo_s, hi_s = text.split(":", 1)
-    return float(lo_s), float(hi_s)
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+    except ValueError:
+        raise ValueError(f"--domain must be lo:hi, got {text!r}") from None
+    return lo, hi
 
 
 def _bind_domain_values(argv: Sequence[str]) -> list[str]:
@@ -93,14 +105,14 @@ def _bind_domain_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
-# --- subcommand handlers ---------------------------------------------------
+# --- subcommand handlers: each returns its report's result ----------------
 
-def _cmd_ingest(args) -> int:
-    d = _load_dataset(args.data, args.units, args.skip_bad_rows)
+def _cmd_ingest(args) -> dict:
+    d = _load(args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             write_csv(d, fh)
-    result = {
+    return {
         "n_points": len(d),
         "studies": [
             {"study_id": s.study_id, "n_observations": s.n_observations,
@@ -110,20 +122,13 @@ def _cmd_ingest(args) -> int:
         ],
         "written": str(args.out) if args.out else None,
     }
-    inputs = [args.data] + ([args.units] if args.units else [])
-    sys.stdout.write(_report("ingest", args, result, inputs))
-    return 0
 
 
-def _cmd_describe(args) -> int:
-    d = _load_dataset(args.data, args.units, args.skip_bad_rows)
-    result = {args.axis: describe(d, axis=args.axis).as_dict()}
-    inputs = [args.data] + ([args.units] if args.units else [])
-    sys.stdout.write(_report("describe", args, result, inputs))
-    return 0
+def _cmd_describe(args) -> dict:
+    return {args.axis: describe(_load(args), axis=args.axis).as_dict()}
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> dict:
     with open(args.summary, encoding="utf-8") as fh:
         rows = read_summary_csv(fh)
     datasets = replicate(rows, args.seed, args.replicates,
@@ -136,27 +141,12 @@ def _cmd_synth(args) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             write_csv(d, fh)
         written.append({"path": str(path), "n_points": len(d)})
-    result = {"replicates": written, "z": args.z,
-              "moment_correct": args.moment_correct}
-    sys.stdout.write(_report("synth", args, result, [args.summary]))
-    return 0
+    return {"replicates": written, "z": args.z,
+            "moment_correct": args.moment_correct}
 
 
-def _cmd_fit(args) -> int:
-    d = _load_dataset(args.data, args.units, args.skip_bad_rows)
-    spec = get_model(args.model)
-    result = multi_start(spec, d, n_starts=args.starts, seed=args.seed)
-    inputs = [args.data] + ([args.units] if args.units else [])
-    sys.stdout.write(_report("fit", args, result.as_dict(), inputs))
-    return 0
-
-
-def _plausibility_from_args(args) -> PlausibilityConfig:
-    return PlausibilityConfig(
-        domain=_parse_domain(args.domain),
-        require_nonnegative=args.nonnegative,
-        max_sign_changes_of_derivative=args.max_sign_changes,
-    )
+def _cmd_fit(args) -> dict:
+    return _fit(args, _load(args))[1].as_dict()
 
 
 def _filtered_catalog(pattern: Optional[str]):
@@ -169,56 +159,46 @@ def _filtered_catalog(pattern: Optional[str]):
     return specs
 
 
-def _cmd_rank(args) -> int:
-    d = _load_dataset(args.data, args.units, args.skip_bad_rows)
+def _cmd_rank(args) -> dict:
+    plaus = PlausibilityConfig(
+        domain=_parse_domain(args.domain),
+        require_nonnegative=args.nonnegative,
+        max_sign_changes_of_derivative=args.max_sign_changes,
+    )
     specs = _filtered_catalog(args.catalog_filter)
-    ranked = rank_all(specs, d, _plausibility_from_args(args),
+    ranked = rank_all(specs, _load(args), plaus,
                       n_starts=args.starts, seed=args.seed)
-    inputs = [args.data] + ([args.units] if args.units else [])
-    payload = _report("rank", args, ranked.as_dict(), inputs)
-    if args.out:
+    if args.out:   # main writes leaderboard.json beside it
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "leaderboard.json").write_text(payload, encoding="utf-8")
         (args.out / "leaderboard.txt").write_text(
             ranked.leaderboard() + "\n", encoding="utf-8")
-    sys.stdout.write(payload)
-    return 0
+    return ranked.as_dict()
 
 
-def _cmd_validate(args) -> int:
-    inputs = []
-    if args.train and args.test:
-        train = _load_dataset(args.train, args.units, args.skip_bad_rows, "train")
-        test = _load_dataset(args.test, args.units, args.skip_bad_rows, "test")
-        inputs = [args.train, args.test]
-    elif args.data:
-        d = _load_dataset(args.data, args.units, args.skip_bad_rows)
-        train, test = split(d, args.fraction, seed=args.seed,
+def _cmd_validate(args) -> dict:
+    if args.data and not (args.train or args.test):
+        train, test = split(_load(args), args.fraction, seed=args.seed,
                             stratify_bins=args.stratify_bins)
-        inputs = [args.data]
+    elif args.train and args.test and not args.data:
+        train, test = _load(args, args.train, "train"), _load(args, args.test, "test")
     else:
-        raise ValueError("need either --train/--test or --data")
-    if args.units:
-        inputs.append(args.units)
-    spec = get_model(args.model)
-    fitted = multi_start(spec, train, n_starts=args.starts, seed=args.seed)
+        raise ValueError("validate takes either --data alone "
+                         "or both --train and --test")
+    spec, fitted = _fit(args, train)
     report = holdout_validate(spec, fitted.params, train, test)
     similarity = compare_descriptives(train, test, tolerance=args.tolerance)
-    result = {
+    return {
         "model": spec.name,
         "fit": fitted.as_dict(),
         "validation": report.as_dict(),
         "similarity": similarity.as_dict(),
     }
-    sys.stdout.write(_report("validate", args, result, inputs))
-    return 0
 
 
-def _cmd_analyze(args) -> int:
-    d = _load_dataset(args.data, args.units, args.skip_bad_rows)
-    spec = get_model(args.model)
-    fitted = multi_start(spec, d, n_starts=args.starts, seed=args.seed)
+def _cmd_analyze(args) -> dict:
     domain = _parse_domain(args.domain)
+    d = _load(args)
+    spec, fitted = _fit(args, d)
     loss_peak = peak_age(
         lambda t: monthly_loss(spec, fitted.params, t), domain)
     value_peak = peak_age(
@@ -241,18 +221,15 @@ def _cmd_analyze(args) -> int:
     if args.band_out:
         args.band_out.write_text(band.to_csv(), encoding="utf-8")
         result["band_csv"] = str(args.band_out)
-    inputs = [args.data] + ([args.units] if args.units else [])
-    sys.stdout.write(_report("analyze", args, result, inputs))
-    return 0
+    return result
 
 
-def _cmd_plot(args) -> int:
-    d = _load_dataset(args.data, args.units, args.skip_bad_rows)
+def _cmd_plot(args) -> None:
+    d = _load(args)
     curve = None
     band = None
     if args.model:
-        spec = get_model(args.model)
-        fitted = multi_start(spec, d, n_starts=args.starts, seed=args.seed)
+        spec, fitted = _fit(args, d)
         xs = np.linspace(d.xs.min(), d.xs.max(), 400)
         ys = np.asarray(evaluate(spec, fitted.params, xs), dtype=float)
         curve = (list(xs), list(ys))
@@ -260,31 +237,34 @@ def _cmd_plot(args) -> int:
             band = prediction_band(spec, fitted, d, level=args.level)
     svg = render_svg(d, curve=curve, band=band, title=args.title)
     args.out.write_text(svg, encoding="utf-8")
-    return 0
 
 
-def _cmd_catalog(args) -> int:
-    result = {"models": [spec_to_dict(s) for s in catalog()]}
-    sys.stdout.write(json.dumps(
-        {"command": "catalog", "version": __version__, "numpy": np.__version__,
-         "result": result},
-        indent=2, sort_keys=True, default=str) + "\n")
-    return 0
+def _cmd_catalog(args) -> dict:
+    return {"models": [spec_to_dict(s) for s in catalog()]}
 
 
 # --- parser ----------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, data: bool = True):
-    if data:
-        p.add_argument("--data", type=Path, required=True,
-                       help="point CSV (study_id,x,y,unit,assay_id,weight)")
+def _add_common(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", type=Path, default=None,
+                   help="key=value defaults, overridden by flags")
+
+
+def _add_points(p: argparse.ArgumentParser, required: bool = True):
+    """The options of a command that reads point CSVs, then the common ones."""
+    p.add_argument("--data", type=Path, required=required,
+                   help="point CSV (study_id,x,y,unit,assay_id,weight)")
     p.add_argument("--units", type=Path, default=None,
                    help="unit alias table (alias = canonical,factor)")
     p.add_argument("--skip-bad-rows", action="store_true",
                    help="drop rejected rows instead of aborting")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", type=Path, default=None,
-                   help="key=value defaults, overridden by flags")
+    _add_common(p)
+
+
+def _add_fit(p: argparse.ArgumentParser, model_required: bool = True):
+    p.add_argument("--model", required=model_required)
+    p.add_argument("--starts", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,18 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("ingest", help="read, normalize and summarize a point CSV")
-    _add_common(p)
+    _add_points(p)
     p.add_argument("--out", type=Path, default=None,
                    help="write the normalized CSV here")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("describe", help="descriptive statistics of one axis")
-    _add_common(p)
+    _add_points(p)
     p.add_argument("--axis", choices=("x", "y"), default="y")
     p.set_defaults(func=_cmd_describe)
 
     p = sub.add_parser("synth", help="reconstruct microdata from summary rows")
-    _add_common(p, data=False)
+    _add_common(p)
     p.add_argument("--summary", type=Path, required=True,
                    help="summary CSV (x,n,mean,sd,upper_pl95,family)")
     p.add_argument("--replicates", type=int, default=1)
@@ -318,13 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("fit", help="fit one model family to a dataset")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--starts", type=int, default=5)
+    _add_points(p)
+    _add_fit(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("rank", help="fit the whole catalog and rank by r^2")
-    _add_common(p)
+    _add_points(p)
     p.add_argument("--domain", default="0:60", help="plausibility domain lo:hi")
     p.add_argument("--nonnegative", action="store_true")
     p.add_argument("--max-sign-changes", type=int, default=None)
@@ -336,23 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank)
 
     p = sub.add_parser("validate", help="holdout-validate a model")
-    _add_common(p, data=False)
+    _add_points(p, required=False)
     p.add_argument("--train", type=Path, default=None)
     p.add_argument("--test", type=Path, default=None)
-    p.add_argument("--data", type=Path, default=None,
-                   help="single dataset to split (alternative to --train/--test)")
     p.add_argument("--fraction", type=float, default=0.5)
     p.add_argument("--stratify-bins", type=int, default=1)
-    p.add_argument("--model", required=True)
-    p.add_argument("--starts", type=int, default=5)
+    _add_fit(p)
     p.add_argument("--tolerance", type=float, default=0.1,
                    help="relative tolerance for descriptive similarity")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("analyze", help="derived quantities of a fitted model")
-    _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--starts", type=int, default=5)
+    _add_points(p)
+    _add_fit(p)
     p.add_argument("--domain", default="0:60")
     p.add_argument("--ages", type=lambda s: [float(v) for v in s.split(",")],
                    default=[30.0, 40.0],
@@ -363,9 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plot", help="scatter + fitted curve + band as SVG")
-    _add_common(p)
-    p.add_argument("--model", default=None)
-    p.add_argument("--starts", type=int, default=5)
+    _add_points(p)
+    _add_fit(p, model_required=False)
     p.add_argument("--band", action="store_true")
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--title", default="")
@@ -412,7 +386,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args, argv)
-        return args.func(args)
+        result = args.func(args)
+        if result is None:   # plot writes only its SVG
+            return 0
+        payload = _report(args, result)
+        if args.subcommand == "rank" and args.out:
+            (args.out / "leaderboard.json").write_text(payload, encoding="utf-8")
+        sys.stdout.write(payload)
+        return 0
     except (IngestError, UnknownUnitError, ValueError, OSError,
             KeyError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -238,7 +238,8 @@ class UnitTable:
     """Alias resolution for unit labels (and label synonyms generally).
 
     Maps alias -> (canonical label, multiplicative factor). Canonical labels
-    always map to themselves with factor 1.
+    always map to themselves with factor 1, and an alias's target must be
+    canonical, not another alias, so normalizing twice equals normalizing once.
     """
 
     entries: Mapping[str, tuple[str, float]] = field(default_factory=dict)
@@ -250,9 +251,12 @@ class UnitTable:
                 raise ValueError(f"factor for {alias!r} must be > 0")
             if canon not in fixed:
                 fixed[canon] = (canon, 1.0)
-        for canon, (target, factor) in fixed.items():
-            if target == canon and factor != 1.0:
-                raise ValueError(f"canonical label {canon!r} must map to itself with factor 1")
+        for label, (target, factor) in fixed.items():
+            if target == label and factor != 1.0:
+                raise ValueError(f"canonical label {label!r} must map to itself with factor 1")
+            if target != label and fixed[target][0] != target:
+                raise ValueError(f"unit alias {label!r} maps to {target!r}, "
+                                 f"which is itself an alias of {fixed[target][0]!r}")
         object.__setattr__(self, "entries", fixed)
 
     def resolve(self, alias: str) -> tuple[str, float]:

@@ -40,6 +40,7 @@ GuessFn = Callable[[Array, Array], Array]
 
 _TINY = 1e-12
 _COMPLEX_STEP = 1e-20
+_PLAUSIBILITY_GRID = 512
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,7 @@ class PlausibilityConfig:
 
     domain: tuple[float, float] = (0.0, 60.0)
     require_nonnegative: bool = False
-    require_finite: bool = True
     max_sign_changes_of_derivative: Optional[int] = None
-    grid: int = 512
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -208,19 +207,18 @@ def _guess(spec: ModelSpec, xs: Array, ys: Array) -> Array:
 
 def check_plausibility(spec: ModelSpec, params: Sequence[float],
                        cfg: PlausibilityConfig) -> tuple[bool, str]:
-    """Dense-grid scan of the model against the configured constraints."""
+    """Scan of the model on a 512-point grid over the domain: every value
+    must be finite, then meet the configured constraints."""
     lo, hi = cfg.domain
-    xs = np.linspace(lo, hi, cfg.grid)
-    y = np.asarray(evaluate(spec, params, xs), dtype=float)
-    finite = np.isfinite(y)
-    if cfg.require_finite and not finite.all():
+    y = np.asarray(evaluate(spec, params, np.linspace(lo, hi, _PLAUSIBILITY_GRID)),
+                   dtype=float)
+    if not np.isfinite(y).all():
         return False, "non-finite value in domain"
-    if cfg.require_nonnegative:
-        if np.any(y[finite] < -1e-9 * max(1.0, float(np.nanmax(np.abs(y[finite])) if finite.any() else 1.0))):
-            return False, "negative value in domain"
+    if cfg.require_nonnegative and np.any(y < -1e-9 * max(1.0, float(np.max(np.abs(y))))):
+        return False, "negative value in domain"
     if cfg.max_sign_changes_of_derivative is not None:
-        dy = np.diff(y[finite])
-        scale = max(1e-300, float(np.max(np.abs(dy))) if dy.size else 0.0)
+        dy = np.diff(y)
+        scale = max(1e-300, float(np.max(np.abs(dy))))
         signs = np.sign(dy[np.abs(dy) > 1e-9 * scale])
         changes = int(np.sum(signs[1:] != signs[:-1])) if signs.size > 1 else 0
         if changes > cfg.max_sign_changes_of_derivative:

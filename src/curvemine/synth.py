@@ -25,7 +25,6 @@ __all__ = [
     "SummaryRow",
     "LogNormalParams",
     "DEFAULT_Z_ONE_SIDED_95",
-    "Z_TWO_SIDED_95",
     "sd_from_upper_pl",
     "solve_lognormal",
     "lognormal_moments",
@@ -35,9 +34,8 @@ __all__ = [
     "read_summary_csv",
 ]
 
-# "Upper 95% prediction limit" read as a one-sided bound; two-sided available.
+# "Upper 95% prediction limit" read as a one-sided bound.
 DEFAULT_Z_ONE_SIDED_95 = 1.6448536269514722
-Z_TWO_SIDED_95 = 1.959963984540054
 
 SYNTHETIC_STUDY_ID = "synthetic"
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvemine import cli
 from curvemine.analyze import percent_remaining
 from curvemine.cli import main
 from curvemine.dataset import ingest_csv, write_csv
@@ -86,6 +88,15 @@ class TestIngestDescribe:
         stats = json.loads(out)["result"]["x"]
         assert stats["count"] == 80
 
+    def test_chained_unit_table_exit_1(self, capsys, data_csv, tmp_path):
+        units = tmp_path / "units.cfg"
+        units.write_text(" = b,2\nb = c,3\n")
+        code, out, err = run(capsys, "ingest", "--data", str(data_csv),
+                             "--units", str(units))
+        assert (code, out) == (1, "")
+        assert err == ("error: unit alias '' maps to 'b', "
+                       "which is itself an alias of 'c'\n")
+
     def test_data_error_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("study_id,x\nA,1\n")
@@ -132,6 +143,13 @@ class TestSynth:
                 "--seed", "9", "--out-dir", str(outdir))
             blobs.append((outdir / "replicate_000.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("flag", [["--units", "units.cfg"], ["--skip-bad-rows"]])
+    def test_point_csv_flags_rejected(self, summary_csv, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--summary", str(summary_csv),
+                  "--out-dir", str(tmp_path / "out"), *flag])
+        assert exc.value.code == 2
 
     def test_negative_draw_names_its_row(self, capsys, tmp_path):
         summary = tmp_path / "summary.csv"
@@ -239,6 +257,15 @@ class TestValidateCmd:
                             stratify_bins=4)
         assert (got["n_train"], got["n_test"]) == (len(train), len(test))
 
+    @pytest.mark.parametrize("given", [("train", "test", "data"), ("train", "data"),
+                                       ("test", "data"), ("train",), ("test",), ()])
+    def test_other_input_mixes_exit_1(self, capsys, data_csv, given):
+        paths = [a for k in given for a in (f"--{k}", str(data_csv))]
+        code, out, err = run(capsys, "validate", *paths, "--model", "poly1")
+        assert (code, out) == (1, "")
+        assert err == ("error: validate takes either --data alone "
+                       "or both --train and --test\n")
+
 
 class TestAnalyzeCmd:
     def test_report_fields(self, capsys, data_csv, tmp_path):
@@ -274,6 +301,64 @@ class TestDomainArgument:
         assert code == 0, err
         code, joined, _ = run(capsys, *analyze, "--domain=-1:55")
         assert spaced == joined
+
+    @pytest.mark.parametrize("command", [["rank"], ["analyze", "--model", "poly1"]])
+    def test_malformed_domain_exits_before_reading(self, capsys, tmp_path,
+                                                   command):
+        code, out, err = run(capsys, *command, "--data",
+                             str(tmp_path / "missing.csv"), "--domain", "5")
+        assert (code, out) == (1, "")
+        assert err == "error: --domain must be lo:hi, got '5'\n"
+
+
+ENVELOPE_KEYS = {"command", "version", "numpy", "seed", "inputs", "result"}
+
+
+class TestEnvelope:
+    """Every report command writes one envelope that digests what it read."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Paths the CLI opens for reading while the test runs."""
+        paths = set()
+
+        def spy(path, mode="r", *args, **kwargs):
+            if "r" in mode:
+                paths.add(str(path))
+            return open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        return paths
+
+    @pytest.mark.parametrize("argv, read", [
+        ("ingest --data {data} --units {units} --out {tmp}/n.csv", "data units"),
+        ("describe --data {data}", "data"),
+        ("synth --summary {summary} --out-dir {tmp}/reps", "summary"),
+        ("fit --data {data} --units {units} --model poly1", "data units"),
+        ("rank --data {data} --catalog-filter poly1 --out {tmp}/board", "data"),
+        ("validate --data {data} --units {units} --model poly1", "data units"),
+        ("validate --train {data} --test {test} --units {units} --model poly1",
+         "data test units"),
+        ("analyze --data {data} --model poly1 --band-out {tmp}/band.csv", "data"),
+        ("catalog", ""),
+    ])
+    def test_same_keys_and_inputs_read(self, capsys, data_csv, summary_csv,
+                                       tmp_path, opened, argv, read):
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text("".join(data_csv.read_text().splitlines(True)[:-1]))
+        units = tmp_path / "units.cfg"
+        units.write_text(" = count\n")
+        paths = {"data": data_csv, "test": test_csv, "units": units,
+                 "summary": summary_csv}
+        code, out, err = run(capsys, *argv.format(tmp=tmp_path, **paths).split())
+        assert code == 0, err
+        report = json.loads(out)
+        assert set(report) == ENVELOPE_KEYS
+        assert report["command"] == argv.split()[0]
+        want = {str(paths[k]): hashlib.sha256(paths[k].read_bytes()).hexdigest()
+                for k in read.split()}
+        assert report["inputs"] == want
+        assert set(want) == opened
 
 
 class TestPlot:

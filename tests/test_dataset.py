@@ -262,6 +262,37 @@ class TestUnits:
         with pytest.raises(ValueError):
             UnitTable({"a": ("b", -1.0)})
 
+    @pytest.mark.parametrize("text, target, final", [
+        ("a = b,2\nb = c,3\n", "b", "c"),   # chain
+        ("a = b\nb = a\n", "b", "a"),       # cycle
+    ])
+    def test_alias_of_an_alias_rejected(self, text, target, final):
+        with pytest.raises(ValueError, match=f"^unit alias 'a' maps to '{target}', "
+                           f"which is itself an alias of '{final}'$"):
+            read_unit_table(text)
+
+    @given(st.dictionaries(st.sampled_from("abcd"),
+                           st.tuples(st.sampled_from("abcd"),
+                                     st.sampled_from([0.5, 1.0, 3.0, 1000.0])),
+                           min_size=1, max_size=4),
+           st.lists(st.integers(0, 7), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_normalizing_twice_equals_once(self, entries, picks):
+        try:
+            t = UnitTable(entries)
+        except ValueError:   # only a self-map with a factor, or a chain
+            assert any((c == a and f != 1.0) or (c != a and c in entries
+                                                 and entries[c][0] != c)
+                       for a, (c, f) in entries.items())
+            return
+        labels = sorted(t.entries)
+        units = [labels[i % len(labels)] for i in picks]
+        d = Dataset.from_points(np.arange(len(units), dtype=float),
+                                np.linspace(1.0, 2.0, len(units)),
+                                study="s", unit=units)
+        once = normalize_units(d, t)
+        assert normalize_units(once, t) == once
+
     def test_non_numeric_factor_names_its_line(self):
         with pytest.raises(ValueError, match=r"^unit table line 3: could not "
                            r"convert string to float: 'abc'$"):
