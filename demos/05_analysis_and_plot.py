@@ -19,7 +19,7 @@ from curvemine.analyze import (
 from curvemine.dataset import Dataset
 from curvemine.fit import multi_start
 from curvemine.models import evaluate, get_model
-from curvemine.plotting import render_svg
+from curvemine.plotting import write_svg
 
 OUT = Path(__file__).parent / "output"
 
@@ -53,12 +53,12 @@ def main():
 
     band = prediction_band(spec, fitted, d, level=0.95)
     xs = np.linspace(0, 55, 400)
-    curve = (list(xs), list(np.asarray(evaluate(spec, fitted.params, xs))))
+    curve = (xs, np.asarray(evaluate(spec, fitted.params, xs)))
     OUT.mkdir(exist_ok=True)
     path = OUT / "reserve_model.svg"
-    path.write_text(render_svg(d, curve=curve, band=band,
-                               title="Reserve model with 95% band"),
-                    encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        write_svg(d, fh, curve=curve, band=band,
+                  title="Reserve model with 95% band")
     print(f"wrote {path}")
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,7 +41,7 @@ from .dataset import (
 )
 from .fit import multi_start, rank_all
 from .models import PlausibilityConfig, catalog, evaluate, get_model, spec_to_dict
-from .plotting import render_svg
+from .plotting import write_svg
 from .synth import (
     DEFAULT_Z_ONE_SIDED_95,
     read_summary_csv,
@@ -78,6 +80,18 @@ def _load(args, path: Optional[Path] = None,
     return d
 
 
+def _write(path: Path, write) -> None:
+    """Call write(fh) on a sibling temp file and move that to ``path`` only
+    when it returns, so that a failure leaves no partial file at ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _fit(args, d: Dataset):
     """``--model``'s spec and its fit to ``d`` from ``--starts`` starts
     seeded by ``--seed``."""
@@ -90,6 +104,8 @@ def _parse_domain(text: str) -> tuple[float, float]:
         lo, hi = (float(v) for v in text.split(":"))
     except ValueError:
         raise ValueError(f"--domain must be lo:hi, got {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"--domain needs finite lo < hi, got {text!r}")
     return lo, hi
 
 
@@ -110,8 +126,7 @@ def _bind_domain_values(argv: Sequence[str]) -> list[str]:
 def _cmd_ingest(args) -> dict:
     d = _load(args)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_csv(d, fh)
+        _write(args.out, lambda fh: write_csv(d, fh))
     return {
         "n_points": len(d),
         "studies": [
@@ -138,8 +153,7 @@ def _cmd_synth(args) -> dict:
     written = []
     for i, d in enumerate(datasets):
         path = outdir / f"replicate_{i:03d}.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            write_csv(d, fh)
+        _write(path, lambda fh: write_csv(d, fh))
         written.append({"path": str(path), "n_points": len(d)})
     return {"replicates": written, "z": args.z,
             "moment_correct": args.moment_correct}
@@ -170,8 +184,8 @@ def _cmd_rank(args) -> dict:
                       n_starts=args.starts, seed=args.seed)
     if args.out:   # main writes leaderboard.json beside it
         args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / "leaderboard.txt").write_text(
-            ranked.leaderboard() + "\n", encoding="utf-8")
+        _write(args.out / "leaderboard.txt",
+               lambda fh: fh.write(ranked.leaderboard() + "\n"))
     return ranked.as_dict()
 
 
@@ -219,7 +233,7 @@ def _cmd_analyze(args) -> dict:
         "band_level": args.level,
     }
     if args.band_out:
-        args.band_out.write_text(band.to_csv(), encoding="utf-8")
+        _write(args.band_out, lambda fh: fh.write(band.to_csv()))
         result["band_csv"] = str(args.band_out)
     return result
 
@@ -232,11 +246,11 @@ def _cmd_plot(args) -> None:
         spec, fitted = _fit(args, d)
         xs = np.linspace(d.xs.min(), d.xs.max(), 400)
         ys = np.asarray(evaluate(spec, fitted.params, xs), dtype=float)
-        curve = (list(xs), list(ys))
+        curve = (xs, ys)
         if args.band:
             band = prediction_band(spec, fitted, d, level=args.level)
-    svg = render_svg(d, curve=curve, band=band, title=args.title)
-    args.out.write_text(svg, encoding="utf-8")
+    _write(args.out, lambda fh: write_svg(d, fh, curve=curve, band=band,
+                                          title=args.title))
 
 
 def _cmd_catalog(args) -> dict:
@@ -356,7 +370,8 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   argv: Sequence[str]) -> argparse.Namespace:
     """Config file supplies defaults; explicit flags win. Each ``key = value``
     line is parsed as ``--key=value`` ahead of the explicit flags, so it gets
-    the option's own type; a store_true option is set by 1, true or yes."""
+    the option's own type; a store_true option is set by 1, true or yes. A
+    key the subcommand has no option for is an error naming its line."""
     if not getattr(args, "config", None):
         return args
     flags = []
@@ -369,8 +384,9 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
             raise ValueError(f"config line {lineno}: expected key=value")
         key, value = (s.strip() for s in line.split("=", 1))
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue
+        if attr in ("subcommand", "func", "config") or not hasattr(args, attr):
+            raise ValueError(f"config line {lineno}: unknown key {key!r} "
+                             f"for {args.subcommand}")
         flag = "--" + attr.replace("_", "-")
         if not isinstance(getattr(args, attr), bool):
             flags.append(f"{flag}={value}")
@@ -391,7 +407,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         payload = _report(args, result)
         if args.subcommand == "rank" and args.out:
-            (args.out / "leaderboard.json").write_text(payload, encoding="utf-8")
+            _write(args.out / "leaderboard.json", lambda fh: fh.write(payload))
         sys.stdout.write(payload)
         return 0
     except (IngestError, UnknownUnitError, ValueError, OSError,

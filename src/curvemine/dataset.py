@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
@@ -427,16 +427,48 @@ def _by_distinct(cells: list[str], convert, dtype):
 
 
 def write_csv(d: Dataset, sink: TextIO) -> None:
-    """Serialize a dataset back to the point CSV schema (round-trip stable)."""
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["study_id", "x", "y", "unit", "assay_id", "weight"])
-    # ages repeat (synth draws many points per age): format each bit pattern once
-    _, first, inv = np.unique(d.xs.view(np.int64), return_index=True,
-                              return_inverse=True)
-    x_cells = [repr(v) for v in d.xs[first].tolist()]
-    writer.writerows(zip(  # csv writes a None assay as an empty cell
-        d.study_ids, map(x_cells.__getitem__, inv.tolist()),
-        map(repr, d.ys.tolist()), d.units, d.assay_ids, map(repr, d.weights.tolist())))
+    """Serialize a dataset back to the point CSV schema (round-trip stable).
+
+    Cells are written as csv.writer writes them, except that a label holding
+    ``\\r`` is quoted too, so that it reads back."""
+    sink.write("study_id,x,y,unit,assay_id,weight\n")
+    labels = [(c.codes, list(map(_csv_cell, c.table)))  # each label quoted once
+              for c in (d._study, d._unit, d._assay)]
+
+    def columns(a, b):  # the line repr's each y
+        study, unit, assay = (map(cells.__getitem__, codes[a:b].tolist())
+                              for codes, cells in labels)
+        return (study, _by_bits(repr, d._x[a:b]), d._y[a:b].tolist(),
+                unit, assay, _by_bits(repr, d._weight[a:b]))
+    _write_lines(sink, "%s,%s,%r,%s,%s,%s\n", len(d), columns)
+
+
+def _csv_cell(label: Optional[str]) -> str:
+    """A label as a CSV cell: quoted, its quotes doubled, when it holds a
+    comma, a quote, ``\\r`` or ``\\n``; None is an empty cell."""
+    if label is None:
+        return ""
+    if any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
+
+
+def _by_bits(fmt, col: np.ndarray) -> Iterable[str]:
+    """fmt() of each float of col, called once per distinct bit pattern (so
+    0.0 and -0.0 stay apart): ages and weights repeat, as in _by_distinct."""
+    bits, at = np.unique(col.view(np.int64), return_inverse=True)
+    cells = list(map(fmt, bits.view(np.float64).tolist()))
+    return map(cells.__getitem__, at.tolist())
+
+
+def _write_lines(sink: TextIO, line: str, n: int, columns) -> None:
+    """Write line % (row i's values) for each of n rows, a _CHUNK_ROWS part
+    at a time: columns(a, b) gives the values of rows a to b, one iterable
+    per column, and one template formats the part's interleaved values, the
+    mirror of _cells. The plot's markers are written here too."""
+    for a in range(0, n, _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, n)
+        sink.write(line * (b - a) % tuple(chain.from_iterable(zip(*columns(a, b)))))
 
 
 def normalize_units(d: Dataset, table: UnitTable) -> Dataset:

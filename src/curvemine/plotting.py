@@ -7,14 +7,14 @@ float formatting. That keeps plots diff-able and reproducible run to run.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
 from .analyze import IntervalBand
-from .dataset import Dataset
+from .dataset import Dataset, _by_bits, _write_lines
 
-__all__ = ["render_svg"]
+__all__ = ["write_svg"]
 
 WIDTH, HEIGHT = 800.0, 500.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64.0, 24.0, 36.0, 48.0
@@ -53,29 +53,39 @@ def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return ticks
 
 
-def render_svg(dataset: Dataset,
-               curve: Optional[tuple[Sequence[float], Sequence[float]]] = None,
-               band: Optional[IntervalBand] = None,
-               title: str = "",
-               x_label: str = "age (years)",
-               y_label: str = "value") -> str:
-    """Render a scatter of datapoints (colored per study) with optional
-    fitted curve and prediction band. Returns a standalone SVG 1.1 document."""
+def _span(*cols) -> tuple[float, float]:
+    """The least and the greatest finite value in the columns."""
+    cols = [np.asarray(c, dtype=float) for c in cols]
+    return (min(float(np.min(c, initial=np.inf, where=np.isfinite(c))) for c in cols),
+            max(float(np.max(c, initial=-np.inf, where=np.isfinite(c))) for c in cols))
+
+
+_CIRCLE = ('<circle cx="%s" cy="%.3f" r="2.5" fill="%s" fill-opacity="0.75" '
+           'class="datapoint"/>\n')
+
+
+def write_svg(dataset: Dataset, sink: TextIO, *,
+              curve: Optional[tuple[Sequence[float], Sequence[float]]] = None,
+              band: Optional[IntervalBand] = None,
+              title: str = "",
+              x_label: str = "age (years)",
+              y_label: str = "value") -> None:
+    """Write a scatter of datapoints (colored per study) with optional
+    fitted curve and prediction band to sink, as a standalone SVG 1.1
+    document. The markers are written a part at a time, never as one string."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
 
-    xs_all = dataset.xs.tolist()
-    ys_all = dataset.ys.tolist()
+    xs, ys = dataset.xs, dataset.ys
+    x_cols, y_cols = [xs], [ys]
     if curve is not None:
-        xs_all += list(curve[0])
-        ys_all += [y for y in curve[1] if math.isfinite(y)]
+        x_cols.append(curve[0])
+        y_cols.append(curve[1])
     if band is not None:
-        xs_all += list(band.xs)
-        ys_all += [y for y in band.lower if math.isfinite(y)]
-        ys_all += [y for y in band.upper if math.isfinite(y)]
-
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+        x_cols.append(band.xs)
+        y_cols += [band.lower, band.upper]
+    x_lo, x_hi = _span(*x_cols)
+    y_lo, y_hi = _span(*y_cols)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:
@@ -93,6 +103,13 @@ def render_svg(dataset: Dataset,
 
     def sy(y):
         return MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h
+
+    def points(px, py) -> str:
+        """The points with a finite y, scaled, as "x,y" joined by spaces."""
+        px, py = np.asarray(px, dtype=float), np.asarray(py, dtype=float)
+        ok = np.isfinite(py)
+        return " ".join(map("%.3f,%.3f".__mod__,
+                            zip(sx(px[ok]).tolist(), sy(py[ok]).tolist())))
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -138,33 +155,20 @@ def render_svg(dataset: Dataset,
                      f'text-anchor="middle">{_escape(title)}</text>')
 
     if band is not None:
-        pts = [(band.xs[i], band.upper[i]) for i in range(len(band.xs))]
-        pts += [(band.xs[i], band.lower[i])
-                for i in range(len(band.xs) - 1, -1, -1)]
-        poly = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in pts
-                        if math.isfinite(y))
+        poly = points(band.xs + band.xs[::-1], band.upper + band.lower[::-1])
         parts.append(f'<polygon points="{poly}" fill="#9ecae1" '
                      f'fill-opacity="0.4" stroke="none" class="band"/>')
+    sink.write("\n".join(parts) + "\n")
 
     study_ids = sorted({s.study_id for s in dataset.studies})
-    colors = {sid: PALETTE[i % len(PALETTE)] for i, sid in enumerate(study_ids)}
-    # A fill per study code; a subset's label table may hold unused studies.
-    codes, table = dataset._study
-    fill = [colors.get(sid) for sid in table]
-    # Ages repeat: format each distinct scaled x once.
-    px, at = np.unique(sx(dataset.xs), return_inverse=True)
-    cx = [_fmt(v) for v in px.tolist()]
-    for i, py, c in zip(at.tolist(), sy(dataset.ys).tolist(), codes.tolist()):
-        parts.append(f'<circle cx="{cx[i]}" cy="{py:.3f}" '
-                     f'r="2.5" fill="{fill[c]}" fill-opacity="0.75" '
-                     f'class="datapoint"/>')
+    color = {sid: i % len(PALETTE) for i, sid in enumerate(study_ids)}
+    # Each row's colour as an index into PALETTE: one byte a row.
+    fill = np.fromiter(map(color.__getitem__, dataset.study_ids), np.uint8, len(dataset))
+    _write_lines(sink, _CIRCLE, len(dataset), lambda a, b: (
+        _by_bits(_fmt, sx(xs[a:b])), sy(ys[a:b]).tolist(),
+        map(PALETTE.__getitem__, fill[a:b].tolist())))
 
     if curve is not None:
-        cx, cy = curve
-        pts = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}"
-                       for x, y in zip(cx, cy) if math.isfinite(y))
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="#000000" '
-                     f'stroke-width="2" class="curve"/>')
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        sink.write(f'<polyline points="{points(*curve)}" fill="none" '
+                   f'stroke="#000000" stroke-width="2" class="curve"/>\n')
+    sink.write("</svg>\n")

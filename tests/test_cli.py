@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 from pathlib import Path
@@ -12,12 +13,12 @@ import numpy as np
 import pytest
 
 from curvemine import cli
-from curvemine.analyze import percent_remaining
+from curvemine.analyze import IntervalBand, percent_remaining
 from curvemine.cli import main
-from curvemine.dataset import ingest_csv, write_csv
+from curvemine.dataset import Dataset, ingest_csv, write_csv
 from curvemine.fit import multi_start
 from curvemine.models import get_model
-from curvemine.plotting import render_svg
+from curvemine.plotting import write_svg
 from curvemine.synth import SummaryRow, reconstruct_dataset
 from curvemine.validate import holdout_validate, split
 
@@ -310,6 +311,15 @@ class TestDomainArgument:
         assert (code, out) == (1, "")
         assert err == "error: --domain must be lo:hi, got '5'\n"
 
+    @pytest.mark.parametrize("domain", ["0:inf", "nan:3", "5:1", "2:2"])
+    @pytest.mark.parametrize("command", [["rank"], ["analyze", "--model", "poly1"]])
+    def test_bounds_must_be_finite_and_increasing(self, capsys, tmp_path,
+                                                  command, domain):
+        code, out, err = run(capsys, *command, "--data",
+                             str(tmp_path / "missing.csv"), "--domain", domain)
+        assert (code, out) == (1, "")
+        assert err == f"error: --domain needs finite lo < hi, got {domain!r}\n"
+
 
 ENVELOPE_KEYS = {"command", "version", "numpy", "seed", "inputs", "result"}
 
@@ -364,9 +374,10 @@ class TestEnvelope:
 class TestPlot:
     def test_markup_in_labels_is_escaped(self, data_csv):
         d = ingest_csv(data_csv.read_text())
-        svg = render_svg(d, title="A & B <test>", x_label="age <y>",
-                         y_label='"count" & more')
-        root = ET.fromstring(svg)
+        svg = io.StringIO()
+        write_svg(d, svg, title="A & B <test>", x_label="age <y>",
+                  y_label='"count" & more')
+        root = ET.fromstring(svg.getvalue())
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert {"A & B <test>", "age <y>", '"count" & more'} <= set(texts)
 
@@ -405,6 +416,74 @@ class TestPlot:
         polylines = root.findall(f"{ns}polyline")
         assert len(circles) == 325
         assert len(polylines) == 1
+
+    def test_markers_are_written_in_parts(self):
+        """write_svg never holds the document: its peak is under a quarter of it."""
+        rng = np.random.default_rng(5)
+        n = 50_000
+        d = Dataset.from_points(rng.integers(0, 60, n) + 0.5, rng.uniform(0, 100, n),
+                                study=[f"s{i}" for i in rng.integers(0, 8, n)])
+
+        class Length:
+            chars = 0
+
+            def write(self, text):
+                self.chars += len(text)
+
+        sink = Length()
+        tracemalloc.start()
+        try:
+            write_svg(d, sink, title="memory")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.chars > 4_000_000
+        assert peak < sink.chars / 4
+
+
+class TestOutputFiles:
+    """A file is written whole or not at all: a writer that fails midway
+    leaves neither a partial file nor a temp file behind."""
+
+    def test_write_replaces_only_on_success(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def broken(fh):
+            fh.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._write(path, broken)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+        cli._write(path, lambda fh: fh.write("new\n"))
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("argv, target", [
+        ("ingest --data {data} --out {out}/n.csv", "write_csv"),
+        ("synth --summary {summary} --replicates 2 --out-dir {out}", "write_csv"),
+        ("plot --data {data} --out {out}/p.svg", "write_svg"),
+        ("analyze --data {data} --model poly1 --band-out {out}/band.csv", "to_csv"),
+    ])
+    def test_failing_writer_leaves_no_file(self, capsys, monkeypatch, data_csv,
+                                           summary_csv, tmp_path, argv, target):
+        def broken(*args, **kwargs):
+            if len(args) > 1:   # a writer: write part of the file first
+                args[1].write("partial")
+            raise ValueError("writer failed midway")
+
+        if target == "to_csv":
+            monkeypatch.setattr(IntervalBand, "to_csv", broken)
+        else:
+            monkeypatch.setattr(cli, target, broken)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, stdout, err = run(capsys, *argv.format(
+            data=data_csv, summary=summary_csv, out=out).split())
+        assert (code, stdout, err) == (1, "", "error: writer failed midway\n")
+        assert list(out.iterdir()) == []
 
 
 class TestConfigFile:
@@ -450,6 +529,24 @@ class TestConfigFile:
         assert code == 0, err
         assert set(json.loads(out)["result"]["percent_remaining"]) \
             == {"20.0", "35.0"}
+
+    def test_unknown_key_names_key_and_line(self, capsys, data_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# describe defaults\naxiss = x\nsed = 4\n")
+        code, out, err = run(capsys, "describe", "--data", str(data_csv),
+                             "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: config line 2: unknown key 'axiss' for describe\n"
+
+    @pytest.mark.parametrize("key", ["units", "subcommand", "func", "config"])
+    def test_key_without_an_option_is_unknown(self, capsys, summary_csv,
+                                              tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        code, _, err = run(capsys, "synth", "--summary", str(summary_csv),
+                           "--out-dir", str(tmp_path / "reps"), "--config", str(cfg))
+        assert code == 1
+        assert err == f"error: config line 1: unknown key {key!r} for synth\n"
 
     def test_config_is_read_as_utf8_in_any_locale(self, data_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

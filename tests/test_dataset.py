@@ -220,6 +220,15 @@ class TestReadPaths:
             assert getattr(again, col) == getattr(d, col)
         assert again == d
 
+    def test_label_holding_cr_is_quoted_and_reads_back(self):
+        d = ingest_csv('study_id,x,y,unit,assay_id,weight\n"s\rt",1.0,2.0,count,,1.0\n')
+        assert d.study_ids == ["s\rt"]
+        buf = io.StringIO()
+        write_csv(d, buf)
+        assert buf.getvalue() == ('study_id,x,y,unit,assay_id,weight\n'
+                                  '"s\rt",1.0,2.0,count,,1.0\n')
+        assert ingest_csv(buf.getvalue()) == d
+
 
 class TestUnits:
     def test_synonym_label(self):
