@@ -2,8 +2,8 @@
 
 The fitter is a damped Gauss-Newton (Levenberg-Marquardt) scheme with
 analytic Jacobians from the model catalog, bound projection, and monotone
-RSS descent. Catalog ranking fits every family via multi-start, with all
-starts of a family advancing together as one batch, and orders the
+RSS descent. Catalog ranking fits every family via multi-start, with every
+start of every family advancing together through one loop, and orders the
 plausible results by coefficient of determination.
 
 The kernel works on the distinct x values of a dataset: the weighted RSS
@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .dataset import Dataset
 from .models import (
@@ -182,19 +183,11 @@ def r_squared(spec: ModelSpec, params: Sequence[float], d: Dataset) -> float:
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a[i] @ x[i] = b[i] for a (k, p, p) stack and b of shape (k, p)
     or (k, p, m); a singular a[i] gives a NaN x[i] instead of failing the
-    whole stack."""
-    if b.ndim == 2:
-        return _solve(a, b[:, :, None])[:, :, 0]
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i:i + 1], b[i:i + 1])[0]
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    whole stack. Calls the batched LAPACK gesv that ``np.linalg.solve``
+    wraps, without its per-call argument checks."""
+    gesv = _umath_linalg.solve1 if b.ndim == 2 else _umath_linalg.solve
+    with np.errstate(invalid="ignore"):  # a singular slice comes back NaN
+        return gesv(a, b, signature="dd->d")
 
 
 def _normal_equations(spec, params, xs, sw, res, free):
@@ -221,68 +214,91 @@ def _groups(d: Dataset):
     return d.__dict__["_groups"]
 
 
-def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray):
-    """Levenberg-Marquardt from every row of ``starts`` (k, n_params) at once.
-
-    Each start keeps its own damping, accept/reject decisions, stopping
-    reason and iteration count; every operation acts row by row, so a
-    start's result does not depend on the other starts in the batch.
-    Residuals and Jacobians run on the distinct x of ``d`` (weights summed,
-    y averaged per x, see ``_distinct_x``), and every RSS adds back the
-    within-group sum, so ``rss_rtol``, accept/reject and the returned RSS
-    refer to the full-data weighted RSS. Steps, bounds and ``step_tol``
-    apply to the parameters that are not ``linear``; the linear ones are
-    solved at every start and trial (see the module docstring).
-    Returns (params, rss, iterations, stop), one entry per start; ``stop``
-    indexes ``STOP_REASONS``.
-    """
+def _ruled_out(spec: ModelSpec, d: Dataset) -> Optional[str]:
+    """Why the data rule out every start of ``spec``, or None."""
     if len(d) < spec.n_params:
-        raise ValueError(
-            f"underdetermined: {len(d)} points for {spec.n_params} parameters")
+        return f"underdetermined: {len(d)} points for {spec.n_params} parameters"
+    if np.ptp(_groups(d)[0]) == 0.0 and spec.n_params > 1:
+        return "all x identical: singular system for an x-dependent family"
+    return None
+
+
+def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarray]):
+    """Levenberg-Marquardt from every row of every ``starts[f]`` (k_f,
+    n_params of ``specs[f]``), all families in one loop.
+
+    Each row keeps its own damping, accept/reject decisions, stopping
+    reason and iteration count, and every operation acts row by row, so a
+    row's result does not depend on the other rows. Rows are ordered by
+    free-parameter count q, then family: the model runs per family (in a
+    trial, only while it has a pending row), the q x q systems per q, and
+    all else once over all rows. Residuals run on the distinct x of ``d``
+    and every RSS adds the within-group sum (see ``_distinct_x``), so each
+    RSS is the full-data weighted RSS. Steps, bounds and ``step_tol`` apply
+    to the free parameters; the ``linear`` ones are solved at every start
+    and trial. Returns (params, rss, iterations, stop) per family of ``specs``.
+    """
     xs, wsum, ys, pure = _groups(d)
     sw = np.sqrt(wsum)
-    lo, hi = _bounds(spec)
-    params = np.clip(np.asarray(starts, dtype=float), lo, hi)
-    if np.ptp(xs) == 0.0 and spec.n_params > 1:
-        raise ValueError("all x identical: singular system for an x-dependent family")
-    free = slice(None)
-    if spec.linear:  # LM moves the other parameters only
-        free = [j for j in range(spec.n_params) if j not in spec.linear]
-    lo, hi = lo[free], hi[free]
-
-    diag = slice(None, None, len(lo) + 1)  # the diagonal of a flattened q x q
-    iterations = np.zeros(len(params), dtype=int)
+    free = [[j for j in range(s.n_params) if j not in s.linear] for s in specs]
+    order = sorted(range(len(specs)), key=lambda f: len(free[f]))
+    q = np.array([len(free[f]) for f in order], dtype=int)
+    first = np.cumsum([0] + [len(starts[f]) for f in order])
+    fam = np.repeat(np.arange(len(order)), np.diff(first))  # row -> index in order
+    width, qmax = max((s.n_params for s in specs), default=0) + 1, q.max(initial=0)
+    params, res = np.zeros((fam.size, width)), np.empty((fam.size, xs.size))
+    cols = np.full((fam.size, qmax), width - 1)  # each row's step columns
+    lo, hi = np.zeros((2, fam.size, qmax))
     with np.errstate(all="ignore"):
-        res = _residuals(spec, params, xs, ys, sw)
+        for i, f in enumerate(order):
+            rows, spec, fr = slice(first[i], first[i + 1]), specs[f], free[f]
+            b_lo, b_hi = _bounds(spec)
+            p = np.clip(np.asarray(starts[f], dtype=float), b_lo, b_hi)
+            res[rows] = _residuals(spec, p, xs, ys, sw)
+            params[rows, :spec.n_params], cols[rows, :q[i]] = p, fr
+            lo[rows, :q[i]], hi[rows, :q[i]] = b_lo[fr], b_hi[fr]
         rss = _rss(res, pure)
-        ok = np.isfinite(res).all(axis=1)
-        if not len(lo):  # linear in every parameter: the start's solve is the fit
-            return (params, rss, ok.astype(int),
-                    np.where(ok, _STEP_TOL, _START_NONFINITE))
-        stop_code = np.where(ok, _MAX_ITERATIONS, _START_NONFINITE)
-        live = ok.nonzero()[0]          # start index of each live row
-        p, res, s = params[live], res[live], rss[live]
-        lam = np.full(live.size, _LAMBDA0)
+        ok, solved = np.isfinite(res).all(axis=1), q[fam] == 0  # solved: all linear
+        iterations = (ok & solved).astype(int)
+        stop_code = np.select([~ok, solved], [_START_NONFINITE, _STEP_TOL], _MAX_ITERATIONS)
+        live = np.flatnonzero(ok & ~solved)  # row index of each live row
+        p, res, s, lam = params[live], res[live], rss[live], np.full(live.size, _LAMBDA0)
+        # (q, i, j): the families order[i:j] have q free parameters
+        segments = [(v, *np.searchsorted(q, [v, v + 1])) for v in np.unique(q[q > 0])]
+        diag = slice(None, None, qmax + 1)  # the diagonal of a flattened qmax x qmax
         it = 0
         while live.size and it < _MAX_ITER:
             it += 1
-            m = live.size
-            a, g = _normal_equations(spec, p, xs, sw, res, free)
+            m, fl, r, c = live.size, fam[live], np.arange(live.size)[:, None], cols[live]
+            at = np.searchsorted(fl, np.arange(len(order) + 1))  # order[i]: at[i]:at[i+1]
+            a, g = np.zeros((m, qmax, qmax)), np.zeros((m, qmax))
+            for i in np.unique(fl):
+                rows, spec = slice(at[i], at[i + 1]), specs[order[i]]
+                a[rows, :q[i], :q[i]], g[rows, :q[i]] = _normal_equations(
+                    spec, p[rows, :spec.n_params].copy(), xs, sw, res[rows],
+                    free[order[i]])
             finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
             scale = np.maximum(a.reshape(m, -1)[:, diag], 1e-12)
 
-            # Every trial runs on all rows; only pending rows may take its step.
-            p_old, s_old = p.copy(), s.copy()
+            # Every trial solves all rows; only pending rows may take its step.
+            p_old, s_old, base = p.copy(), s.copy(), p[r, c]
+            lo_l, hi_l, step, res_new = lo[live], hi[live], np.zeros((m, qmax)), res.copy()
             pending = finite.copy()
             for _ in range(50):  # damping escalations within one iteration
                 if not pending.any():
                     break
                 damped = a.copy()
                 damped.reshape(m, -1)[:, diag] += lam[:, None] * scale
-                step = _solve(damped, g)
+                for v, i, j in segments:
+                    rows = slice(at[i], at[j])
+                    step[rows, :v] = _solve(damped[rows, :v, :v], g[rows, :v])
                 p_new = p_old.copy()
-                p_new[:, free] = np.minimum(np.maximum(p_old[:, free] + step, lo), hi)
-                res_new = _residuals(spec, p_new, xs, ys, sw)
+                p_new[r, c] = np.minimum(np.maximum(base + step, lo_l), hi_l)
+                for i in np.unique(fl[pending]):  # families with a pending row
+                    rows, spec = slice(at[i], at[i + 1]), specs[order[i]]
+                    pf = p_new[rows, :spec.n_params].copy()
+                    res_new[rows] = _residuals(spec, pf, xs, ys, sw)
+                    p_new[rows, :spec.n_params] = pf
                 rss_new = _rss(res_new, pure)
                 win = pending & np.isfinite(step).all(axis=1) & (rss_new <= s_old)
                 np.copyto(p, p_new, where=win[:, None])
@@ -292,7 +308,10 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray):
                 np.multiply(lam, _LAMBDA_UP, out=lam, where=pending)
             # a finite row still pending cannot improve at any damping
             accepted = finite & ~pending
-            step_norm = np.sqrt(_row_dot((p - p_old)[:, free]))
+            moved, step_norm = (p - p_old)[r, c], np.empty(m)
+            for v, i, j in segments:  # over each row's own q columns
+                rows = slice(at[i], at[j])
+                step_norm[rows] = np.sqrt(_row_dot(moved[rows, :v].copy()))
             rel_drop = (s_old - s) / np.maximum(s_old, 1e-300)
             np.maximum(lam * _LAMBDA_DOWN, 1e-12, out=lam, where=accepted)
             small_drop = rel_drop < _RTOL
@@ -307,7 +326,16 @@ def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray):
                 keep = ~stop
                 live, p, res, s, lam = live[keep], p[keep], res[keep], s[keep], lam[keep]
     params[live], rss[live], iterations[live] = p, s, it
-    return params, rss, iterations, stop_code
+    rows = {f: slice(first[i], first[i + 1]) for i, f in enumerate(order)}
+    return [(params[rows[f], :s.n_params], rss[rows[f]], iterations[rows[f]],
+             stop_code[rows[f]]) for f, s in enumerate(specs)]
+
+
+def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray):
+    """``_lockstep`` for one family; ValueError when the data rule out every start."""
+    if why := _ruled_out(spec, d):
+        raise ValueError(why)
+    return _lockstep([spec], d, [starts])[0]
 
 
 def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
@@ -363,25 +391,44 @@ def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
     return np.array(starts)
 
 
+def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
+                 seed: int) -> list:
+    """The multi-start fit of every family in ``specs``: its FitResult, or
+    the ValueError or LinAlgError that failed it. The starts of every
+    family the data admit run through one ``_lockstep`` call."""
+    fits, admitted = [], []
+    for i, spec in enumerate(specs):
+        try:
+            starts = _start_points(spec, d, n_starts, seed)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            fits.append(exc)
+            continue
+        if not _ruled_out(spec, d):  # e.g. all x identical: no start can fit
+            admitted.append((i, starts))
+        # this error stands unless one of the family's starts fits below
+        fits.append(ValueError(f"{spec.name}: no start point produced a fit"))
+    kernel = _lockstep([specs[i] for i, _ in admitted], d, [s for _, s in admitted])
+    for (i, _), (params, rss, iterations, stop) in zip(admitted, kernel):
+        ok = np.flatnonzero(stop != _START_NONFINITE)
+        if ok.size:  # converged before not, then the lowest RSS; the first start wins a tie
+            best = ok[np.lexsort((rss[ok], ~np.isin(stop[ok], _CONVERGED)))[0]]
+            fits[i] = _fit_result(specs[i], d, params[best], rss[best],
+                                  iterations[best], stop[best])
+    return fits
+
+
 def multi_start(spec: ModelSpec, d: Dataset, n_starts: int = 5,
                 seed: int = 0) -> FitResult:
     """Fit from the heuristic guess plus seeded perturbations; keep the best RSS.
 
-    All starts run as one batch. Returns the lowest-RSS converged result,
-    or the best non-converged one (flagged) when nothing converges.
+    All starts run as one batch of the catalog kernel. Returns the
+    lowest-RSS converged result, or the best non-converged one (flagged)
+    when nothing converges.
     """
-    starts = _start_points(spec, d, n_starts, seed)
-    try:
-        params, rss, iterations, stop = _levenberg_marquardt(spec, d, starts)
-    except ValueError:  # the data rule out every start, e.g. all x identical
-        stop = np.full(n_starts, _START_NONFINITE)
-    ok = np.flatnonzero(stop != _START_NONFINITE)
-    if not ok.size:
-        raise ValueError(f"{spec.name}: no start point produced a fit")
-    # converged before not, then the lowest RSS; the first start wins a tie
-    best = ok[np.lexsort((rss[ok], ~np.isin(stop[ok], _CONVERGED)))[0]]
-    return _fit_result(spec, d, params[best], rss[best], iterations[best],
-                       stop[best])
+    fit, = _fit_catalog([spec], d, n_starts, seed)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 @dataclass(frozen=True)
@@ -457,20 +504,13 @@ def rank_all(specs: Sequence[ModelSpec], d: Dataset,
     if len(d) == 0:
         raise ValueError("empty dataset")
     entries: list[RankedEntry] = []
-    for spec in specs:
-        try:
-            result = multi_start(spec, d, n_starts=n_starts, seed=seed)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            result = FitResult(
-                spec_name=spec.name,
-                params=tuple(np.zeros(spec.n_params)),
-                rss=float("inf"), r2=float("nan"),
-                converged=False, iterations=0,
-            )
-            entries.append(RankedEntry(result, False, f"fit failed: {exc}"))
-            continue
-        plausible, reason = check_plausibility(spec, result.params, plaus)
-        entries.append(RankedEntry(result, plausible, reason))
+    for spec, result in zip(specs, _fit_catalog(specs, d, n_starts, seed)):
+        if isinstance(result, Exception):
+            failed = FitResult(spec.name, (0.0,) * spec.n_params, np.inf, np.nan, False, 0)
+            entries.append(RankedEntry(failed, False, f"fit failed: {result}"))
+        else:
+            plausible, reason = check_plausibility(spec, result.params, plaus)
+            entries.append(RankedEntry(result, plausible, reason))
 
     def sort_key(e: RankedEntry):
         r2 = e.result.r2 if np.isfinite(e.result.r2) else -np.inf

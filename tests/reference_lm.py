@@ -2,8 +2,8 @@
 multi-start batch, kept for the tests as a differential oracle.
 
 One start at a time, one parameter vector per model call, every operation
-on 1-D arrays. ``multi_start`` has the signature of ``curvemine.fit``'s, so
-a test can swap it into ``rank_all``.
+on 1-D arrays. ``fit_catalog`` has the signature of
+``curvemine.fit._fit_catalog``, so a test can swap it into ``rank_all``.
 """
 
 import numpy as np
@@ -120,3 +120,15 @@ def multi_start(spec, d, n_starts=5, seed=0):
     if best is None:
         raise ValueError(f"{spec.name}: no start point produced a fit")
     return best
+
+
+def fit_catalog(specs, d, n_starts, seed):
+    """``multi_start`` for each family in turn: its result, or the error that
+    failed it."""
+    fits = []
+    for spec in specs:
+        try:
+            fits.append(multi_start(spec, d, n_starts, seed))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            fits.append(exc)
+    return fits

@@ -15,6 +15,7 @@ from curvemine.fit import (
     _basis,
     _distinct_x,
     _levenberg_marquardt,
+    _lockstep,
     _residuals,
     _solve,
     _start_points,
@@ -365,23 +366,39 @@ class TestBatchedKernel:
         assert (r.iterations, r.converged) == (0, False)
 
 
-class TestAgainstPerStartReference:
-    """The batched kernel against the pre-batch per-start loop."""
+ORACLE_CASES = ["criterion4", "criterion8", "demo03", "paper330", "grid5k"]
 
-    @pytest.mark.parametrize("case", ["criterion4", "criterion8", "demo03",
-                                      "paper330", "grid5k"])
+
+def oracle_case(case):
+    """The dataset, plausibility settings and seed of one ``ORACLE_CASES`` entry."""
+    if case in ("criterion4", "criterion8"):
+        return acceptance_datasets()[case == "criterion8"]
+    cfg = PlausibilityConfig(domain=(-1.0, 55.0), require_nonnegative=True)
+    if case == "demo03":
+        return demo_03_dataset(), PlausibilityConfig(
+            domain=(0.0, 55.0), require_nonnegative=True), 42
+    if case == "paper330":
+        return paper_scale_dataset(8), cfg, 9
+    return grid_dataset(12), cfg, 13
+
+
+class TestAgainstPerStartReference:
+    """The catalog-wide kernel against the pre-batch per-start loop."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_rank_matches_reference(self, case, monkeypatch):
-        datasets = dict(zip(("criterion4", "criterion8"), acceptance_datasets()))
-        datasets["demo03"] = (demo_03_dataset(), PlausibilityConfig(
-            domain=(0.0, 55.0), require_nonnegative=True), 42)
-        datasets["paper330"] = (paper_scale_dataset(8), PlausibilityConfig(
-            domain=(-1.0, 55.0), require_nonnegative=True), 9)
-        datasets["grid5k"] = (grid_dataset(12), PlausibilityConfig(
-            domain=(-1.0, 55.0), require_nonnegative=True), 13)
-        d, cfg, seed = datasets[case]
+        d, cfg, seed = oracle_case(case)
         got = rank_all(catalog(), d, cfg, n_starts=5, seed=seed)
-        monkeypatch.setattr(fit_module, "multi_start", reference_lm.multi_start)
+        ran, reference = [], reference_lm.multi_start
+
+        def counted(spec, *args):
+            ran.append(spec.name)
+            return reference(spec, *args)
+
+        monkeypatch.setattr(reference_lm, "multi_start", counted)
+        monkeypatch.setattr(fit_module, "_fit_catalog", reference_lm.fit_catalog)
         want = rank_all(catalog(), d, cfg, n_starts=5, seed=seed)
+        assert ran == [s.name for s in catalog()]  # the reference ran, once per family
 
         assert got.gold_standard.spec_name == want.gold_standard.spec_name
         # Families with linear parameters are solved by variable projection,
@@ -422,6 +439,96 @@ class TestAgainstPerStartReference:
                         g.result.spec_name
                 else:
                     assert not np.isfinite(a)
+
+
+class TestLockstep:
+    """One catalog-wide kernel call gives each family the rows of its own call."""
+
+    @staticmethod
+    def _bits(a):
+        return a.dtype, a.shape, np.ascontiguousarray(a).tobytes()
+
+    @pytest.mark.parametrize("max_iter", [None, 3])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_family_rows_equal_its_own_call(self, case, max_iter, monkeypatch):
+        d, _, seed = oracle_case(case)
+        if max_iter is not None:
+            monkeypatch.setattr(fit_module, "_MAX_ITER", max_iter)
+        specs = catalog()
+        starts = [_start_points(s, d, 5, seed) for s in specs]
+        together = _lockstep(specs, d, starts)
+        for spec, s, rows in zip(specs, starts, together):
+            alone = _levenberg_marquardt(spec, d, s)
+            for got, want in zip(rows, alone):  # params, rss, iterations, stop
+                assert self._bits(got) == self._bits(want), spec.name
+        if max_iter is not None:  # rows stop at different iterations, some capped
+            stopped = {int(i) for _, _, its, _ in together for i in its}
+            assert max_iter in stopped and len(stopped) > 2
+
+
+def _raising_model(exc):
+    """y = a exp(-b x), whose guess_fn raises ``exc``."""
+    def guess(xs, ys):
+        raise exc
+
+    return ModelSpec(name="raises", n_params=2, family_class="exponential",
+                     eval_fn=lambda p, x: p[0] * np.exp(-p[1] * x),
+                     grad_fn=lambda p, x: np.stack([np.exp(-p[1] * x),
+                                                    -p[0] * x * np.exp(-p[1] * x)]),
+                     guess_fn=guess)
+
+
+def _few_x_dataset(xs):
+    return Dataset.from_points(xs, [5.0, 6.0, 7.0, 2.0, 2.5, 3.0][:len(xs)], study="s")
+
+
+TWO_X, ONE_X = [3.0] * 3 + [10.0] * 3, [3.0] * 6
+
+
+class TestFailureIsolation:
+    """A family that fails alone keeps its reason and leaves the rest as
+    ranked alone: its guess raises, the data rule it out (all x identical),
+    or every start evaluates non-finite (pre-birth ages)."""
+
+    CFG = PlausibilityConfig(domain=(-1.0, 55.0))
+    NO_START = "fit failed: {}: no start point produced a fit"
+
+    @pytest.mark.parametrize("case, exc", [
+        ("paper", ValueError("no guess")),
+        ("two_x", np.linalg.LinAlgError("singular guess")),
+        ("one_x", ValueError("no guess")),
+    ])
+    def test_failed_family_leaves_the_others_alone(self, case, exc):
+        d = {"paper": paper_scale_dataset(8), "two_x": _few_x_dataset(TWO_X),
+             "one_x": _few_x_dataset(ONE_X)}[case]
+        specs = catalog()
+        specs.insert(len(specs) // 2, _raising_model(exc))
+        ranked = {e.result.spec_name: e
+                  for e in rank_all(specs, d, self.CFG, seed=3).entries}
+        assert len(ranked) == len(specs)
+        assert ranked["raises"].reason == f"fit failed: {exc}"
+        for spec in specs:
+            alone, = rank_all([spec], d, self.CFG, seed=3).entries
+            assert repr(ranked[spec.name]) == repr(alone), spec.name
+
+    def test_failure_reasons_are_pinned(self):
+        def failed(d):
+            return {e.result.spec_name: e.reason
+                    for e in rank_all(catalog(), d, self.CFG, seed=3).entries
+                    if e.reason.startswith("fit failed")}
+
+        # every start non-finite at the pre-birth ages
+        assert failed(paper_scale_dataset(8)) == {
+            name: self.NO_START.format(name)
+            for name in ("power_law", "sqrt_law", "lognormal_peak", "power_offset")}
+        # one solve, singular on 2 distinct ages
+        assert failed(_few_x_dataset(TWO_X)) == {"poly5": self.NO_START.format("poly5")}
+        # all x identical rules out every family but poly0; poly5's guess
+        # needs 6 points and raises first
+        want = {s.name: self.NO_START.format(s.name)
+                for s in catalog() if s.name != "poly0"}
+        want["poly5"] = "fit failed: poly5: need >= 6 points, got 5"
+        assert failed(_few_x_dataset(ONE_X[:5])) == want
 
 
 @st.composite
