@@ -270,7 +270,7 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
         while live.size and it < _MAX_ITER:
             it += 1
             m, fl, r, c = live.size, fam[live], np.arange(live.size)[:, None], cols[live]
-            at = np.searchsorted(fl, np.arange(len(order) + 1))  # order[i]: at[i]:at[i+1]
+            at = np.searchsorted(fl, np.arange(len(order) + 1))  # order[i] has at[i]:at[i+1]
             a, g = np.zeros((m, qmax, qmax)), np.zeros((m, qmax))
             for i in np.unique(fl):
                 rows, spec = slice(at[i], at[i + 1]), specs[order[i]]
@@ -327,8 +327,8 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
                 live, p, res, s, lam = live[keep], p[keep], res[keep], s[keep], lam[keep]
     params[live], rss[live], iterations[live] = p, s, it
     rows = {f: slice(first[i], first[i + 1]) for i, f in enumerate(order)}
-    return [(params[rows[f], :s.n_params], rss[rows[f]], iterations[rows[f]],
-             stop_code[rows[f]]) for f, s in enumerate(specs)]
+    return [(params[rows[f], :spec.n_params], rss[rows[f]], iterations[rows[f]],
+             stop_code[rows[f]]) for f, spec in enumerate(specs)]
 
 
 def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray):
