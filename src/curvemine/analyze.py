@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_PEAK_GRID, _BAND_GRID = 256, 200  # points of the peak scan and of the band
 
 
 def derivative(spec: ModelSpec, params: Sequence[float], x: float) -> float:
@@ -60,7 +61,7 @@ class PeakResult:
 
 
 def peak_age(objective: Callable[[float], float],
-             x_range: tuple[float, float], grid: int = 256) -> PeakResult:
+             x_range: tuple[float, float]) -> PeakResult:
     """Argmax of a 1-d objective: coarse scan, then golden-section refinement.
 
     An all-equal objective is flagged as a plateau and reports the range
@@ -69,9 +70,7 @@ def peak_age(objective: Callable[[float], float],
     lo, hi = x_range
     if not (lo < hi):
         raise ValueError("empty range")
-    if grid < 16:
-        raise ValueError("grid must be >= 16")
-    xs = np.linspace(lo, hi, grid)
+    xs = np.linspace(lo, hi, _PEAK_GRID)
     vals = np.array([objective(float(x)) for x in xs])
     if not np.all(np.isfinite(vals)):
         raise ValueError("objective is non-finite on the range")
@@ -80,8 +79,8 @@ def peak_age(objective: Callable[[float], float],
 
     best = int(np.argmax(vals))
     a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, grid - 1)]
-    tol = (hi - lo) / grid / 100.0
+    b = xs[min(best + 1, _PEAK_GRID - 1)]
+    tol = (hi - lo) / _PEAK_GRID / 100.0
 
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -144,22 +143,16 @@ def cross_correlation(spec_a: ModelSpec, params_a: Sequence[float],
                       spec_b: ModelSpec, params_b: Sequence[float],
                       age_range: tuple[float, float],
                       transform_a: str = "value",
-                      transform_b: str = "value",
-                      grid: Optional[int] = None) -> CorrelationReport:
-    """Pearson r of two model-derived series on a uniform age grid.
-
-    The default grid is monthly resolution: 12 points per year of range.
-    """
+                      transform_b: str = "value") -> CorrelationReport:
+    """Pearson r of two model-derived series on a uniform age grid of
+    monthly resolution: 12 points per year of range, and at least 3."""
     lo, hi = age_range
     if not (lo < hi):
         raise ValueError("empty age range")
     for t in (transform_a, transform_b):
         if t not in _TRANSFORMS:
             raise ValueError(f"unknown transform {t!r}")
-    if grid is None:
-        grid = max(3, int(round(12 * (hi - lo))))
-    if grid < 3:
-        raise ValueError("grid must be >= 3")
+    grid = max(3, int(round(12 * (hi - lo))))
     xs = np.linspace(lo, hi, grid)
     sa = _series(spec_a, params_a, transform_a, xs)
     sb = _series(spec_b, params_b, transform_b, xs)
@@ -190,8 +183,9 @@ class IntervalBand:
 
 
 def prediction_band(spec: ModelSpec, fit: FitResult, d: Dataset,
-                    level: float = 0.95, grid: int = 200) -> IntervalBand:
-    """y_hat(x) +/- z(level) * s, with s the residual standard deviation.
+                    level: float = 0.95) -> IntervalBand:
+    """y_hat(x) +/- z(level) * s, with s the residual standard deviation, on
+    200 points spanning the data's ages.
 
     Assumes homoscedastic normal residuals; the band width is constant.
     """
@@ -202,7 +196,7 @@ def prediction_band(spec: ModelSpec, fit: FitResult, d: Dataset,
         raise ValueError("non-positive degrees of freedom")
     s = math.sqrt(fit.rss / dof)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    xs = np.linspace(d.xs.min(), d.xs.max(), grid)
+    xs = np.linspace(d.xs.min(), d.xs.max(), _BAND_GRID)
     fitted = np.asarray(evaluate(spec, fit.params, xs), dtype=float)
     half = z * s
     return IntervalBand(

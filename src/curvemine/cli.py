@@ -33,6 +33,7 @@ from .dataset import (
     Dataset,
     IngestError,
     UnknownUnitError,
+    _key_values,
     describe,
     ingest_csv,
     normalize_units,
@@ -370,19 +371,14 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
                   argv: Sequence[str]) -> argparse.Namespace:
     """Config file supplies defaults; explicit flags win. Each ``key = value``
     line is parsed as ``--key=value`` ahead of the explicit flags, so it gets
-    the option's own type; a store_true option is set by 1, true or yes. A
-    key the subcommand has no option for is an error naming its line."""
+    the option's own type; a store_true option is set by 1, true or yes and
+    left unset by 0, false or no. A key the subcommand has no option for, or
+    any other value of a store_true key, is an error naming its line."""
     if not getattr(args, "config", None):
         return args
     flags = []
     lines = args.config.read_text(encoding="utf-8").splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected key=value")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for lineno, key, value in _key_values(lines, "config", "key=value"):
         attr = key.replace("-", "_")
         if attr in ("subcommand", "func", "config") or not hasattr(args, attr):
             raise ValueError(f"config line {lineno}: unknown key {key!r} "
@@ -392,6 +388,9 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
             flags.append(f"{flag}={value}")
         elif value.lower() in ("1", "true", "yes"):
             flags.append(flag)
+        elif value.lower() not in ("0", "false", "no"):
+            raise ValueError(f"config line {lineno}: {key} takes 1, true, yes, "
+                             f"0, false or no, got {value!r}")
     at = argv.index(args.subcommand) + 1
     return parser.parse_args([*argv[:at], *flags, *argv[at:]])
 

@@ -181,14 +181,16 @@ class Dataset:
     def study(self, study_id: str) -> StudyMeta:
         return {s.study_id: s for s in self.studies}[study_id]
 
-    def _take(self, rows, label: str) -> "Dataset":
-        """The rows a mask or index array selects, with the studies they cite."""
+    def _take(self, rows, part: str) -> "Dataset":
+        """The rows a mask or index array selects, with the studies they
+        cite, labelled ``label/part`` (``part`` when this has no label)."""
         study, unit, assay = (_Codes(c.codes[rows], c.table)
                               for c in (self._study, self._unit, self._assay))
         cited = {study.table[c] for c in np.unique(study.codes).tolist()}
         return Dataset._from_columns(
             self._x[rows], self._y[rows], self._weight[rows], study, unit, assay,
-            tuple(s for s in self.studies if s.study_id in cited), label)
+            tuple(s for s in self.studies if s.study_id in cited),
+            f"{self.label}/{part}" if self.label else part)
 
 
 def _synthesize_studies(x: np.ndarray, study: _Codes) -> list[StudyMeta]:
@@ -275,19 +277,28 @@ def read_unit_table(source: TextIO | str) -> UnitTable:
     if isinstance(source, str):
         source = io.StringIO(source)
     entries: dict[str, tuple[str, float]] = {}
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"unit table line {lineno}: expected 'alias = canonical,factor'")
-        alias, rhs = (part.strip() for part in line.split("=", 1))
+    for lineno, alias, rhs in _key_values(source, "unit table",
+                                          "'alias = canonical,factor'"):
         canon, _, factor = rhs.rpartition(",") if "," in rhs else (rhs, "", "1")
         try:
             entries[alias] = (canon.strip(), float(factor.strip()))
         except ValueError as exc:
             raise ValueError(f"unit table line {lineno}: {exc}") from None
     return UnitTable(entries=entries)
+
+
+def _key_values(lines: Iterable[str], what: str, form: str):
+    """(line number, key, value), both stripped, of each line split at its
+    first ``=``, skipping ``#`` comments and blank lines; a line with no
+    ``=`` is a ValueError, "<what> line N: expected <form>"."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{what} line {lineno}: expected {form}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
 
 
 def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
@@ -519,6 +530,4 @@ def split_by_assay(d: Dataset) -> dict[str, Dataset]:
         raise ValueError("points without assay_id in studies: " + ", ".join(missing))
     codes, table = d._assay
     groups = {table[c]: c for c in np.unique(codes).tolist()}
-    return {name: d._take(codes == groups[name],
-                          f"{d.label}/{name}" if d.label else name)
-            for name in sorted(groups)}
+    return {name: d._take(codes == groups[name], name) for name in sorted(groups)}

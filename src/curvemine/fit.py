@@ -167,16 +167,23 @@ def _distinct_x(d: Dataset):
 
 
 def r_squared(spec: ModelSpec, params: Sequence[float], d: Dataset) -> float:
-    """Coefficient of determination, 1 - RSS/TSS; negative means worse than the mean."""
-    if len(d) < 2:
+    """Coefficient of determination, 1 - RSS/TSS, weighted as the fit
+    objective is: the RSS and the TSS, about the weighted mean, sum w times
+    a squared residual. Negative means worse than the weighted mean."""
+    return _r_squared(spec, params, d.xs, d.ys, d.weights)
+
+
+def _r_squared(spec: ModelSpec, params: Sequence[float], xs: np.ndarray,
+               ys: np.ndarray, w: np.ndarray) -> float:
+    """``r_squared`` of the x, y and weight columns of a dataset."""
+    if len(ys) < 2:
         raise ValueError("need at least 2 points for r^2")
-    ys = d.ys
-    tss = float(np.sum((ys - ys.mean()) ** 2))
+    tss = float(np.sum(w * (ys - np.average(ys, weights=w)) ** 2))
     if tss == 0.0:
         raise ValueError("zero total sum of squares: all y identical")
-    pred = np.asarray(evaluate(spec, params, d.xs), dtype=float)
+    pred = np.asarray(evaluate(spec, params, xs), dtype=float)
     with np.errstate(all="ignore"):
-        rss = float(np.sum((ys - pred) ** 2))
+        rss = float(np.sum(w * (ys - pred) ** 2))
     return 1.0 - rss / tss
 
 
@@ -206,19 +213,11 @@ def _normal_equations(spec, params, xs, sw, res, free):
     return jac @ jac.transpose(0, 2, 1), (jac @ res[:, :, None])[:, :, 0]
 
 
-def _groups(d: Dataset):
-    """``_distinct_x(d)``, computed once per dataset: a Dataset is immutable,
-    so the families of one ``rank_all`` share one grouping."""
-    if "_groups" not in d.__dict__:
-        d.__dict__["_groups"] = _distinct_x(d)
-    return d.__dict__["_groups"]
-
-
-def _ruled_out(spec: ModelSpec, d: Dataset) -> Optional[str]:
-    """Why the data rule out every start of ``spec``, or None."""
-    if len(d) < spec.n_params:
-        return f"underdetermined: {len(d)} points for {spec.n_params} parameters"
-    if np.ptp(_groups(d)[0]) == 0.0 and spec.n_params > 1:
+def _ruled_out(spec: ModelSpec, xs: np.ndarray) -> Optional[str]:
+    """Why data at the ages ``xs`` rule out every start of ``spec``, or None."""
+    if len(xs) < spec.n_params:
+        return f"underdetermined: {len(xs)} points for {spec.n_params} parameters"
+    if np.ptp(xs) == 0.0 and spec.n_params > 1:
         return "all x identical: singular system for an x-dependent family"
     return None
 
@@ -232,13 +231,13 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
     row's result does not depend on the other rows. Rows are ordered by
     free-parameter count q, then family: the model runs per family (in a
     trial, only while it has a pending row), the q x q systems per q, and
-    all else once over all rows. Residuals run on the distinct x of ``d``
-    and every RSS adds the within-group sum (see ``_distinct_x``), so each
-    RSS is the full-data weighted RSS. Steps, bounds and ``step_tol`` apply
-    to the free parameters; the ``linear`` ones are solved at every start
-    and trial. Returns (params, rss, iterations, stop) per family of ``specs``.
+    all else once over all rows. Residuals run on the distinct x of ``d``,
+    grouped once per call, and every RSS adds the within-group sum (see
+    ``_distinct_x``), so each RSS is the full-data weighted RSS. Steps,
+    bounds and ``step_tol`` apply to the free parameters; the ``linear``
+    ones are solved at every start and trial. Returns (params, rss, iterations, stop) per family of ``specs``.
     """
-    xs, wsum, ys, pure = _groups(d)
+    xs, wsum, ys, pure = _distinct_x(d)
     sw = np.sqrt(wsum)
     free = [[j for j in range(s.n_params) if j not in s.linear] for s in specs]
     order = sorted(range(len(specs)), key=lambda f: len(free[f]))
@@ -331,17 +330,11 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
              stop_code[rows[f]]) for f, spec in enumerate(specs)]
 
 
-def _levenberg_marquardt(spec: ModelSpec, d: Dataset, starts: np.ndarray):
-    """``_lockstep`` for one family; ValueError when the data rule out every start."""
-    if why := _ruled_out(spec, d):
-        raise ValueError(why)
-    return _lockstep([spec], d, [starts])[0]
-
-
-def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
+def _fit_result(spec: ModelSpec, cols, params: np.ndarray, rss,
                 iterations, stop) -> FitResult:
+    """One start's FitResult; ``cols`` are the dataset's x, y and weights."""
     try:
-        r2 = r_squared(spec, params, d)
+        r2 = _r_squared(spec, params, *cols)
     except ValueError:
         r2 = float("nan")
     return FitResult(
@@ -364,11 +357,14 @@ def fit_least_squares(spec: ModelSpec, d: Dataset,
     Accepted iterations never increase the RSS. The fitter has no options:
     its settings are the module constants above.
     """
-    params, rss, iterations, stop = _levenberg_marquardt(
-        spec, d, np.asarray(start, dtype=float)[None])
+    cols = d.xs, d.ys, d.weights
+    if why := _ruled_out(spec, cols[0]):
+        raise ValueError(why)
+    [(params, rss, iterations, stop)] = _lockstep(
+        [spec], d, [np.asarray(start, dtype=float)[None]])
     if stop[0] == _START_NONFINITE:
         raise ValueError(f"{spec.name}: start point evaluates non-finite")
-    return _fit_result(spec, d, params[0], rss[0], iterations[0], stop[0])
+    return _fit_result(spec, cols, params[0], rss[0], iterations[0], stop[0])
 
 
 def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
@@ -396,14 +392,14 @@ def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
     """The multi-start fit of every family in ``specs``: its FitResult, or
     the ValueError or LinAlgError that failed it. The starts of every
     family the data admit run through one ``_lockstep`` call."""
-    fits, admitted = [], []
+    fits, admitted, cols = [], [], (d.xs, d.ys, d.weights)
     for i, spec in enumerate(specs):
         try:
             starts = _start_points(spec, d, n_starts, seed)
         except (ValueError, np.linalg.LinAlgError) as exc:
             fits.append(exc)
             continue
-        if not _ruled_out(spec, d):  # e.g. all x identical: no start can fit
+        if not _ruled_out(spec, cols[0]):  # e.g. all x identical: no start can fit
             admitted.append((i, starts))
         # this error stands unless one of the family's starts fits below
         fits.append(ValueError(f"{spec.name}: no start point produced a fit"))
@@ -412,7 +408,7 @@ def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
         ok = np.flatnonzero(stop != _START_NONFINITE)
         if ok.size:  # converged before not, then the lowest RSS; the first start wins a tie
             best = ok[np.lexsort((rss[ok], ~np.isin(stop[ok], _CONVERGED)))[0]]
-            fits[i] = _fit_result(specs[i], d, params[best], rss[best],
+            fits[i] = _fit_result(specs[i], cols, params[best], rss[best],
                                   iterations[best], stop[best])
     return fits
 
@@ -466,8 +462,8 @@ class RankedFits:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def leaderboard(self, top: Optional[int] = None) -> str:
         """Aligned plain-text table mirroring the JSON output."""

@@ -129,11 +129,11 @@ def _moment_correct(samples: np.ndarray, target_mean: float, target_sd: float) -
     m = samples.mean()
     s = samples.std(ddof=1)
     if s == 0:
-        # Degenerate draw (probability ~0): spread symmetric around the mean.
-        n = len(samples)
-        samples = target_mean + target_sd * np.linspace(-1, 1, n)
-        s = samples.std(ddof=1)
-        m = samples.mean()
+        # Degenerate draw: spread symmetric around the mean. The spread is
+        # made before scaling, since a target sd below the resolution of the
+        # mean rounds away and would leave s = 0 again.
+        samples = np.linspace(-1.0, 1.0, len(samples))
+        m, s = samples.mean(), samples.std(ddof=1)
     return target_mean + (samples - m) * (target_sd / s)
 
 
@@ -165,7 +165,6 @@ def reconstruct_row(row: SummaryRow, seed: int,
 def reconstruct_dataset(rows: Sequence[SummaryRow], seed: int,
                         moment_correct: bool = False,
                         z: float = DEFAULT_Z_ONE_SIDED_95,
-                        unit: str = "",
                         label: str = "synthetic") -> Dataset:
     """Concatenate per-age reconstructions into one provenance-tagged dataset.
 
@@ -188,19 +187,18 @@ def reconstruct_dataset(rows: Sequence[SummaryRow], seed: int,
     return Dataset.from_points(
         np.repeat(np.array([row.x for row in rows], dtype=float),
                   [len(v) for v in draws]),
-        np.concatenate(draws), study=SYNTHETIC_STUDY_ID, unit=unit, label=label)
+        np.concatenate(draws), study=SYNTHETIC_STUDY_ID, label=label)
 
 
 def replicate(rows: Sequence[SummaryRow], master_seed: int, k: int,
               moment_correct: bool = False,
-              z: float = DEFAULT_Z_ONE_SIDED_95,
-              unit: str = "") -> list[Dataset]:
+              z: float = DEFAULT_Z_ONE_SIDED_95) -> list[Dataset]:
     """Produce k independently seeded reconstructions of the same rows."""
     if k < 1:
         raise ValueError("k must be >= 1")
     return [
         reconstruct_dataset(rows, _derive_seed(master_seed, 1 + r),
-                            moment_correct=moment_correct, z=z, unit=unit,
+                            moment_correct=moment_correct, z=z,
                             label=f"synthetic/{r}")
         for r in range(k)
     ]
@@ -210,11 +208,11 @@ def read_summary_csv(source: TextIO | str) -> list[SummaryRow]:
     """Read summary rows from CSV with header ``x,n,mean,sd,upper_pl95,family``.
 
     Empty cells mean the optional statistic is absent; family defaults to
-    normal.
+    normal. A row short of cells reads as if the missing ones were empty.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.DictReader(source)
+    reader = csv.DictReader(source, restval="")
     if reader.fieldnames is None:
         raise ValueError("empty summary file")
     for col in ("x", "n", "mean"):
@@ -224,7 +222,7 @@ def read_summary_csv(source: TextIO | str) -> list[SummaryRow]:
     for rownum, rec in enumerate(reader, start=2):
         def opt(key):
             v = rec.get(key, "")
-            return float(v) if v not in (None, "") else None
+            return float(v) if v else None
         try:
             rows.append(SummaryRow(
                 x=float(rec["x"]),

@@ -8,7 +8,7 @@ collected cohorts.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,8 +67,7 @@ def split(d: Dataset, fraction: float, seed: int = 0,
     for b in np.unique(bins):  # the non-empty bins, in order
         members = np.flatnonzero(bins == b)
         train[rng.permutation(members)[:int(round(fraction * members.size))]] = True
-    return tuple(d._take(rows, f"{d.label}/{suffix}" if d.label else suffix)
-                 for rows, suffix in ((train, "train"), (~train, "test")))
+    return d._take(train, "train"), d._take(~train, "test")
 
 
 def holdout_validate(spec: ModelSpec, params: Sequence[float],
@@ -89,7 +88,7 @@ def holdout_validate(spec: ModelSpec, params: Sequence[float],
     )
 
 
-_STATS = ("count", "min", "max", "median", "mean", "sd")
+_STATS = tuple(f.name for f in fields(Descriptives))
 
 
 @dataclass(frozen=True)

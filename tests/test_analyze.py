@@ -190,8 +190,10 @@ class TestPeakAge:
     def test_validation(self):
         with pytest.raises(ValueError):
             peak_age(lambda t: t, (5.0, 5.0))
-        with pytest.raises(ValueError):
-            peak_age(lambda t: t, (0.0, 1.0), grid=4)
+
+    def test_non_finite_objective(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            peak_age(lambda t: math.nan, (0.0, 1.0))
 
 
 class TestPercentRemaining:
@@ -267,6 +269,17 @@ class TestCrossCorrelation:
         with pytest.raises(ValueError, match="constant"):
             cross_correlation(a, [5.0], b, [0.0, 1.0], (0.0, 10.0))
 
+    def test_rejected_inputs(self):
+        a = get_model("poly1")
+        with pytest.raises(ValueError, match="empty age range"):
+            cross_correlation(a, [0.0, 1.0], a, [1.0, 2.0], (3.0, 3.0))
+        with pytest.raises(ValueError, match="unknown transform 'slope'"):
+            cross_correlation(a, [0.0, 1.0], a, [1.0, 2.0], (0.0, 1.0),
+                              transform_b="slope")
+        root = get_model("power_law")  # NaN at negative ages
+        with pytest.raises(ValueError, match="non-finite model values"):
+            cross_correlation(root, [1.0, 0.5], a, [1.0, 2.0], (-1.0, 1.0))
+
     def test_swap_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(14)
         a, b = get_model("gaussian_peak"), get_model("poly2")
@@ -310,6 +323,12 @@ class TestPredictionBand:
             w.append(band.upper[0] - band.lower[0])
         assert w == sorted(w)
 
+    def test_level_validation(self):
+        spec, fit, d = self._fit_line(noise_sd=0.5)
+        for level in (0.0, 1.0):
+            with pytest.raises(ValueError, match="level must be in"):
+                prediction_band(spec, fit, d, level=level)
+
     def test_dof_validation(self):
         d = make_dataset([0, 1], [1.0, 3.0])
         spec = get_model("poly1")
@@ -319,7 +338,7 @@ class TestPredictionBand:
 
     def test_csv_export(self):
         spec, fit, d = self._fit_line(noise_sd=0.5)
-        csv_text = prediction_band(spec, fit, d, grid=10).to_csv()
+        csv_text = prediction_band(spec, fit, d).to_csv()
         lines = csv_text.strip().splitlines()
         assert lines[0] == "x,lower,fit,upper"
-        assert len(lines) == 11
+        assert len(lines) == 201

@@ -18,7 +18,8 @@ from curvemine.cli import main
 from curvemine.dataset import Dataset, ingest_csv, write_csv
 from curvemine.fit import multi_start
 from curvemine.models import get_model
-from curvemine.plotting import write_svg
+from curvemine.plotting import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, \
+    WIDTH, _nice_ticks, write_svg
 from curvemine.synth import SummaryRow, reconstruct_dataset
 from curvemine.validate import holdout_validate, split
 
@@ -160,6 +161,15 @@ class TestSynth:
                            "--out-dir", str(tmp_path / "out"))
         assert code == 1
         assert "summary row 1 (x=30.0, family normal) drew -" in err
+
+    def test_short_row_names_its_row(self, capsys, tmp_path):
+        summary = tmp_path / "summary.csv"
+        summary.write_text("x,n,mean,sd,upper_pl95,family\n"
+                           "1,5,10,2,,normal\n2,5\n")
+        code, out, err = run(capsys, "synth", "--summary", str(summary),
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: summary row 3: ")
 
 
 class TestFitRank:
@@ -381,6 +391,26 @@ class TestPlot:
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert {"A & B <test>", "age <y>", '"count" & more'} <= set(texts)
 
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            write_svg(Dataset.from_points([], []), io.StringIO())
+
+    def test_constant_spans_put_the_points_mid_plot(self):
+        svg = io.StringIO()
+        write_svg(make_dataset([5.0, 5.0], [2.0, 2.0]), svg)
+        circles = list(ET.fromstring(svg.getvalue())
+                       .iter("{http://www.w3.org/2000/svg}circle"))
+        assert len(circles) == 2
+        for c in circles:
+            assert float(c.get("cx")) == pytest.approx(
+                (MARGIN_L + WIDTH - MARGIN_R) / 2, abs=1e-3)
+            assert float(c.get("cy")) == pytest.approx(
+                (MARGIN_T + HEIGHT - MARGIN_B) / 2, abs=1e-3)
+
+    @pytest.mark.parametrize("hi", [3.0, 2.0])
+    def test_ticks_of_an_empty_span(self, hi):
+        assert _nice_ticks(3.0, hi) == [3.0]
+
     def test_scatter_only_wellformed(self, capsys, data_csv, tmp_path):
         svg_path = tmp_path / "plot.svg"
         code, _, _ = run(capsys, "plot", "--data", str(data_csv),
@@ -537,6 +567,42 @@ class TestConfigFile:
                              "--config", str(cfg))
         assert (code, out) == (1, "")
         assert err == "error: config line 2: unknown key 'axiss' for describe\n"
+
+    @pytest.mark.parametrize("value", ["ture", "2", ""])
+    def test_unreadable_boolean_names_its_line(self, capsys, data_csv, tmp_path,
+                                               value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"catalog_filter = poly1\nnonnegative = {value}\n")
+        code, out, err = run(capsys, "rank", "--data", str(data_csv),
+                             "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == (f"error: config line 2: nonnegative takes 1, true, yes, "
+                       f"0, false or no, got {value!r}\n")
+
+    def test_boolean_spellings(self, capsys, data_csv, tmp_path):
+        reports = {}
+        for value in ("1", "True", "yes", "0", "false", "NO"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"catalog_filter = poly1\nnonnegative = {value}\n")
+            code, out, err = run(capsys, "rank", "--data", str(data_csv),
+                                 "--config", str(cfg))
+            assert code == 0, err
+            reports[value] = json.loads(out)["result"]
+        on, off = (run(capsys, "rank", "--data", str(data_csv),
+                       "--catalog-filter", "poly1", *flag)[1]
+                   for flag in (["--nonnegative"], []))
+        assert on != off
+        for value, result in reports.items():
+            want = on if value.lower() in ("1", "true", "yes") else off
+            assert result == json.loads(want)["result"], value
+
+    def test_line_without_equals_names_its_line(self, capsys, data_csv, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# defaults\naxis x\n")
+        code, _, err = run(capsys, "describe", "--data", str(data_csv),
+                           "--config", str(cfg))
+        assert code == 1
+        assert err == "error: config line 2: expected key=value\n"
 
     @pytest.mark.parametrize("key", ["units", "subcommand", "func", "config"])
     def test_key_without_an_option_is_unknown(self, capsys, summary_csv,

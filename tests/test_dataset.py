@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from curvemine.dataset import (
     Dataset,
+    Descriptives,
     IngestError,
     StudyMeta,
     UnknownUnitError,
@@ -307,6 +308,11 @@ class TestUnits:
                            r"convert string to float: 'abc'$"):
             read_unit_table("# units\nng/ml = µg/l\nmega = count,abc\n")
 
+    def test_line_without_equals_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^unit table line 2: expected "
+                           r"'alias = canonical,factor'$"):
+            read_unit_table("# units\nng/ml µg/l\n")
+
 
 class TestMerge:
     def test_identity_element(self):
@@ -388,6 +394,19 @@ class TestDescribe:
         with pytest.raises(ValueError):
             describe(Dataset.from_points([], [], studies=()), "y")
 
+    def test_unknown_axis(self):
+        with pytest.raises(ValueError, match="axis must be 'x' or 'y', got 'z'"):
+            describe(make_dataset([1.0], [2.0]), "z")
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(count=0, min=1.0, max=1.0, median=1.0), "count must be >= 1"),
+        (dict(min=1.0, max=2.0, median=3.0), "require min <= median <= max"),
+        (dict(min=1.0, max=2.0, median=1.5, sd=-1.0), "sd must be >= 0"),
+    ])
+    def test_descriptives_rules(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            Descriptives(**{"count": 2, "mean": 1.5, "sd": 0.5, **kw})
+
 
 class TestSplitByAssay:
     def test_basic_partition(self):
@@ -407,6 +426,11 @@ class TestSplitByAssay:
                                 assay=["A", None])
         with pytest.raises(ValueError, match="bad"):
             split_by_assay(d)
+
+    @pytest.mark.parametrize("label, want", [("", "A"), ("cohort", "cohort/A")])
+    def test_parts_are_labelled_by_assay(self, label, want):
+        d = Dataset.from_points([1, 2], [1, 2], assay="A", label=label)
+        assert split_by_assay(d)["A"].label == want
 
     def test_merge_back_oracle(self):
         rng = np.random.default_rng(9)
@@ -433,6 +457,21 @@ class TestInvariants:
         with pytest.raises(ValueError) as exc:
             Dataset.from_points(kw.pop("x"), kw.pop("y"), **kw)
         assert str(exc.value) == message
+
+    def test_attributes_cannot_be_set(self):
+        d = make_dataset([1.0], [2.0])
+        with pytest.raises(AttributeError, match="Dataset is immutable: "
+                           "cannot set 'label'"):
+            d.label = "other"
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(n_observations=0), "n_observations must be >= 1"),
+        (dict(min_age=1.0, median_age=0.5, max_age=2.0),
+         "study s: require min_age <= median_age <= max_age"),
+    ])
+    def test_study_meta_rules(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            StudyMeta("s", **kw)
 
     def test_columns_built_once_and_read_only(self):
         i = np.arange(5.0)

@@ -14,7 +14,6 @@ from curvemine.fit import (
     RankedFits,
     _basis,
     _distinct_x,
-    _levenberg_marquardt,
     _lockstep,
     _residuals,
     _solve,
@@ -143,6 +142,35 @@ class TestRSquared:
         with pytest.raises(ValueError):
             r_squared(get_model("poly0"), [5.0], make_dataset([0.0], [1.0]))
 
+    def test_a_fit_reports_an_undefined_r2_as_nan(self):
+        d = make_dataset([0, 1, 2], [5.0, 5.0, 5.0])
+        assert math.isnan(fit_least_squares(get_model("poly1"), d, [1.0, 1.0]).r2)
+
+    def test_unit_weights_give_the_unweighted_r2_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        d = make_dataset(rng.uniform(-1, 60, 330), rng.uniform(0, 1e5, 330))
+        spec, params = get_model("gaussian_peak"), [6e4, 18.0, 9.0]
+        pred = evaluate(spec, params, d.xs)
+        want = 1.0 - (float(np.sum((d.ys - pred) ** 2))
+                      / float(np.sum((d.ys - d.ys.mean()) ** 2)))
+        assert r_squared(spec, params, d) == want
+
+    @given(st.integers(0, 2**16), st.integers(3, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_doubled_weight_equals_a_duplicated_row(self, seed, n):
+        rng = np.random.default_rng(seed)
+        spec, params = get_model("poly2"), [1e3, 80.0, -1.5]
+        xs = rng.uniform(-1.0, 60.0, n)
+        ys = np.abs(evaluate(spec, params, xs) + rng.normal(0.0, 100.0, n))
+        w = rng.uniform(0.1, 10.0, n)
+        i = int(rng.integers(n))
+        doubled = w.copy()
+        doubled[i] *= 2.0
+        duplicated = weighted_dataset(np.append(xs, xs[i]), np.append(ys, ys[i]),
+                                      np.append(w, w[i]))
+        assert r_squared(spec, params, weighted_dataset(xs, ys, doubled)) == \
+            pytest.approx(r_squared(spec, params, duplicated), rel=1e-12)
+
 
 class TestMultiStart:
     def test_single_start_equals_plain_fit(self, gaussian_dataset):
@@ -186,6 +214,11 @@ class TestMultiStart:
 
 
 class TestRankAll:
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            rank_all(catalog(), Dataset.from_points([], []),
+                     PlausibilityConfig(domain=(0, 1)))
+
     def test_linear_dominates_constant_on_line(self, line_dataset):
         specs = [get_model("poly0"), get_model("poly1")]
         ranked = rank_all(specs, line_dataset,
@@ -308,7 +341,7 @@ class TestBatchedKernel:
         d = paper_scale_dataset(3)
         for spec in catalog():
             starts = _start_points(spec, d, 5, seed=4)
-            params, rss, iterations, stop = _levenberg_marquardt(spec, d, starts)
+            params, rss, iterations, stop = _lockstep([spec], d, [starts])[0]
             ok = stop != STOP_REASONS.index("start_nonfinite")
             for i, start in enumerate(starts):
                 if not ok[i]:
@@ -331,7 +364,7 @@ class TestBatchedKernel:
         good = _start_points(spec, d, 3, seed=1)
         batch = np.vstack([good[:1], [[0.0, 20.0, 5.0]], good[1:2],
                            [[np.nan, 1.0, 1.0]], good[2:]])
-        params, rss, iterations, stop = _levenberg_marquardt(spec, d, batch)
+        params, rss, iterations, stop = _lockstep([spec], d, [batch])[0]
         assert [STOP_REASONS[c] == "start_nonfinite" for c in stop] == \
             [False, False, False, True, False]
         for i, start in zip((0, 2, 4), good):
@@ -356,7 +389,7 @@ class TestBatchedKernel:
         spec = get_model("double_exp_decay")
         starts = _start_points(spec, d, 5, seed=2)
         monkeypatch.setattr(fit_module, "_MAX_ITER", 3)
-        params, rss, iterations, stop = _levenberg_marquardt(spec, d, starts)
+        params, rss, iterations, stop = _lockstep([spec], d, [starts])[0]
         for i in np.flatnonzero(stop != STOP_REASONS.index("start_nonfinite")):
             alone = fit_least_squares(spec, d, starts[i])
             assert alone.iterations == iterations[i] <= 3
@@ -458,7 +491,7 @@ class TestLockstep:
         starts = [_start_points(s, d, 5, seed) for s in specs]
         together = _lockstep(specs, d, starts)
         for spec, s, rows in zip(specs, starts, together):
-            alone = _levenberg_marquardt(spec, d, s)
+            alone = _lockstep([spec], d, [s])[0]
             for got, want in zip(rows, alone):  # params, rss, iterations, stop
                 assert self._bits(got) == self._bits(want), spec.name
         if max_iter is not None:  # rows stop at different iterations, some capped
@@ -599,8 +632,8 @@ class TestDistinctX:
     def test_kernel_rss_is_the_full_data_rss(self, name):
         d = grid_dataset(3, n=2000)
         spec = get_model(name)
-        params, rss, _, stop = _levenberg_marquardt(
-            spec, d, _start_points(spec, d, 5, seed=1))
+        params, rss, _, stop = _lockstep(
+            [spec], d, [_start_points(spec, d, 5, seed=1)])[0]
         ok = stop != STOP_REASONS.index("start_nonfinite")
         assert ok.any()
         for p, r in zip(params[ok], rss[ok]):
@@ -615,7 +648,7 @@ class TestDistinctX:
     def test_converged_starts_match_the_per_point_reference(self, d, name, seed):
         spec = get_model(name)
         starts = _start_points(spec, d, 3, seed=seed)
-        params, rss, _, stop = _levenberg_marquardt(spec, d, starts)
+        params, rss, _, stop = _lockstep([spec], d, [starts])[0]
         # an exact fit leaves an RSS of rounding noise, ~eps^2 sum w y^2
         floor = 1e-20 * float(np.sum(d.weights * d.ys ** 2))
         converged = [STOP_REASONS.index(r) for r in ("rss_rtol", "step_tol",
@@ -671,7 +704,7 @@ class TestVariableProjection:
         d = paper_scale_dataset(2)
         spec = get_model("poly3")
         starts = _start_points(spec, d, 5, seed=3)
-        params, rss, iterations, stop = _levenberg_marquardt(spec, d, starts)
+        params, rss, iterations, stop = _lockstep([spec], d, [starts])[0]
         assert iterations.tolist() == [1] * 5
         assert {STOP_REASONS[c] for c in stop} == {"step_tol"}
         # every start's own coefficients are overwritten by the one solution
@@ -686,7 +719,7 @@ class TestVariableProjection:
         starts = _start_points(spec, d, 3, seed=1)
         monkeypatch.setattr(fit_module, "_RTOL", 0.0)
         monkeypatch.setattr(fit_module, "_XTOL", 10.0)
-        _, _, iterations, stop = _levenberg_marquardt(spec, d, starts)
+        _, _, iterations, stop = _lockstep([spec], d, [starts])[0]
         assert iterations.tolist() == [1, 1, 1]
         assert {STOP_REASONS[c] for c in stop} == {"step_tol"}
 
@@ -696,8 +729,8 @@ class TestVariableProjection:
         starts = _start_points(spec, d, 3, seed=1)
         moved = starts.copy()
         moved[:, list(spec.linear)] = [[1e9, -5.0], [0.0, 0.0], [np.nan, 3.0]]
-        a = _levenberg_marquardt(spec, d, starts)
-        b = _levenberg_marquardt(spec, d, moved)
+        a = _lockstep([spec], d, [starts])[0]
+        b = _lockstep([spec], d, [moved])[0]
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
@@ -742,8 +775,8 @@ class TestStopReasons:
             start = [[np.nan, 15.0, 4.0]]
         if spec.n_params == 2:
             start = [[50.0, 0.05]]
-        params, rss, iterations, stop = _levenberg_marquardt(
-            spec, d, np.array(start))
+        params, rss, iterations, stop = _lockstep(
+            [spec], d, [np.array(start)])[0]
         assert STOP_REASONS[stop[0]] == reason
         if reason == "no_descent":  # the model counts its calls: start afresh
             spec = _counting_model("nan_trials", nan_after=1)
@@ -779,7 +812,8 @@ class TestStopReasons:
 
 
 class TestGroupingOncePerRank:
-    def test_rank_groups_the_dataset_once(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
 
         def counting(d):
@@ -787,14 +821,28 @@ class TestGroupingOncePerRank:
             return _distinct_x(d)
 
         monkeypatch.setattr(fit_module, "_distinct_x", counting)
+        return calls
+
+    def test_rank_groups_the_dataset_once(self, calls):
         d = grid_dataset(5, n=600)
         cfg = PlausibilityConfig(domain=(-1.0, 55.0))
         rank_all(catalog(), d, cfg)
         assert calls == [d]
-        multi_start(get_model("gaussian_peak"), d)  # the same dataset again
-        assert len(calls) == 1
         rank_all(catalog()[:3], grid_dataset(5, n=600), cfg)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("fit", [
+        lambda d: rank_all(catalog(), d, PlausibilityConfig(domain=(-1.0, 55.0))),
+        lambda d: multi_start(get_model("gaussian_peak"), d),
+        lambda d: fit_least_squares(get_model("gaussian_peak"), d, [9e3, 20.0, 8.0]),
+    ], ids=["rank_all", "multi_start", "fit_least_squares"])
+    def test_each_fit_groups_once_and_writes_nothing_to_the_dataset(self, calls, fit):
+        d = grid_dataset(5, n=600)
+        before = dict(vars(d))
+        fit(d)
+        assert calls == [d]
+        assert vars(d).keys() == before.keys()
+        assert all(vars(d)[k] is v for k, v in before.items())
 
 
 class TestLeaderboardStatus:

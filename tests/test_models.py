@@ -359,6 +359,16 @@ class TestInitialGuess:
         with pytest.raises(ValueError, match="need"):
             initial_guess(get_model("poly5"), d)
 
+    @pytest.mark.parametrize("name, want", [
+        ("exp_decay", [4.0, 1.0 / 3.5]),              # max y, 1 / x span
+        ("exp_quadratic", [math.log(0.8), 0.0, 0.0]),  # log of mean |y|
+        ("power_law", [0.8, 1.0]),                     # mean |y|, linear
+    ])
+    def test_log_scale_guesses_fall_back_without_positive_points(self, name, want):
+        # one positive y, at the one positive age: too few to fit on a log scale
+        d = make_dataset([-0.5, 0.0, 3.0, 2.0, 1.0], [0.0, 0.0, 4.0, 0.0, 0.0])
+        assert initial_guess(get_model(name), d) == pytest.approx(want, rel=1e-15)
+
 
 class TestPlausibility:
     def test_constant_nonnegative(self):
@@ -419,3 +429,14 @@ class TestCustomSpec:
         )
         assert evaluate(spec, [4.0], 3.0) == pytest.approx(6.0)
         assert spec.bounds == ((-np.inf, np.inf),)
+
+    def test_bounds_must_match_the_parameters(self):
+        with pytest.raises(ValueError, match="line2: bounds/params length mismatch"):
+            ModelSpec(name="line2", n_params=2, family_class="polynomial",
+                      eval_fn=lambda p, x: p[0] + p[1] * x,
+                      grad_fn=lambda p, x: np.stack([np.ones_like(x), x]),
+                      bounds=((0.0, 1.0),))
+
+    def test_unknown_name(self):
+        with pytest.raises(KeyError, match="unknown model 'poly9'"):
+            get_model("poly9")

@@ -10,6 +10,7 @@ from curvemine.synth import (
     DEFAULT_Z_ONE_SIDED_95,
     LogNormalParams,
     SummaryRow,
+    _moment_correct,
     lognormal_moments,
     read_summary_csv,
     reconstruct_dataset,
@@ -129,6 +130,26 @@ class TestReconstructRow:
         with pytest.raises(ValueError):
             SummaryRow(x=1.0, n=5, mean=2.0, upper_pl95=1.5)
 
+    def test_more_summary_row_rules(self):
+        with pytest.raises(ValueError, match="mean must be > 0"):
+            SummaryRow(x=1.0, n=5, mean=0.0, sd=1.0)
+        with pytest.raises(ValueError, match="sd must be > 0 when given"):
+            SummaryRow(x=1.0, n=5, mean=1.0, sd=0.0)
+        with pytest.raises(ValueError, match="unknown family 'gamma'"):
+            SummaryRow(x=1.0, n=5, mean=1.0, sd=1.0, family="gamma")
+
+    def test_equal_draws_are_spread_to_the_target(self):
+        vals = _moment_correct(np.full(5, 3.0), 3.0, 0.5)
+        assert vals.mean() == pytest.approx(3.0, rel=1e-15)
+        assert vals.std(ddof=1) == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["normal", "lognormal"])
+    def test_spread_below_the_resolution_of_the_mean(self, family):
+        # every draw rounds to the mean, and so does any spread of sd 1e-12
+        row = SummaryRow(x=1.0, n=5, mean=1e6, sd=1e-12, family=family)
+        vals = reconstruct_row(row, seed=0, moment_correct=True)
+        assert vals == pytest.approx([1e6] * 5, rel=1e-14)
+
 
 class TestReconstructDataset:
     def test_near_degenerate(self):
@@ -138,6 +159,10 @@ class TestReconstructDataset:
         assert d.xs.tolist() == [30.0] * 5
         assert all(abs(y - 10.0) < 0.01 for y in d.ys.tolist())
         assert d.study_ids == ["synthetic"] * 5
+
+    def test_no_rows(self):
+        with pytest.raises(ValueError, match="no summary rows"):
+            reconstruct_dataset([], seed=0)
 
     def test_count_additivity(self):
         rows = [SummaryRow(x=1.0, n=3, mean=5.0, sd=1.0),
@@ -215,6 +240,14 @@ class TestSummaryCsv:
     def test_missing_column(self):
         with pytest.raises(ValueError, match="mean"):
             read_summary_csv("x,n\n1,2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty summary file"),
+        ("x,n,mean,sd\n", "no summary rows"),
+    ])
+    def test_nothing_to_read(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            read_summary_csv(text)
 
     def test_bad_row_reported(self):
         with pytest.raises(ValueError, match="row 2"):

@@ -28,6 +28,12 @@ class TestSplit:
         combined = sorted(rows(train) + rows(test), key=lambda p: (p.x, p.y))
         assert combined == sorted(rows(uniform100), key=lambda p: (p.x, p.y))
 
+    @pytest.mark.parametrize("label, want", [("", ("train", "test")),
+                                             ("cohort", ("cohort/train", "cohort/test"))])
+    def test_parts_are_labelled(self, label, want):
+        d = make_dataset(np.arange(8.0), np.arange(8.0), label=label)
+        assert tuple(part.label for part in split(d, 0.5)) == want
+
     def test_determinism(self, uniform100):
         a = split(uniform100, 0.3, seed=7)
         b = split(uniform100, 0.3, seed=7)
@@ -103,6 +109,11 @@ class TestHoldoutValidate:
         r2 = holdout_validate(spec, fit.params, train, perturbed)
         assert r1.r2_train == r2.r2_train
         assert r1.r2_test != r2.r2_test
+
+    def test_empty_test_set(self, uniform100):
+        with pytest.raises(ValueError, match="empty test set"):
+            holdout_validate(get_model("poly0"), [5.0], uniform100,
+                             make_dataset([], []))
 
     def test_degenerate_test_set(self, uniform100):
         spec = get_model("poly0")
