@@ -72,7 +72,7 @@ def _load(args, path: Optional[Path] = None,
           label: Optional[str] = None) -> Dataset:
     """Read the point CSV at ``path`` (default ``--data``) and apply ``--units``."""
     path = path or args.data
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:  # as csv needs
         d = ingest_csv(fh, skip_bad_rows=args.skip_bad_rows,
                        label=path.stem if label is None else label)
     if args.units is not None:
@@ -145,7 +145,7 @@ def _cmd_describe(args) -> dict:
 
 
 def _cmd_synth(args) -> dict:
-    with open(args.summary, encoding="utf-8") as fh:
+    with open(args.summary, encoding="utf-8", newline="") as fh:
         rows = read_summary_csv(fh)
     datasets = replicate(rows, args.seed, args.replicates,
                          moment_correct=args.moment_correct, z=args.z)

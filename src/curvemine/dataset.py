@@ -14,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
@@ -56,6 +56,11 @@ def _check_row(x: float, y: float, w: float) -> None:
         raise ValueError(f"value {y!r} must be finite and >= 0")
     if not (w > 0):
         raise ValueError(f"weight {w!r} must be > 0")
+
+
+def _valid(x: np.ndarray, y: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Which rows of the columns obey _check_row's rules."""
+    return np.isfinite(x) & (x >= MIN_AGE) & np.isfinite(y) & (y >= 0) & (weight > 0)
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ class Dataset:
         the row rules on all rows at once; studies=None synthesizes them."""
         for col in (x, y, weight, study.codes, unit.codes, assay.codes):
             col.flags.writeable = False
-        ok = np.isfinite(x) & (x >= MIN_AGE) & np.isfinite(y) & (y >= 0) & (weight > 0)
+        ok = _valid(x, y, weight)
         if not ok.all():  # the first bad row raises its error
             i = int(np.argmin(ok))
             _check_row(float(x[i]), float(y[i]), float(weight[i]))
@@ -194,9 +199,8 @@ class Dataset:
 
 
 def _synthesize_studies(x: np.ndarray, study: _Codes) -> list[StudyMeta]:
-    order = np.lexsort((x, study.codes))  # stable: tied ages keep row order
-    ages = x[order]
-    ends = np.searchsorted(study.codes[order], np.arange(len(study.table) + 1)).tolist()
+    ages = x[np.lexsort((x, study.codes))]  # stable: tied ages keep row order
+    ends = [0, *np.cumsum(np.bincount(study.codes, minlength=len(study.table))).tolist()]
     return sorted((StudyMeta(study_id=sid, n_observations=b - a,
                              min_age=float(ages[a]), max_age=float(ages[b - 1]),
                              median_age=float(_median(ages[a:b])))
@@ -309,12 +313,19 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     (non-numeric x/y, age < -1, negative y) abort ingestion with row-numbered
     diagnostics unless ``skip_bad_rows`` is set.
 
-    The text is read whole. Plain text is split at ``\\n`` and ``,``, other
-    text by ``csv.reader`` (see ``_rows``); one converter turns either rows
-    into columns, so the result and the error text do not depend on which.
+    ``source`` is a file opened with ``newline=""``, as the csv module needs,
+    or the text itself, which is read as such a file. It is read and
+    converted a part of about _CHUNK_ROWS lines at a time, never whole: a
+    plain part is split at ``\\n`` and ``,``, and the first part that is not
+    plain hands itself and the rest of the file to one ``csv.reader`` (see
+    ``_parts``). One converter turns either kind of part into columns, so
+    the result and the error text do not depend on which; the columns of
+    the parts are joined once at the end.
     """
     schema = dict(schema or {})
-    header, rows = _rows(source if isinstance(source, str) else source.read())
+    parts = _parts(io.StringIO(source, newline="") if isinstance(source, str)
+                   else source)
+    header = next(parts, None)
     if header is None:
         raise IngestError("empty file: no CSV header found")
 
@@ -327,53 +338,91 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     # As in csv.DictReader, a repeated header name means its last column.
     position = {name: i for i, name in enumerate(header)}
     at = {logical: position.get(name) for logical, name in colmap.items()}
-    rows, ncols, bad = list(rows), len(header), {}
-    try:
-        if rows:
-            return _convert(rows, at, ncols, label)
-    except ValueError:  # name every bad row; the header is row 1
-        for a in range(0, len(rows), _CHUNK_ROWS):
-            cells = _cells(rows[a:a + _CHUNK_ROWS], ncols)
-            for rownum, x, y, w in zip(count(a + 2), *(
-                    repeat("") if i is None else cells[i::ncols + 1]
-                    for i in (at["x"], at["y"], at["weight"]))):
-                try:
-                    _check_row(float(x), float(y), float(w or "1"))
-                except ValueError as exc:
-                    bad[rownum] = f"row {rownum}: {exc}"
+    ncols, rownum, pieces, bad = len(header), 2, [], []  # the header is row 1
+    tables = {c: {} for c in ("study_id", "unit", "assay_id")}  # label -> code
+    for part in parts:
+        try:
+            pieces.append(_convert(part, at, ncols, tables))
+        except ValueError:  # name every bad row of the part
+            rejected = _rejected(part, at, ncols, rownum)
+            bad += rejected.values()
+            kept = [row for i, row in enumerate(part) if i not in rejected]
+            if skip_bad_rows and kept:
+                pieces.append(_convert(kept, at, ncols, tables))
+        rownum += len(part)
+        del part  # its rows are not needed past here
     if bad and not skip_bad_rows:
-        raise IngestError("rejected rows:\n  " + "\n  ".join(bad.values()))
-    rows = [row for rownum, row in enumerate(rows, start=2) if rownum not in bad]
-    if not rows:
+        raise IngestError("rejected rows:\n  " + "\n  ".join(bad))
+    if not pieces:
         raise IngestError("no valid data rows")
-    return _convert(rows, at, ncols, label)
+
+    columns = list(zip(*pieces))  # each column's pieces, joined one by one
+    del pieces
+    for i in range(len(columns)):
+        columns[i] = np.concatenate(columns[i])
+    x, y, weight, *codes = columns
+    study, unit, assay = (_Codes(c, tuple(t) or ("",)) for c, t in zip(codes, tables.values()))
+    assay = assay._replace(table=tuple(s or None for s in assay.table))  # "" is no assay
+    return Dataset._from_columns(x, y, weight, study, unit, assay, None, label)
 
 
-# Rows converted at a time: it bounds the cell strings alive at once.
+# Lines in the first part of a CSV read (later parts hold as many
+# characters), csv rows converted at a time, and rows written at a time: it
+# bounds the lines and cell strings alive at once.
 _CHUNK_ROWS = 4096
 
 
-def _rows(text: str):
-    """The header row (None if there is none) and an iterator over the
-    non-blank data rows, which csv.DictReader skips and does not count.
-    Plain text (no ``"``, ``\\r`` or NUL, and no line longer than
-    ``csv.field_size_limit()``), which no csv quoting, line-end or size rule
-    applies to, gives its lines; other text gives csv.reader rows."""
-    if text and not ('"' in text or "\r" in text or "\0" in text):
-        lines = text.split("\n")
-        if max(map(len, lines)) <= csv.field_size_limit():
-            header = lines.pop(0)
-            return header.split(",") if header else [], filter(None, lines)
-    rows = _csv_rows(text)
-    return next(rows, None), rows
+def _parts(source: TextIO):
+    """The header row, if there is one, then the non-blank data rows,
+    which csv.DictReader skips and does not count, one list per part of the
+    text (see ``_texts``). A plain part (no ``"`` or NUL, no ``\\r`` but in a
+    ``\\r\\n`` line end, and no line longer than ``csv.field_size_limit()``),
+    which no csv quoting, line-end or size rule applies to, gives its lines.
+    The first part that is not plain hands itself and the rest of the text
+    to one csv.reader, whose rows come in lists of _CHUNK_ROWS."""
+    texts, rownum = _texts(source), 1
+    for text in texts:
+        plain = text.replace("\r\n", "\n") if "\r" in text else text
+        if '"' in plain or "\r" in plain or "\0" in plain:
+            break
+        rows = plain.split("\n")
+        if max(map(len, rows)) > csv.field_size_limit():
+            break
+        del text, plain  # the part lives on only as its lines
+        if rownum == 1:
+            header = rows.pop(0)
+            yield header.split(",") if header else []
+            rownum = 2
+        rows = list(filter(None, rows))
+        rownum += len(rows)
+        if rows:
+            yield rows
+    else:
+        return
+    rows = _csv_rows(chain.from_iterable(io.StringIO(t, newline="")
+                                         for t in chain([text], texts)), rownum)
+    if rownum == 1:
+        yield from islice(rows, 1)
+    yield from iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
 
 
-def _csv_rows(text: str):
-    """The header row, then every non-blank row, as csv.reader reads them; a
-    row it cannot read raises IngestError naming it (the header is row 1)."""
-    rownum = 1
+def _texts(source: TextIO):
+    """The text of source in parts that end where a line does: the first
+    _CHUNK_ROWS lines, then, read in one go, as many characters as they
+    hold plus the rest of the line they end in, until the text ends."""
+    text = "".join(islice(source, _CHUNK_ROWS))
+    size = len(text)
+    while text:
+        yield text
+        text = source.read(size) + source.readline()
+
+
+def _csv_rows(lines: Iterable[str], rownum: int):
+    """The non-blank rows csv.reader reads from lines, the first of them
+    being row ``rownum`` (a header, row 1, is given even if blank); a row it
+    cannot read raises IngestError naming it."""
     try:
-        for row in csv.reader(io.StringIO(text, newline="")):
+        for row in csv.reader(lines):
             if row or rownum == 1:
                 yield row
                 rownum += 1
@@ -401,31 +450,44 @@ def _cells(chunk: list, ncols: int) -> list[str]:
 
 
 def _convert(rows: list, at: Mapping[str, Optional[int]], ncols: int,
-             label: str) -> Dataset:
-    """The dataset of the data rows under a header of ncols names, built a
-    chunk of rows at a time; a bad cell or row raises ValueError. Ages,
-    weights and labels repeat, so each is converted once per distinct cell
-    in a chunk; values rarely repeat, so float() runs on every y cell."""
+             tables: Mapping[str, dict]) -> tuple:
+    """The x, y and weight columns and the study, unit and assay codes of a
+    part of data rows under a header of ncols names. A bad cell or row
+    raises ValueError before any label of the part gets a code; a new label
+    takes the next code in its table. Ages, weights and labels repeat, so
+    each is converted once per distinct cell; values rarely repeat, so
+    float() runs on every y cell."""
     n, stride = len(rows), ncols + 1
-    x, y, weight = np.empty(n), np.empty(n), np.ones(n)
-    tables = {c: {} for c in ("study_id", "unit", "assay_id")}  # label -> code
+    cells = _cells(rows, ncols)
+    x, weight = np.empty(n), np.ones(n)
+    x[:] = _by_distinct(cells[at["x"]::stride], float, float)
+    y = np.fromiter(map(float, cells[at["y"]::stride]), float, n)
+    if at["weight"] is not None:  # an empty weight is 1.0
+        weight[:] = _by_distinct(cells[at["weight"]::stride],
+                                 lambda w: float(w or "1"), float)
+    if not _valid(x, y, weight).all():
+        raise ValueError("a row breaks a row rule")
     codes = {c: np.zeros(n, dtype=np.intp) for c in tables}
-    for a in range(0, n, _CHUNK_ROWS):
-        b = min(a + _CHUNK_ROWS, n)
-        cells = _cells(rows[a:b], ncols)
-        x[a:b] = _by_distinct(cells[at["x"]::stride], float, float)
-        y[a:b] = np.fromiter(map(float, cells[at["y"]::stride]), float, b - a)
-        if at["weight"] is not None:  # an empty weight is 1.0
-            weight[a:b] = _by_distinct(cells[at["weight"]::stride],
-                                       lambda w: float(w or "1"), float)
-        for c, table in tables.items():
-            if at[c] is not None:  # a new label takes the next code
-                codes[c][a:b] = _by_distinct(cells[at[c]::stride],
-                                             lambda s: table.setdefault(s, len(table)),
-                                             np.intp)
-    study, unit, assay = (_Codes(codes[c], tuple(t) or ("",)) for c, t in tables.items())
-    assay = assay._replace(table=tuple(s or None for s in assay.table))  # "" is no assay
-    return Dataset._from_columns(x, y, weight, study, unit, assay, None, label)
+    for c, table in tables.items():
+        if at[c] is not None:
+            codes[c][:] = _by_distinct(cells[at[c]::stride],
+                                       lambda s: table.setdefault(s, len(table)),
+                                       np.intp)
+    return x, y, weight, *codes.values()
+
+
+def _rejected(rows: list, at: Mapping[str, Optional[int]], ncols: int,
+              first: int) -> dict[int, str]:
+    """{index: "row N: reason"} of each of a part's rows that breaks a row
+    rule, the part's first row being row ``first``."""
+    cells, stride, bad = _cells(rows, ncols), ncols + 1, {}
+    for i, x, y, w in zip(count(), *(repeat("") if at[c] is None else cells[at[c]::stride]
+                                     for c in ("x", "y", "weight"))):
+        try:
+            _check_row(float(x), float(y), float(w or "1"))
+        except ValueError as exc:
+            bad[i] = f"row {first + i}: {exc}"
+    return bad
 
 
 def _by_distinct(cells: list[str], convert, dtype):

@@ -208,7 +208,8 @@ def read_summary_csv(source: TextIO | str) -> list[SummaryRow]:
     """Read summary rows from CSV with header ``x,n,mean,sd,upper_pl95,family``.
 
     Empty cells mean the optional statistic is absent; family defaults to
-    normal. A row short of cells reads as if the missing ones were empty.
+    normal. A row short of cells reads as if the missing ones were empty; a
+    row with more cells than the header has names is rejected.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -224,6 +225,9 @@ def read_summary_csv(source: TextIO | str) -> list[SummaryRow]:
             v = rec.get(key, "")
             return float(v) if v else None
         try:
+            if None in rec:  # DictReader's key for the surplus cells
+                raise ValueError(f"{len(reader.fieldnames) + len(rec[None])} cells, "
+                                 f"the header has {len(reader.fieldnames)}")
             rows.append(SummaryRow(
                 x=float(rec["x"]),
                 n=int(rec["n"]),

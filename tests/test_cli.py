@@ -90,6 +90,33 @@ class TestIngestDescribe:
         stats = json.loads(out)["result"]["x"]
         assert stats["count"] == 80
 
+    def test_label_holding_cr_survives_ingest_out(self, capsys, tmp_path):
+        d = make_dataset([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], study_id="a\rb",
+                         unit="ng\r", assay="k\r\n1")
+        src, out_csv = tmp_path / "cr.csv", tmp_path / "again.csv"
+        write_dataset_csv(src, d)
+        code, _, _ = run(capsys, "ingest", "--data", str(src), "--out", str(out_csv))
+        assert code == 0
+        assert out_csv.read_bytes() == src.read_bytes()
+        with open(out_csv, encoding="utf-8", newline="") as fh:
+            again = ingest_csv(fh, label=d.label)
+        assert (again.study_ids, again.units, again.assay_ids) == \
+            (d.study_ids, d.units, d.assay_ids)
+        assert again == d
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_crlf_file_describes_as_its_lf_twin(self, capsys, data_csv, tmp_path,
+                                                axis):
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(data_csv.read_bytes().replace(b"\n", b"\r\n"))
+        results = []
+        for path in (data_csv, crlf):
+            code, out, _ = run(capsys, "describe", "--data", str(path), "--axis", axis)
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1]
+        assert results[0][axis]["count"] == 80
+
     def test_chained_unit_table_exit_1(self, capsys, data_csv, tmp_path):
         units = tmp_path / "units.cfg"
         units.write_text(" = b,2\nb = c,3\n")

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,196 @@ class TestReadPaths:
         assert buf.getvalue() == ('study_id,x,y,unit,assay_id,weight\n'
                                   '"s\rt",1.0,2.0,count,,1.0\n')
         assert ingest_csv(buf.getvalue()) == d
+
+
+HEADER = "study_id,x,y,unit,assay_id,weight"
+
+
+def _point_lines(n: int) -> list[str]:
+    """A header and n plain data rows: studies, ages, units, assays and
+    weights repeat, and some weights are empty; every y is its own."""
+    return [HEADER] + [f"s{i % 3},{i % 120 / 2 - 1},{i * 0.37},"
+                       f"{'ng/ml' if i % 2 else ''},{'k1' if i % 5 == 0 else ''},"
+                       f"{'' if i % 7 else 0.5}" for i in range(n)]
+
+
+def _ingested(ingest, source, **kw):
+    """The dataset ingest reads from source, or its IngestError's text."""
+    try:
+        return ingest(source, label="t", **kw)
+    except IngestError as exc:
+        return str(exc)
+
+
+def _assert_same(got, want) -> None:
+    """got is want: the same error text, or the same columns bit for bit and
+    the same label codes and tables (so no dropped row's label has a code)."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for col in ("xs", "ys", "weights"):
+        assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+    for col in ("_study", "_unit", "_assay"):
+        assert getattr(got, col).table == getattr(want, col).table
+        assert getattr(got, col).codes.tobytes() == getattr(want, col).codes.tobytes()
+    assert got == want
+
+
+class TestParts:
+    """A source is read one part at a time: its first 4,096 lines (the
+    header and rows 2 to 4,096 when no line is blank), then blocks of as
+    many characters. Whatever falls on a part's edge reads as the
+    row-at-a-time reference reads it, and csv.reader is called at most once
+    per read."""
+
+    @staticmethod
+    def check(lines, reader_calls, skip_bad_rows=False, end="\n"):
+        text = "\n".join(lines) + end
+        got = _ingested(ingest_csv, io.StringIO(text), skip_bad_rows=skip_bad_rows)
+        assert len(reader_calls) <= 1
+        want = _ingested(reference_ingest.ingest_csv, io.StringIO(text),
+                         skip_bad_rows=skip_bad_rows)
+        reader_calls.clear()  # the reference reads through csv.reader
+        _assert_same(got, want)
+        return got
+
+    @pytest.mark.parametrize("skip_bad_rows", [False, True])
+    def test_quoted_label_straddling_row_4096(self, reader_calls, skip_bad_rows):
+        lines = _point_lines(9_000)
+        lines[4095] = 's1,2.0,3.0,"two'  # row 4,096 starts on line 4,096, the
+        lines[4096] = 'lines",k2,1.5'      # first part's last, and ends on 4,097
+        lines[6001] = "s2,abc,1,,,"        # line 6,002 is row 6,001
+        got = self.check(lines, reader_calls, skip_bad_rows)
+        if skip_bad_rows:
+            assert len(got) == 8_998
+            assert got.units[4094] == "two\nlines"
+        else:
+            assert got == ("rejected rows:\n"
+                           "  row 6001: could not convert string to float: 'abc'")
+
+    @pytest.mark.parametrize("line", [
+        's9,1.0,2.0,"Lee, 2004",,1.0',                   # a quote
+        "s9,1.0,2.0,,,1.0\r",                            # a CRLF line end
+        f"{'n' * 70_000},1.0,2.0,{'u' * 70_000},,1.0",   # a line over the limit
+    ], ids=["quote", "crlf", "long_line"])
+    @pytest.mark.parametrize("skip_bad_rows", [False, True])
+    def test_first_line_csv_must_read_in_a_later_part(self, reader_calls, line,
+                                                      skip_bad_rows):
+        lines = _point_lines(12_000)
+        lines[9_000] = line
+        lines[11] = "s1,1.0,-2.0,,,"  # a bad row in the first, plain part
+        for i in range(9_001, 12_001, 2):  # and bad rows read by csv.reader
+            lines[i] = lines[i].replace(",", ",x", 1)
+        got = self.check(lines, reader_calls, skip_bad_rows)
+        if skip_bad_rows:
+            assert len(got) == 12_000 - 1501
+        else:
+            assert got.startswith("rejected rows:\n  row 12: value -2.0 must be")
+            assert got.count("\n") == 1501
+
+    @pytest.mark.parametrize("skip_bad_rows", [False, True])
+    def test_bad_rows_in_several_parts(self, reader_calls, skip_bad_rows):
+        lines = _point_lines(14_000)
+        lines[100] = "s1,abc,1,,,"
+        lines[5_000] = "dropped,1,2,mm3,k9,0"  # labels seen on no other row
+        lines[5_001] = "late,1,2,cm,,"          # first seen after a dropped row
+        lines[9_500] = "s2,-1.5,1,,,"
+        lines[13_999] = "s0,1,-0.5,,,"
+        got = self.check(lines, reader_calls, skip_bad_rows)
+        if skip_bad_rows:
+            assert len(got) == 13_996
+            assert got._study.table == ("s0", "s1", "s2", "late")
+            assert got._unit.table == ("", "ng/ml", "cm")
+            assert got._assay.table == ("k1", None)
+        else:
+            assert got == (
+                "rejected rows:\n"
+                "  row 101: could not convert string to float: 'abc'\n"
+                "  row 5001: weight 0.0 must be > 0\n"
+                "  row 9501: age -1.5 must be finite and >= -1.0\n"
+                "  row 14000: value -0.5 must be finite and >= 0")
+
+    @pytest.mark.parametrize("quote", [False, True])
+    def test_blank_lines_at_part_edges(self, reader_calls, quote):
+        lines = _point_lines(10_000)
+        for i in (1, 4_094, 4_095, 4_096, 4_097, *range(8_180, 8_200), 9_999):
+            lines[i] = ""
+        if quote:
+            lines[7_000] = 's1,1.0,2.0,"quoted",,'
+        lines[9_000] = "s1,nope,1,,,"
+        got = self.check(lines + ["", ""], reader_calls)
+        assert got.endswith("row 8976: could not convert string to float: 'nope'")
+        assert len(self.check(lines + ["", ""], reader_calls, skip_bad_rows=True)) == 9_973
+
+    @pytest.mark.parametrize("n", [4_094, 4_095, 4_096, 9_000])
+    @pytest.mark.parametrize("last", ["s1,1.0,2.0,,,", 's1,1.0,2.0,"q",,'])
+    def test_no_final_newline(self, reader_calls, n, last):
+        lines = _point_lines(n)
+        lines[-1] = last
+        got = self.check(lines, reader_calls, end="")
+        assert len(got) == n
+        assert got.study_ids[-1] in ("s1", "q")
+
+    def test_crlf_line_ends_read_without_csv_reader(self, reader_calls):
+        lines = _point_lines(9_000)
+        got = _ingested(ingest_csv, "\r\n".join(lines) + "\r\n")
+        assert reader_calls == []
+        _assert_same(got, reference_ingest.ingest_csv(
+            io.StringIO("\n".join(lines) + "\n"), label="t"))
+
+    def test_str_stringio_and_file_read_alike(self, tmp_path, reader_calls):
+        lines = _point_lines(9_000)
+        lines[6_000] = 's1,1.0,2.0,"a\rb",,1.0\r'  # a quoted \r, a CRLF end
+        lines[8_000] = 's2,1.0,2.0,"two\r\nlines",,'
+        text = "\n".join(lines) + "\n"
+        path = tmp_path / "points.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = reference_ingest.ingest_csv(io.StringIO(text), label="t")
+        with open(path, encoding="utf-8", newline="") as fh:
+            _assert_same(reference_ingest.ingest_csv(fh, label="t"), want)
+        reader_calls.clear()
+        for source in (text, io.StringIO(text), "file"):
+            if source == "file":
+                with open(path, encoding="utf-8", newline="") as fh:
+                    got = ingest_csv(fh, label="t")
+            else:
+                got = ingest_csv(source, label="t")
+            assert len(reader_calls) == 1
+            reader_calls.clear()
+            _assert_same(got, want)
+        assert got.units[5_999] == "a\rb"
+        assert got.units[7_999] == "two\r\nlines"
+
+    def test_csv_error_in_a_later_part_raises_ahead_of_bad_rows(self):
+        lines = _point_lines(9_000)
+        lines[10] = "s1,abc,1,,,"
+        lines[8_999] = f"{'B' * 200_000},1.0,2.0,,,"
+        with pytest.raises(IngestError) as exc:
+            ingest_csv("\n".join(lines) + "\n")
+        assert str(exc.value) == "row 9000: field larger than field limit (131072)"
+
+    def test_a_file_is_read_without_a_whole_copy_of_its_text(self, tmp_path):
+        # The peak stays below one copy of the text plus the finished
+        # columns: a read that holds the text (or its lines) whole exceeds it.
+        n = 120_000
+        rng = np.random.default_rng(5)
+        d = Dataset.from_points(rng.integers(-2, 110, n) / 2, rng.lognormal(8, 1, n),
+                                study=[f"s{i % 8}" for i in range(n)])
+        path = tmp_path / "points.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(d, fh)
+        text_bytes = path.stat().st_size  # ASCII: a byte a character
+        column_bytes = n * (3 * 8 + 3 * np.dtype(np.intp).itemsize)
+        with open(path, encoding="utf-8", newline="") as fh:
+            tracemalloc.start()
+            try:
+                again = ingest_csv(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert again == d
+        assert peak < text_bytes + column_bytes
 
 
 class TestUnits:

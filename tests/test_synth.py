@@ -249,6 +249,12 @@ class TestSummaryCsv:
         with pytest.raises(ValueError, match=message):
             read_summary_csv(text)
 
+    def test_surplus_cells_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            read_summary_csv("x,n,mean,sd,upper_pl95,family\n"
+                             "1,5,10,2,,normal\n\n2,5,10,2,,normal,9\n")
+        assert str(exc.value) == "summary row 3: 7 cells, the header has 6"
+
     def test_bad_row_reported(self):
         with pytest.raises(ValueError, match="row 2"):
             read_summary_csv("x,n,mean,sd\n1,0,5,1\n")
