@@ -314,7 +314,7 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     diagnostics unless ``skip_bad_rows`` is set.
 
     ``source`` is a file opened with ``newline=""``, as the csv module needs,
-    or the text itself, which is read as such a file. It is read and
+    or the text itself, which reads as such a file would. It is read and
     converted a part of about _CHUNK_ROWS lines at a time, never whole: a
     plain part is split at ``\\n`` and ``,``, and the first part that is not
     plain hands itself and the rest of the file to one ``csv.reader`` (see
@@ -323,8 +323,7 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     the parts are joined once at the end.
     """
     schema = dict(schema or {})
-    parts = _parts(io.StringIO(source, newline="") if isinstance(source, str)
-                   else source)
+    parts = _parts(source)
     header = next(parts, None)
     if header is None:
         raise IngestError("empty file: no CSV header found")
@@ -372,7 +371,7 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
 _CHUNK_ROWS = 4096
 
 
-def _parts(source: TextIO):
+def _parts(source: TextIO | str):
     """The header row, if there is one, then the non-blank data rows,
     which csv.DictReader skips and does not count, one list per part of the
     text (see ``_texts``). A plain part (no ``"`` or NUL, no ``\\r`` but in a
@@ -406,10 +405,20 @@ def _parts(source: TextIO):
     yield from iter(lambda: list(islice(rows, _CHUNK_ROWS)), [])
 
 
-def _texts(source: TextIO):
+def _texts(source: TextIO | str):
     """The text of source in parts that end where a line does: the first
     _CHUNK_ROWS lines, then, read in one go, as many characters as they
-    hold plus the rest of the line they end in, until the text ends."""
+    hold plus the rest of the line they end in, until the text ends. A str
+    is sliced at its ``\n``s, so it is never copied whole."""
+    if isinstance(source, str):
+        end = 0
+        for _ in range(_CHUNK_ROWS):
+            end = source.find("\n", end) + 1 or len(source)
+        start, size = 0, end
+        while start < len(source):
+            yield source[start:end]
+            start, end = end, source.find("\n", end + size) + 1 or len(source)
+        return
     text = "".join(islice(source, _CHUNK_ROWS))
     size = len(text)
     while text:

@@ -26,7 +26,7 @@ basis. A family linear in every parameter is one solve.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -77,15 +77,7 @@ class FitResult:
     stop_reason: Optional[str] = None  # one of STOP_REASONS; None if never fitted
 
     def as_dict(self) -> dict:
-        return {
-            "spec_name": self.spec_name,
-            "params": list(self.params),
-            "rss": self.rss,
-            "r2": self.r2,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "stop_reason": self.stop_reason,
-        }
+        return {**asdict(self), "params": list(self.params)}
 
 
 # Why a start stopped; the kernel returns each as its index. A
@@ -213,13 +205,14 @@ def _normal_equations(spec, params, xs, sw, res, free):
     return jac @ jac.transpose(0, 2, 1), (jac @ res[:, :, None])[:, :, 0]
 
 
-def _ruled_out(spec: ModelSpec, xs: np.ndarray) -> Optional[str]:
-    """Why data at the ages ``xs`` rule out every start of ``spec``, or None."""
-    if len(xs) < spec.n_params:
-        return f"underdetermined: {len(xs)} points for {spec.n_params} parameters"
-    if np.ptp(xs) == 0.0 and spec.n_params > 1:
+def _ruled_out(spec: ModelSpec, ages: int) -> Optional[str]:
+    """Why data at ``ages`` distinct ages, fewer than its parameters, rule
+    out every start of ``spec``, or None."""
+    if ages >= spec.n_params:
+        return None
+    if ages == 1:
         return "all x identical: singular system for an x-dependent family"
-    return None
+    return f"underdetermined: {ages} distinct ages for {spec.n_params} parameters"
 
 
 def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarray]):
@@ -228,73 +221,70 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
 
     Each row keeps its own damping, accept/reject decisions, stopping
     reason and iteration count, and every operation acts row by row, so a
-    row's result does not depend on the other rows. Rows are ordered by
-    free-parameter count q, then family: the model runs per family (in a
-    trial, only while it has a pending row), the q x q systems per q, and
-    all else once over all rows. Residuals run on the distinct x of ``d``,
-    grouped once per call, and every RSS adds the within-group sum (see
-    ``_distinct_x``), so each RSS is the full-data weighted RSS. Steps,
-    bounds and ``step_tol`` apply to the free parameters; the ``linear``
-    ones are solved at every start and trial. Returns (params, rss, iterations, stop) per family of ``specs``.
+    row's result does not depend on the other rows. Rows are in ``specs``
+    order; the model runs per family (in a trial, only while it has a
+    pending row) and all else once over all rows. Each row's q x q system
+    is padded to the call's widest q, zero off its block and lam * 1e-12
+    on the padded diagonal, so the padding solves to exact zeros and the
+    block to the bits of its own solve. Residuals run on the distinct x of
+    ``d``, grouped once per call, and every RSS adds the within-group sum
+    (see ``_distinct_x``), so each RSS is the full-data weighted RSS.
+    Steps, bounds and ``step_tol`` apply to the free parameters; the
+    ``linear`` ones are solved at every start and trial. Returns (params,
+    rss, iterations, stop) per family of ``specs``.
     """
     xs, wsum, ys, pure = _distinct_x(d)
     sw = np.sqrt(wsum)
     free = [[j for j in range(s.n_params) if j not in s.linear] for s in specs]
-    order = sorted(range(len(specs)), key=lambda f: len(free[f]))
-    q = np.array([len(free[f]) for f in order], dtype=int)
-    first = np.cumsum([0] + [len(starts[f]) for f in order])
-    fam = np.repeat(np.arange(len(order)), np.diff(first))  # row -> index in order
+    q = np.array([len(fr) for fr in free], dtype=int)
+    first = np.cumsum([0] + [len(s) for s in starts])  # family f has first[f]:first[f+1]
+    fam = np.repeat(np.arange(len(specs)), np.diff(first))  # row -> family
     width, qmax = max((s.n_params for s in specs), default=0) + 1, q.max(initial=0)
     params, res = np.zeros((fam.size, width)), np.empty((fam.size, xs.size))
     cols = np.full((fam.size, qmax), width - 1)  # each row's step columns
     lo, hi = np.zeros((2, fam.size, qmax))
     with np.errstate(all="ignore"):
-        for i, f in enumerate(order):
-            rows, spec, fr = slice(first[i], first[i + 1]), specs[f], free[f]
+        for f, spec in enumerate(specs):
+            rows, fr = slice(first[f], first[f + 1]), free[f]
             b_lo, b_hi = _bounds(spec)
             p = np.clip(np.asarray(starts[f], dtype=float), b_lo, b_hi)
             res[rows] = _residuals(spec, p, xs, ys, sw)
-            params[rows, :spec.n_params], cols[rows, :q[i]] = p, fr
-            lo[rows, :q[i]], hi[rows, :q[i]] = b_lo[fr], b_hi[fr]
+            params[rows, :spec.n_params], cols[rows, :q[f]] = p, fr
+            lo[rows, :q[f]], hi[rows, :q[f]] = b_lo[fr], b_hi[fr]
         rss = _rss(res, pure)
         ok, solved = np.isfinite(res).all(axis=1), q[fam] == 0  # solved: all linear
         iterations = (ok & solved).astype(int)
         stop_code = np.select([~ok, solved], [_START_NONFINITE, _STEP_TOL], _MAX_ITERATIONS)
         live = np.flatnonzero(ok & ~solved)  # row index of each live row
         p, res, s, lam = params[live], res[live], rss[live], np.full(live.size, _LAMBDA0)
-        # (q, i, j): the families order[i:j] have q free parameters
-        segments = [(v, *np.searchsorted(q, [v, v + 1])) for v in np.unique(q[q > 0])]
         diag = slice(None, None, qmax + 1)  # the diagonal of a flattened qmax x qmax
         it = 0
         while live.size and it < _MAX_ITER:
             it += 1
             m, fl, r, c = live.size, fam[live], np.arange(live.size)[:, None], cols[live]
-            at = np.searchsorted(fl, np.arange(len(order) + 1))  # order[i] has at[i]:at[i+1]
+            at = np.searchsorted(fl, np.arange(len(specs) + 1))  # family f has at[f]:at[f+1]
             a, g = np.zeros((m, qmax, qmax)), np.zeros((m, qmax))
-            for i in np.unique(fl):
-                rows, spec = slice(at[i], at[i + 1]), specs[order[i]]
-                a[rows, :q[i], :q[i]], g[rows, :q[i]] = _normal_equations(
-                    spec, p[rows, :spec.n_params].copy(), xs, sw, res[rows],
-                    free[order[i]])
+            for f in np.unique(fl):
+                rows, spec = slice(at[f], at[f + 1]), specs[f]
+                a[rows, :q[f], :q[f]], g[rows, :q[f]] = _normal_equations(
+                    spec, p[rows, :spec.n_params].copy(), xs, sw, res[rows], free[f])
             finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
             scale = np.maximum(a.reshape(m, -1)[:, diag], 1e-12)
 
             # Every trial solves all rows; only pending rows may take its step.
             p_old, s_old, base = p.copy(), s.copy(), p[r, c]
-            lo_l, hi_l, step, res_new = lo[live], hi[live], np.zeros((m, qmax)), res.copy()
+            lo_l, hi_l, res_new = lo[live], hi[live], res.copy()
             pending = finite.copy()
             for _ in range(50):  # damping escalations within one iteration
                 if not pending.any():
                     break
                 damped = a.copy()
                 damped.reshape(m, -1)[:, diag] += lam[:, None] * scale
-                for v, i, j in segments:
-                    rows = slice(at[i], at[j])
-                    step[rows, :v] = _solve(damped[rows, :v, :v], g[rows, :v])
+                step = _solve(damped, g)
                 p_new = p_old.copy()
                 p_new[r, c] = np.minimum(np.maximum(base + step, lo_l), hi_l)
-                for i in np.unique(fl[pending]):  # families with a pending row
-                    rows, spec = slice(at[i], at[i + 1]), specs[order[i]]
+                for f in np.unique(fl[pending]):  # families with a pending row
+                    rows, spec = slice(at[f], at[f + 1]), specs[f]
                     pf = p_new[rows, :spec.n_params].copy()
                     res_new[rows] = _residuals(spec, pf, xs, ys, sw)
                     p_new[rows, :spec.n_params] = pf
@@ -307,10 +297,7 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
                 np.multiply(lam, _LAMBDA_UP, out=lam, where=pending)
             # a finite row still pending cannot improve at any damping
             accepted = finite & ~pending
-            moved, step_norm = (p - p_old)[r, c], np.empty(m)
-            for v, i, j in segments:  # over each row's own q columns
-                rows = slice(at[i], at[j])
-                step_norm[rows] = np.sqrt(_row_dot(moved[rows, :v].copy()))
+            step_norm = np.sqrt(_row_dot((p - p_old)[r, c]))
             rel_drop = (s_old - s) / np.maximum(s_old, 1e-300)
             np.maximum(lam * _LAMBDA_DOWN, 1e-12, out=lam, where=accepted)
             small_drop = rel_drop < _RTOL
@@ -325,9 +312,8 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
                 keep = ~stop
                 live, p, res, s, lam = live[keep], p[keep], res[keep], s[keep], lam[keep]
     params[live], rss[live], iterations[live] = p, s, it
-    rows = {f: slice(first[i], first[i + 1]) for i, f in enumerate(order)}
-    return [(params[rows[f], :spec.n_params], rss[rows[f]], iterations[rows[f]],
-             stop_code[rows[f]]) for f, spec in enumerate(specs)]
+    return [(params[i:j, :spec.n_params], rss[i:j], iterations[i:j], stop_code[i:j])
+            for spec, i, j in zip(specs, first[:-1], first[1:])]
 
 
 def _fit_result(spec: ModelSpec, cols, params: np.ndarray, rss,
@@ -337,15 +323,8 @@ def _fit_result(spec: ModelSpec, cols, params: np.ndarray, rss,
         r2 = _r_squared(spec, params, *cols)
     except ValueError:
         r2 = float("nan")
-    return FitResult(
-        spec_name=spec.name,
-        params=tuple(float(v) for v in params),
-        rss=float(rss),
-        r2=r2,
-        converged=stop in _CONVERGED,
-        iterations=int(iterations),
-        stop_reason=STOP_REASONS[stop],
-    )
+    return FitResult(spec.name, tuple(float(v) for v in params), float(rss), r2,
+                     stop in _CONVERGED, int(iterations), STOP_REASONS[stop])
 
 
 def fit_least_squares(spec: ModelSpec, d: Dataset,
@@ -358,8 +337,8 @@ def fit_least_squares(spec: ModelSpec, d: Dataset,
     its settings are the module constants above.
     """
     cols = d.xs, d.ys, d.weights
-    if why := _ruled_out(spec, cols[0]):
-        raise ValueError(why)
+    if why := _ruled_out(spec, np.unique(cols[0]).size):
+        raise ValueError(f"{spec.name}: {why}")
     [(params, rss, iterations, stop)] = _lockstep(
         [spec], d, [np.asarray(start, dtype=float)[None]])
     if stop[0] == _START_NONFINITE:
@@ -377,14 +356,9 @@ def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
     base = initial_guess(spec, d)
     lo, hi = _bounds(spec)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    scale = np.maximum(np.abs(base), 1.0)
-
-    starts = [base]
-    for _ in range(n_starts - 1):
-        jitter = base * (1.0 + 0.5 * rng.standard_normal(spec.n_params))
-        jitter = jitter + 0.25 * scale * rng.standard_normal(spec.n_params)
-        starts.append(np.clip(jitter, lo, hi))
-    return np.array(starts)
+    z = rng.standard_normal((n_starts - 1, 2, spec.n_params))  # per start: two draws
+    jitter = base * (1.0 + 0.5 * z[:, 0]) + 0.25 * np.maximum(np.abs(base), 1.0) * z[:, 1]
+    return np.concatenate([base[None], np.clip(jitter, lo, hi)])
 
 
 def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
@@ -393,16 +367,18 @@ def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
     the ValueError or LinAlgError that failed it. The starts of every
     family the data admit run through one ``_lockstep`` call."""
     fits, admitted, cols = [], [], (d.xs, d.ys, d.weights)
+    ages = np.unique(cols[0]).size
     for i, spec in enumerate(specs):
         try:
             starts = _start_points(spec, d, n_starts, seed)
         except (ValueError, np.linalg.LinAlgError) as exc:
             fits.append(exc)
             continue
-        if not _ruled_out(spec, cols[0]):  # e.g. all x identical: no start can fit
+        why = _ruled_out(spec, ages)
+        if not why:
             admitted.append((i, starts))
         # this error stands unless one of the family's starts fits below
-        fits.append(ValueError(f"{spec.name}: no start point produced a fit"))
+        fits.append(ValueError(f"{spec.name}: {why or 'no start point produced a fit'}"))
     kernel = _lockstep([specs[i] for i, _ in admitted], d, [s for _, s in admitted])
     for (i, _), (params, rss, iterations, stop) in zip(admitted, kernel):
         ok = np.flatnonzero(stop != _START_NONFINITE)

@@ -56,9 +56,11 @@ class ModelSpec:
     batch must equal the call with vector i alone: use numpy functions
     rather than ``math`` ones, and no Python ``if`` on a parameter.
 
-    ``eval_fn`` must also accept complex x and stay analytic in it, since
-    dy/dx is Im f(x + ih) / h (see ``x_derivative``): numpy functions only,
-    no ``math``, no comparisons on x and no casts of x to float.
+    ``eval_fn`` must also accept complex x and complex parameters and stay
+    analytic in them, since dy/dx is Im f(x + ih) / h (see
+    ``x_derivative``) and ``grad_fn`` is checked against the partials
+    Im f(p + ih e_j, x) / h: numpy functions only, no ``math``, no
+    comparisons on x and no casts of x or a parameter to float.
 
     ``linear`` lists the parameters that enter linearly: f(theta, c) =
     f(theta, 0) + sum_j c_j phi_j(theta, x), where phi_j is row j of
@@ -267,8 +269,9 @@ _REGISTRY: dict[str, ModelSpec] = {}
 def _check_batch_contract(spec: ModelSpec) -> None:
     """Evaluate and differentiate a 2-vector batch; each row must match its
     own single-vector call, and the complex-step dy/dx of the first row must
-    match a central difference (see ``ModelSpec``). Also checks the
-    ``linear`` declaration and the length of ``guess_fn``'s output."""
+    match a central difference (see ``ModelSpec``). Then checks the
+    ``linear`` declaration, ``grad_fn`` against the complex-step partials
+    Im f(p + ih e_j, x) / h, and the length of ``guess_fn``'s output."""
     ramp = np.linspace(0.6, 1.4, spec.n_params)
     batch = np.clip(np.stack([ramp, ramp[::-1] + 0.05]), *_bounds(spec))
     x = np.linspace(0.5, 3.0, 4)
@@ -289,6 +292,15 @@ def _check_batch_contract(spec: ModelSpec) -> None:
                              "difference: eval_fn must take complex x")
         if spec.linear:
             _check_linear(spec, batch, x)
+        n = spec.n_params  # every row of the batch at every p + ih e_j
+        z = np.repeat(batch, n, axis=0) + 1j * _COMPLEX_STEP * np.tile(np.eye(n), (2, 1))
+        with np.errstate(all="ignore"):
+            y = np.broadcast_to(spec.eval_fn(_param_columns(z, x), x), (2 * n, x.size))
+        bad = ~np.isclose(gradient(spec, batch, x), y.imag.reshape(2, n, -1) / _COMPLEX_STEP,
+                          rtol=1e-9, atol=0.0, equal_nan=True)
+        if bad.any():
+            raise ValueError(f"grad_fn row {np.argwhere(bad)[0, 1]} is not the complex-step "
+                             f"partial of eval_fn, which must take complex parameters")
         _guess(spec, x, evaluate(spec, batch[0], x))
     except (TypeError, ValueError, IndexError) as exc:
         raise ValueError(

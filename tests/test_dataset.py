@@ -275,13 +275,16 @@ class TestParts:
 
     @staticmethod
     def check(lines, reader_calls, skip_bad_rows=False, end="\n"):
+        """The text of lines read from a file and as a str, each against
+        the reference."""
         text = "\n".join(lines) + end
-        got = _ingested(ingest_csv, io.StringIO(text), skip_bad_rows=skip_bad_rows)
-        assert len(reader_calls) <= 1
         want = _ingested(reference_ingest.ingest_csv, io.StringIO(text),
                          skip_bad_rows=skip_bad_rows)
-        reader_calls.clear()  # the reference reads through csv.reader
-        _assert_same(got, want)
+        for source in (io.StringIO(text), text):
+            reader_calls.clear()  # the reference reads through csv.reader
+            got = _ingested(ingest_csv, source, skip_bad_rows=skip_bad_rows)
+            assert len(reader_calls) <= 1
+            _assert_same(got, want)
         return got
 
     @pytest.mark.parametrize("skip_bad_rows", [False, True])
@@ -399,27 +402,42 @@ class TestParts:
             ingest_csv("\n".join(lines) + "\n")
         assert str(exc.value) == "row 9000: field larger than field limit (131072)"
 
-    def test_a_file_is_read_without_a_whole_copy_of_its_text(self, tmp_path):
-        # The peak stays below one copy of the text plus the finished
-        # columns: a read that holds the text (or its lines) whole exceeds it.
-        n = 120_000
+    @staticmethod
+    def _points(n=120_000):
         rng = np.random.default_rng(5)
-        d = Dataset.from_points(rng.integers(-2, 110, n) / 2, rng.lognormal(8, 1, n),
-                                study=[f"s{i % 8}" for i in range(n)])
+        return Dataset.from_points(rng.integers(-2, 110, n) / 2, rng.lognormal(8, 1, n),
+                                   study=[f"s{i % 8}" for i in range(n)])
+
+    @staticmethod
+    def _peak_past_columns(d, source):
+        """The traced peak of reading d back from source, less its finished
+        columns. It stays below one copy of the text: a read that holds the
+        text (or its lines) whole exceeds it."""
+        tracemalloc.start()
+        try:
+            again = ingest_csv(source)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again == d
+        return peak - len(d) * (3 * 8 + 3 * np.dtype(np.intp).itemsize)
+
+    def test_a_file_is_read_without_a_whole_copy_of_its_text(self, tmp_path):
+        d = self._points()
         path = tmp_path / "points.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write_csv(d, fh)
-        text_bytes = path.stat().st_size  # ASCII: a byte a character
-        column_bytes = n * (3 * 8 + 3 * np.dtype(np.intp).itemsize)
         with open(path, encoding="utf-8", newline="") as fh:
-            tracemalloc.start()
-            try:
-                again = ingest_csv(fh)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert again == d
-        assert peak < text_bytes + column_bytes
+            # ASCII: a byte a character
+            assert self._peak_past_columns(d, fh) < path.stat().st_size
+
+    def test_a_str_is_read_without_a_copy_of_it(self):
+        d = self._points()
+        buf = io.StringIO()
+        write_csv(d, buf)
+        text = buf.getvalue()
+        del buf
+        assert self._peak_past_columns(d, text) < len(text)
 
 
 class TestUnits:

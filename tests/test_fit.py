@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import curvemine.fit as fit_module
 from curvemine.dataset import Dataset
@@ -16,6 +17,7 @@ from curvemine.fit import (
     _distinct_x,
     _lockstep,
     _residuals,
+    _row_dot,
     _solve,
     _start_points,
     fit_least_squares,
@@ -475,7 +477,9 @@ class TestAgainstPerStartReference:
 
 
 class TestLockstep:
-    """One catalog-wide kernel call gives each family the rows of its own call."""
+    """One catalog-wide kernel call gives each family the rows of its own call.
+    Alone, a family's q x q systems are unpadded; in the catalog call they are
+    padded to the widest q, so these tests also pin the padding's exactness."""
 
     @staticmethod
     def _bits(a):
@@ -497,6 +501,31 @@ class TestLockstep:
         if max_iter is not None:  # rows stop at different iterations, some capped
             stopped = {int(i) for _, _, its, _ in together for i in its}
             assert max_iter in stopped and len(stopped) > 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda q: st.tuples(
+        st.integers(q, 5),
+        arrays(np.float64, (q, 2 * q + 1), elements=st.floats(-1e6, 1e6)),
+        arrays(np.float64, (1, q), elements=st.floats(-1e6, 1e6)))),
+        st.floats(1e-12, 1e8))
+    def test_padded_system_solves_to_its_own_bits(self, case, lam):
+        qmax, jac, g = case
+        q = g.shape[1]
+
+        def damped(width):  # the kernel's: zero off the block, lam * 1e-12 past it
+            a = np.zeros((1, width, width))
+            a[0, :q, :q] = jac @ jac.T
+            diag = a.reshape(1, -1)[:, ::width + 1]
+            a.reshape(1, -1)[:, ::width + 1] += lam * np.maximum(diag, 1e-12)
+            return a
+
+        padded_g = np.zeros((1, qmax))
+        padded_g[:, :q] = g
+        want, got = _solve(damped(q), g), _solve(damped(qmax), padded_g)
+        assert self._bits(got[:, :q]) == self._bits(want)
+        assert (got[:, q:] == 0.0).all()
+        for short, long in ((want, got), (g, padded_g)):
+            assert self._bits(_row_dot(long)) == self._bits(_row_dot(short))
 
 
 def _raising_model(exc):
@@ -520,8 +549,9 @@ TWO_X, ONE_X = [3.0] * 3 + [10.0] * 3, [3.0] * 6
 
 class TestFailureIsolation:
     """A family that fails alone keeps its reason and leaves the rest as
-    ranked alone: its guess raises, the data rule it out (all x identical),
-    or every start evaluates non-finite (pre-birth ages)."""
+    ranked alone: its guess raises, the data rule it out (fewer distinct
+    ages than parameters), or every start evaluates non-finite (pre-birth
+    ages)."""
 
     CFG = PlausibilityConfig(domain=(-1.0, 55.0))
     NO_START = "fit failed: {}: no start point produced a fit"
@@ -554,14 +584,35 @@ class TestFailureIsolation:
         assert failed(paper_scale_dataset(8)) == {
             name: self.NO_START.format(name)
             for name in ("power_law", "sqrt_law", "lognormal_peak", "power_offset")}
-        # one solve, singular on 2 distinct ages
-        assert failed(_few_x_dataset(TWO_X)) == {"poly5": self.NO_START.format("poly5")}
+        # 2 distinct ages rule out every family with more than 2 parameters
+        assert failed(_few_x_dataset(TWO_X)) == {
+            s.name: f"fit failed: {s.name}: underdetermined: 2 distinct ages "
+                    f"for {s.n_params} parameters"
+            for s in catalog() if s.n_params > 2}
         # all x identical rules out every family but poly0; poly5's guess
         # needs 6 points and raises first
-        want = {s.name: self.NO_START.format(s.name)
+        want = {s.name: f"fit failed: {s.name}: all x identical: singular "
+                        f"system for an x-dependent family"
                 for s in catalog() if s.name != "poly0"}
         want["poly5"] = "fit failed: poly5: need >= 6 points, got 5"
         assert failed(_few_x_dataset(ONE_X[:5])) == want
+
+    def test_two_ages_converge_no_family_above_two_parameters(self):
+        xs = np.repeat([3.0, 10.0], 50)
+        ys = 10.0 * np.exp(-0.1 * xs) * np.random.default_rng(5).lognormal(0.0, 0.1, 100)
+        d = Dataset.from_points(xs, ys, study="s")
+        ranked = rank_all(catalog(), d, self.CFG, seed=3).entries
+        assert {e.result.spec_name for e in ranked if e.result.converged} == {
+            s.name for s in catalog() if s.n_params <= 2}
+        # every entry point gives a ruled-out family the same reason
+        spec = get_model("gaussian_peak")
+        why = "gaussian_peak: underdetermined: 2 distinct ages for 3 parameters"
+        assert f"fit failed: {why}" in {e.reason for e in ranked}
+        for call in (lambda: multi_start(spec, d),
+                     lambda: fit_least_squares(spec, d, [10.0, 5.0, 2.0])):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == why
 
 
 @st.composite

@@ -178,6 +178,19 @@ class TestRegisterBatchContract:
         with pytest.raises(ValueError, match="bad_grad"):
             register_model(spec)
 
+    def test_wrong_sign_partial_rejected_by_name_and_row(self):
+        def grad(p, x):  # d/db of a exp(-b x) is -a x exp(-b x)
+            e = np.exp(-p[1] * x)
+            return np.stack([e, p[0] * x * e])
+
+        spec = ModelSpec(name="exp_decay_flipped", n_params=2,
+                         family_class="exponential",
+                         eval_fn=get_model("exp_decay").eval_fn, grad_fn=grad,
+                         guess_fn=get_model("exp_decay").guess_fn)
+        with pytest.raises(ValueError, match="exp_decay_flipped.*grad_fn row 1"):
+            register_model(spec)
+        assert "exp_decay_flipped" not in {s.name for s in catalog()}
+
 
 class TestLinearContract:
     """``linear`` declarations: which built-ins declare them, and the probe
