@@ -162,12 +162,7 @@ def r_squared(spec: ModelSpec, params: Sequence[float], d: Dataset) -> float:
     """Coefficient of determination, 1 - RSS/TSS, weighted as the fit
     objective is: the RSS and the TSS, about the weighted mean, sum w times
     a squared residual. Negative means worse than the weighted mean."""
-    return _r_squared(spec, params, d.xs, d.ys, d.weights)
-
-
-def _r_squared(spec: ModelSpec, params: Sequence[float], xs: np.ndarray,
-               ys: np.ndarray, w: np.ndarray) -> float:
-    """``r_squared`` of the x, y and weight columns of a dataset."""
+    xs, ys, w = d.xs, d.ys, d.weights
     if len(ys) < 2:
         raise ValueError("need at least 2 points for r^2")
     tss = float(np.sum(w * (ys - np.average(ys, weights=w)) ** 2))
@@ -316,11 +311,11 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
             for spec, i, j in zip(specs, first[:-1], first[1:])]
 
 
-def _fit_result(spec: ModelSpec, cols, params: np.ndarray, rss,
+def _fit_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss,
                 iterations, stop) -> FitResult:
-    """One start's FitResult; ``cols`` are the dataset's x, y and weights."""
+    """One start's FitResult, with its r^2 on ``d``."""
     try:
-        r2 = _r_squared(spec, params, *cols)
+        r2 = r_squared(spec, params, d)
     except ValueError:
         r2 = float("nan")
     return FitResult(spec.name, tuple(float(v) for v in params), float(rss), r2,
@@ -336,14 +331,13 @@ def fit_least_squares(spec: ModelSpec, d: Dataset,
     Accepted iterations never increase the RSS. The fitter has no options:
     its settings are the module constants above.
     """
-    cols = d.xs, d.ys, d.weights
-    if why := _ruled_out(spec, np.unique(cols[0]).size):
+    if why := _ruled_out(spec, np.unique(d.xs).size):
         raise ValueError(f"{spec.name}: {why}")
     [(params, rss, iterations, stop)] = _lockstep(
         [spec], d, [np.asarray(start, dtype=float)[None]])
     if stop[0] == _START_NONFINITE:
         raise ValueError(f"{spec.name}: start point evaluates non-finite")
-    return _fit_result(spec, cols, params[0], rss[0], iterations[0], stop[0])
+    return _fit_result(spec, d, params[0], rss[0], iterations[0], stop[0])
 
 
 def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
@@ -351,8 +345,6 @@ def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
     """The heuristic guess plus n_starts - 1 seeded perturbations, (n_starts, p).
     Linear entries are perturbed from 0 too, so each start draws the same
     normals whatever the family declares; the kernel solves them anyway."""
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
     base = initial_guess(spec, d)
     lo, hi = _bounds(spec)
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -365,9 +357,13 @@ def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
                  seed: int) -> list:
     """The multi-start fit of every family in ``specs``: its FitResult, or
     the ValueError or LinAlgError that failed it. The starts of every
-    family the data admit run through one ``_lockstep`` call."""
-    fits, admitted, cols = [], [], (d.xs, d.ys, d.weights)
-    ages = np.unique(cols[0]).size
+    family the data admit run through one ``_lockstep`` call. An empty
+    dataset or n_starts < 1 raises once, before any family."""
+    if len(d) == 0:
+        raise ValueError("empty dataset")
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
+    fits, admitted, ages = [], [], np.unique(d.xs).size
     for i, spec in enumerate(specs):
         try:
             starts = _start_points(spec, d, n_starts, seed)
@@ -384,7 +380,7 @@ def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
         ok = np.flatnonzero(stop != _START_NONFINITE)
         if ok.size:  # converged before not, then the lowest RSS; the first start wins a tie
             best = ok[np.lexsort((rss[ok], ~np.isin(stop[ok], _CONVERGED)))[0]]
-            fits[i] = _fit_result(specs[i], cols, params[best], rss[best],
+            fits[i] = _fit_result(specs[i], d, params[best], rss[best],
                                   iterations[best], stop[best])
     return fits
 
@@ -473,8 +469,6 @@ def rank_all(specs: Sequence[ModelSpec], d: Dataset,
     parameters then name; implausible and failed fits follow, so the whole
     catalog is always accounted for.
     """
-    if len(d) == 0:
-        raise ValueError("empty dataset")
     entries: list[RankedEntry] = []
     for spec, result in zip(specs, _fit_catalog(specs, d, n_starts, seed)):
         if isinstance(result, Exception):

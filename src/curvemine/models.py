@@ -83,10 +83,8 @@ class ModelSpec:
     linear: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not self.bounds:
-            object.__setattr__(
-                self, "bounds",
-                tuple((-np.inf, np.inf) for _ in range(self.n_params)))
+        bounds = self.bounds or ((-np.inf, np.inf),) * self.n_params
+        object.__setattr__(self, "bounds", tuple((lo, hi) for lo, hi in bounds))
         if len(self.bounds) != self.n_params:
             raise ValueError(f"{self.name}: bounds/params length mismatch")
         object.__setattr__(self, "linear", tuple(sorted(self.linear)))
@@ -331,6 +329,9 @@ def _check_linear(spec: ModelSpec, batch: Array, x: Array) -> None:
 
 
 def _add(spec: ModelSpec) -> ModelSpec:
+    """Add ``spec`` to the catalog unchecked. Built-ins come in here and skip
+    the batch probe, which would slow every CLI start; the test suite runs
+    it on each of them."""
     if spec.name in _REGISTRY:
         raise ValueError(f"model {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
@@ -354,17 +355,6 @@ def get_model(name: str) -> ModelSpec:
 def catalog() -> list[ModelSpec]:
     """All registered model families, in registration order."""
     return list(_REGISTRY.values())
-
-
-def _register(name, family, n, eval_fn, grad_fn, guess_fn=ModelSpec.guess_fn,
-              bounds=(), linear=()):
-    # Built-ins skip the import-time batch probe, which would slow every CLI
-    # start; the test suite runs it on each of them.
-    _add(ModelSpec(
-        name=name, n_params=n, family_class=family,
-        eval_fn=eval_fn, grad_fn=grad_fn, guess_fn=guess_fn,
-        bounds=tuple(bounds), linear=linear,
-    ))
 
 
 def _with_offset(base: ModelSpec, name: str, lift: float,
@@ -407,8 +397,8 @@ def _make_poly(deg: int):
     def g(p, x):
         return np.stack([x ** j * _ones_like(x) for j in range(deg + 1)])
 
-    _register(f"poly{deg}", "polynomial", deg + 1, f, g,
-              linear=range(deg + 1))
+    _add(ModelSpec(f"poly{deg}", deg + 1, "polynomial", f, g,
+                   linear=range(deg + 1)))
 
 
 for _deg in range(6):
@@ -426,8 +416,8 @@ def _exp_decay_g(p, x):
     e = np.exp(-b * x)
     return np.stack([e, -a * x * e])
 
-_register("exp_decay", "exponential", 2, _exp_decay, _exp_decay_g,
-          lambda xs, ys: np.array(_log_linear_decay(xs, ys)))
+_add(ModelSpec("exp_decay", 2, "exponential", _exp_decay, _exp_decay_g,
+               lambda xs, ys: np.array(_log_linear_decay(xs, ys))))
 _add(_with_offset(get_model("exp_decay"), "exp_decay_offset", lift=1e-3,
                   linear=(0,)))
 
@@ -441,9 +431,9 @@ def _dbl_exp_g(p, x):
     e1, e2 = np.exp(-b * x), np.exp(-d * x)
     return np.stack([e1, -a * x * e1, e2, -c * x * e2])
 
-_register("double_exp_decay", "exponential", 4, _dbl_exp, _dbl_exp_g,
-          lambda xs, ys: np.array([2.0 / _span(xs), 0.3 / _span(xs)]),
-          linear=(0, 2))
+_add(ModelSpec("double_exp_decay", 4, "exponential", _dbl_exp, _dbl_exp_g,
+               lambda xs, ys: np.array([2.0 / _span(xs), 0.3 / _span(xs)]),
+               linear=(0, 2)))
 
 
 def _exp_sat(p, x):
@@ -455,8 +445,8 @@ def _exp_sat_g(p, x):
     e = np.exp(-b * x)
     return np.stack([1.0 - e, a * x * e])
 
-_register("exp_saturating", "exponential", 2, _exp_sat, _exp_sat_g,
-          lambda xs, ys: np.array([2.0 / _span(xs)]), linear=(0,))
+_add(ModelSpec("exp_saturating", 2, "exponential", _exp_sat, _exp_sat_g,
+               lambda xs, ys: np.array([2.0 / _span(xs)]), linear=(0,)))
 
 
 def _exp_quad(p, x):
@@ -474,8 +464,8 @@ def _exp_quad_guess(xs, ys):
         return np.clip(sol, -50.0, 50.0)
     return np.array([math.log(max(float(np.abs(ys).mean()), _TINY)), 0.0, 0.0])
 
-_register("exp_quadratic", "exponential", 3, _exp_quad, _exp_quad_g,
-          _exp_quad_guess)
+_add(ModelSpec("exp_quadratic", 3, "exponential", _exp_quad, _exp_quad_g,
+               _exp_quad_guess))
 
 
 def _stretched(p, x):
@@ -489,9 +479,9 @@ def _stretched_g(p, x):
     e = np.exp(-uq)
     return np.stack([e, a * e * uq * q / b, -a * e * uq * np.log(u)])
 
-_register("stretched_exp", "exponential", 3, _stretched, _stretched_g,
-          lambda xs, ys: np.array([max(float(ys.max()), _TINY), _span(xs) / 2.0, 1.0]),
-          bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)])
+_add(ModelSpec("stretched_exp", 3, "exponential", _stretched, _stretched_g,
+               lambda xs, ys: np.array([max(float(ys.max()), _TINY), _span(xs) / 2.0, 1.0]),
+               bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)]))
 
 
 # --- sigmoidal class ---
@@ -511,7 +501,7 @@ def _sigmoid_guess(xs, ys):
     return np.array([float(ys.max()), slope_sign * 4.0 / _span(xs),
                      float(np.median(xs))])
 
-_register("logistic", "sigmoidal", 3, _logistic, _logistic_g, _sigmoid_guess)
+_add(ModelSpec("logistic", 3, "sigmoidal", _logistic, _logistic_g, _sigmoid_guess))
 _add(_with_offset(get_model("logistic"), "logistic_offset", lift=0.0))
 
 
@@ -525,9 +515,9 @@ def _gompertz_g(p, x):
     y = a * np.exp(-b * e)
     return np.stack([np.exp(-b * e), -y * e, y * b * x * e])
 
-_register("gompertz", "sigmoidal", 3, _gompertz, _gompertz_g,
-          lambda xs, ys: np.array([float(ys.max()), 1.0, 2.0 / _span(xs)]),
-          bounds=[(-np.inf, np.inf), (_TINY, np.inf), (-np.inf, np.inf)])
+_add(ModelSpec("gompertz", 3, "sigmoidal", _gompertz, _gompertz_g,
+               lambda xs, ys: np.array([float(ys.max()), 1.0, 2.0 / _span(xs)]),
+               bounds=[(-np.inf, np.inf), (_TINY, np.inf), (-np.inf, np.inf)]))
 
 
 def _hill(p, x):
@@ -544,10 +534,10 @@ def _hill_g(p, x):
     gh = a * kh * xh * (np.log(x) - np.log(k)) / den
     return np.stack([xh / (kh + xh), gk, gh])
 
-_register("hill_sigmoid", "sigmoidal", 3, _hill, _hill_g,
-          lambda xs, ys: np.array([float(ys.max()),
-                                   max(float(np.median(xs)), 1e-3), 2.0]),
-          bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)])
+_add(ModelSpec("hill_sigmoid", 3, "sigmoidal", _hill, _hill_g,
+               lambda xs, ys: np.array([float(ys.max()),
+                                        max(float(np.median(xs)), 1e-3), 2.0]),
+               bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)]))
 
 
 def _tanh_sig(p, x):
@@ -560,9 +550,9 @@ def _tanh_sig_g(p, x):
     sech2 = 1.0 - t * t
     return np.stack([_ones_like(t), t, b * (x - x0) * sech2, -b * k * sech2])
 
-_register("tanh_sigmoid", "sigmoidal", 4, _tanh_sig, _tanh_sig_g,
-          lambda xs, ys: np.array([float(ys.mean()), _span(ys) / 2.0,
-                                   2.0 / _span(xs), float(np.median(xs))]))
+_add(ModelSpec("tanh_sigmoid", 4, "sigmoidal", _tanh_sig, _tanh_sig_g,
+               lambda xs, ys: np.array([float(ys.mean()), _span(ys) / 2.0,
+                                        2.0 / _span(xs), float(np.median(xs))])))
 
 
 # --- peaked class ---
@@ -580,8 +570,8 @@ def _gauss_g(p, x):
 def _peak_guess(xs, ys):
     return np.array([float(ys.max()), float(xs[np.argmax(ys)]), _span(xs) / 6.0])
 
-_register("gaussian_peak", "peaked", 3, _gauss, _gauss_g, _peak_guess,
-          bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)])
+_add(ModelSpec("gaussian_peak", 3, "peaked", _gauss, _gauss_g, _peak_guess,
+               bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)]))
 _add(_with_offset(get_model("gaussian_peak"), "gaussian_peak_offset", lift=0.0))
 
 
@@ -596,10 +586,10 @@ def _lognorm_peak_g(p, x):
     e = np.exp(-(u * u) / (2.0 * w * w))
     return np.stack([e, A * e * u / (w * w * c), A * e * u * u / (w ** 3)])
 
-_register("lognormal_peak", "peaked", 3, _lognorm_peak, _lognorm_peak_g,
-          lambda xs, ys: np.array([float(ys.max()),
-                                   max(float(xs[np.argmax(ys)]), 1e-3), 0.5]),
-          bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)])
+_add(ModelSpec("lognormal_peak", 3, "peaked", _lognorm_peak, _lognorm_peak_g,
+               lambda xs, ys: np.array([float(ys.max()),
+                                        max(float(xs[np.argmax(ys)]), 1e-3), 0.5]),
+               bounds=[(-np.inf, np.inf), (_TINY, np.inf), (_TINY, np.inf)]))
 
 
 def _lorentz(p, x):
@@ -614,8 +604,8 @@ def _lorentz_g(p, x):
     return np.stack([1.0 / (1.0 + u * u), 2.0 * A * u / (w * den),
                      2.0 * A * u * u / (w * den)])
 
-_register("lorentzian_peak", "peaked", 3, _lorentz, _lorentz_g, _peak_guess,
-          bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)])
+_add(ModelSpec("lorentzian_peak", 3, "peaked", _lorentz, _lorentz_g, _peak_guess,
+               bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)]))
 
 
 def _gamma_peak(p, x):
@@ -629,10 +619,10 @@ def _gamma_peak_g(p, x):
     e = np.exp(1.0 - u)
     return np.stack([u * e, A * e * u * (u - 1.0) / c])
 
-_register("linear_rise_exp_fall", "peaked", 2, _gamma_peak, _gamma_peak_g,
-          lambda xs, ys: np.array([float(ys.max()),
-                                   max(float(xs[np.argmax(ys)]), 1e-3)]),
-          bounds=[(-np.inf, np.inf), (_TINY, np.inf)])
+_add(ModelSpec("linear_rise_exp_fall", 2, "peaked", _gamma_peak, _gamma_peak_g,
+               lambda xs, ys: np.array([float(ys.max()),
+                                        max(float(xs[np.argmax(ys)]), 1e-3)]),
+               bounds=[(-np.inf, np.inf), (_TINY, np.inf)]))
 
 
 def _sech2(p, x):
@@ -647,8 +637,8 @@ def _sech2_g(p, x):
     t = np.tanh(u)
     return np.stack([s2, 2.0 * A * s2 * t / w, 2.0 * A * s2 * t * u / w])
 
-_register("sech2_peak", "peaked", 3, _sech2, _sech2_g, _peak_guess,
-          bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)])
+_add(ModelSpec("sech2_peak", 3, "peaked", _sech2, _sech2_g, _peak_guess,
+               bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)]))
 
 
 # --- rational class ---
@@ -666,7 +656,7 @@ def _rat_guess(xs, ys):
     sol = _lstsq(np.vander(xs, 2, increasing=True), ys)
     return np.array([sol[0], sol[1], 1e-3])
 
-_register("rational_lin_lin", "rational", 3, _rat_ll, _rat_ll_g, _rat_guess)
+_add(ModelSpec("rational_lin_lin", 3, "rational", _rat_ll, _rat_ll_g, _rat_guess))
 
 
 def _rat_ql(p, x):
@@ -679,8 +669,8 @@ def _rat_ql_g(p, x):
     den = 1.0 + c * x
     return np.stack([1.0 / den, x / den, -num * x / den ** 2, x * x / den])
 
-_register("rational_quad_lin", "rational", 4, _rat_ql, _rat_ql_g,
-          lambda xs, ys: np.append(_rat_guess(xs, ys), 0.0))
+_add(ModelSpec("rational_quad_lin", 4, "rational", _rat_ql, _rat_ql_g,
+               lambda xs, ys: np.append(_rat_guess(xs, ys), 0.0)))
 
 
 def _rat_lq(p, x):
@@ -694,8 +684,8 @@ def _rat_lq_g(p, x):
     return np.stack([1.0 / den, x / den, -num * x / den ** 2,
                      -num * x * x / den ** 2])
 
-_register("rational_lin_quad", "rational", 4, _rat_lq, _rat_lq_g,
-          lambda xs, ys: np.array([1e-3, 1e-4]), linear=(0, 1))
+_add(ModelSpec("rational_lin_quad", 4, "rational", _rat_lq, _rat_lq_g,
+               lambda xs, ys: np.array([1e-3, 1e-4]), linear=(0, 1)))
 
 
 def _inv_shift(p, x):
@@ -707,9 +697,9 @@ def _inv_shift_g(p, x):
     den = x + c
     return np.stack([_ones_like(den), 1.0 / den, -b / den ** 2])
 
-_register("inverse_shift", "rational", 3, _inv_shift, _inv_shift_g,
-          lambda xs, ys: np.array([float(ys.min()), 1.0,
-                                   max(1.0, 1.0 - float(xs.min()))]))
+_add(ModelSpec("inverse_shift", 3, "rational", _inv_shift, _inv_shift_g,
+               lambda xs, ys: np.array([float(ys.min()), 1.0,
+                                        max(1.0, 1.0 - float(xs.min()))])))
 
 
 # --- power class ---
@@ -731,7 +721,7 @@ def _power_guess(xs, ys):
         return np.array([math.exp(min(sol[0], 300.0)), sol[1]])
     return np.array([max(float(np.abs(ys).mean()), _TINY), 1.0])
 
-_register("power_law", "power", 2, _power, _power_g, _power_guess)
+_add(ModelSpec("power_law", 2, "power", _power, _power_g, _power_guess))
 _add(_with_offset(get_model("power_law"), "power_offset", lift=1e-3,
                   linear=(0,)))
 
@@ -740,13 +730,13 @@ def _sqrt_law(p, x):
     a, b = p
     return a + b * np.sqrt(x)
 
-_register("sqrt_law", "power", 2, _sqrt_law,
-          lambda p, x: np.stack([_ones_like(x), np.sqrt(x)]), linear=(0, 1))
+_add(ModelSpec("sqrt_law", 2, "power", _sqrt_law,
+               lambda p, x: np.stack([_ones_like(x), np.sqrt(x)]), linear=(0, 1)))
 
 
 def _log_law(p, x):
     a, b = p
     return a + b * np.log1p(x)
 
-_register("log_law", "power", 2, _log_law,
-          lambda p, x: np.stack([_ones_like(x), np.log1p(x)]), linear=(0, 1))
+_add(ModelSpec("log_law", 2, "power", _log_law,
+               lambda p, x: np.stack([_ones_like(x), np.log1p(x)]), linear=(0, 1)))

@@ -53,11 +53,16 @@ def _nice_ticks(lo: float, hi: float, n: int = 6) -> list[float]:
     return ticks
 
 
-def _span(*cols) -> tuple[float, float]:
-    """The least and the greatest finite value in the columns."""
+def _range(cols, pad: float) -> tuple[float, float]:
+    """The axis range of the columns: their least and greatest finite value
+    (a single value widened by 0.5 each way), each moved out by ``pad``
+    times the distance between them."""
     cols = [np.asarray(c, dtype=float) for c in cols]
-    return (min(float(np.min(c, initial=np.inf, where=np.isfinite(c))) for c in cols),
-            max(float(np.max(c, initial=-np.inf, where=np.isfinite(c))) for c in cols))
+    lo = min(float(np.min(c, initial=np.inf, where=np.isfinite(c))) for c in cols)
+    hi = max(float(np.max(c, initial=-np.inf, where=np.isfinite(c))) for c in cols)
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    return lo - pad * (hi - lo), hi + pad * (hi - lo)
 
 
 _CIRCLE = ('<circle cx="%s" cy="%.3f" r="2.5" fill="%s" fill-opacity="0.75" '
@@ -84,16 +89,8 @@ def write_svg(dataset: Dataset, sink: TextIO, *,
     if band is not None:
         x_cols.append(band.xs)
         y_cols += [band.lower, band.upper]
-    x_lo, x_hi = _span(*x_cols)
-    y_lo, y_hi = _span(*y_cols)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    x_pad = 0.03 * (x_hi - x_lo)
-    y_pad = 0.05 * (y_hi - y_lo)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    x_lo, x_hi = _range(x_cols, 0.03)
+    y_lo, y_hi = _range(y_cols, 0.05)
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

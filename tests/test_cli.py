@@ -239,6 +239,12 @@ class TestFitRank:
                            "--catalog-filter", "nope_xyz")
         assert code == 1
 
+    @pytest.mark.parametrize("command", [["rank"], ["fit", "--model", "poly1"]])
+    def test_zero_starts_exit_1(self, capsys, data_csv, command):
+        code, out, err = run(capsys, *command, "--data", str(data_csv),
+                             "--starts", "0")
+        assert (code, out, err) == (1, "", "error: n_starts must be >= 1\n")
+
     def test_catalog_export(self, capsys):
         code, out, _ = run(capsys, "catalog")
         assert code == 0

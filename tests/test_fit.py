@@ -211,15 +211,21 @@ class TestMultiStart:
         assert result.rss <= best[0]
 
     def test_n_starts_validation(self, gaussian_dataset):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_starts must be >= 1"):
             multi_start(get_model("poly0"), gaussian_dataset, n_starts=0)
+        # rank_all rejects it once, not as one failed entry per family
+        with pytest.raises(ValueError, match="^n_starts must be >= 1$"):
+            rank_all(catalog(), gaussian_dataset,
+                     PlausibilityConfig(domain=(0, 60)), n_starts=0)
 
 
 class TestRankAll:
     def test_empty_dataset_rejected(self):
+        empty = Dataset.from_points([], [])
         with pytest.raises(ValueError, match="empty dataset"):
-            rank_all(catalog(), Dataset.from_points([], []),
-                     PlausibilityConfig(domain=(0, 1)))
+            rank_all(catalog(), empty, PlausibilityConfig(domain=(0, 1)))
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            multi_start(get_model("poly1"), empty)
 
     def test_linear_dominates_constant_on_line(self, line_dataset):
         specs = [get_model("poly0"), get_model("poly1")]
@@ -474,6 +480,29 @@ class TestAgainstPerStartReference:
                         g.result.spec_name
                 else:
                     assert not np.isfinite(a)
+
+
+PEAKED_CASES = (ORACLE_CASES + [f"paper{s}" for s in range(1, 13)]
+                + [f"grid{s}" for s in range(1, 5)])
+
+
+class TestEquivalentFamilies:
+    """Two families that describe the same curves reach the same best RSS:
+    an oracle that needs no outside fitter. On peaked data exp(a + b x +
+    c x^2), c < 0, is a Gaussian peak. (inverse_shift and tanh_sigmoid do
+    not yet agree with their twins rational_lin_lin and logistic_offset.)"""
+
+    @pytest.mark.parametrize("case", PEAKED_CASES)
+    def test_exp_quadratic_matches_gaussian_peak(self, case):
+        if case in ORACLE_CASES:
+            d, _, seed = oracle_case(case)
+        else:
+            kind = case.rstrip("0123456789")
+            seed = int(case[len(kind):])
+            d = {"paper": paper_scale_dataset, "grid": grid_dataset}[kind](seed)
+        quad, gauss = (multi_start(get_model(name), d, n_starts=5, seed=seed).rss
+                       for name in ("exp_quadratic", "gaussian_peak"))
+        assert quad == pytest.approx(gauss, rel=1e-9)
 
 
 class TestLockstep:

@@ -260,6 +260,15 @@ class TestLinearContract:
         assert fit_least_squares(spec, d, initial_guess(spec, d)).params == \
             pytest.approx([1.0, 2.0])
 
+    def test_list_bounds_are_stored_as_pairs(self):
+        spec = ModelSpec(
+            name="line_list_bounds", n_params=2, family_class="polynomial",
+            eval_fn=lambda p, x: p[0] + p[1] * x,
+            grad_fn=lambda p, x: np.stack([np.ones_like(x), x]),
+            bounds=[[-np.inf, np.inf], [-np.inf, np.inf]], linear=(0, 1))
+        assert spec.bounds == ((-np.inf, np.inf),) * 2
+        assert register_model(spec) is spec  # its linear bounds read as (-inf, inf)
+
     @pytest.mark.parametrize("name, linear, bounds, grad_a, why", [
         # b sits in the exponent, so its grad_fn row moves with it
         ("rate_declared", (1,), (), None, "grad_fn rows"),
