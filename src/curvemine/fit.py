@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -200,6 +201,14 @@ def _normal_equations(spec, params, xs, sw, res, free):
     return jac @ jac.transpose(0, 2, 1), (jac @ res[:, :, None])[:, :, 0]
 
 
+def _ages(d: Dataset) -> int:
+    """The number of distinct x in ``d``; an empty dataset raises, so every
+    fit entry point rejects it with the same message before any family."""
+    if len(d) == 0:
+        raise ValueError("empty dataset")
+    return np.unique(d.xs).size
+
+
 def _ruled_out(spec: ModelSpec, ages: int) -> Optional[str]:
     """Why data at ``ages`` distinct ages, fewer than its parameters, rule
     out every start of ``spec``, or None."""
@@ -216,17 +225,22 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
 
     Each row keeps its own damping, accept/reject decisions, stopping
     reason and iteration count, and every operation acts row by row, so a
-    row's result does not depend on the other rows. Rows are in ``specs``
-    order; the model runs per family (in a trial, only while it has a
-    pending row) and all else once over all rows. Each row's q x q system
-    is padded to the call's widest q, zero off its block and lam * 1e-12
-    on the padded diagonal, so the padding solves to exact zeros and the
-    block to the bits of its own solve. Residuals run on the distinct x of
-    ``d``, grouped once per call, and every RSS adds the within-group sum
-    (see ``_distinct_x``), so each RSS is the full-data weighted RSS.
-    Steps, bounds and ``step_tol`` apply to the free parameters; the
-    ``linear`` ones are solved at every start and trial. Returns (params,
-    rss, iterations, stop) per family of ``specs``.
+    row's result does not depend on the other families' rows (a family's
+    own live rows share each model call; see ``ModelSpec`` on batch rows).
+    Rows are in ``specs`` order; the model runs per family (in a trial,
+    only while it has a pending row) and all else once over all rows. The
+    live rows' views (their families, step columns and bounds, and each
+    family's row slice and first row) change only when rows stop, so they
+    are derived once per compaction, not per iteration; a trial finds the
+    families with a pending row in one ``reduceat`` over those first
+    rows. Each row's q x q system is padded to the call's widest q, zero
+    off its block and lam * 1e-12 on the padded diagonal, so the padding
+    solves to exact zeros and the block to the bits of its own solve.
+    Residuals run on the distinct x of ``d``, grouped once per call, and
+    every RSS adds the within-group sum (see ``_distinct_x``), so each RSS
+    is the full-data weighted RSS. Steps, bounds and ``step_tol`` apply to
+    the free parameters; the ``linear`` ones are solved at every start and
+    trial. Returns (params, rss, iterations, stop) per family of ``specs``.
     """
     xs, wsum, ys, pure = _distinct_x(d)
     sw = np.sqrt(wsum)
@@ -253,22 +267,26 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
         live = np.flatnonzero(ok & ~solved)  # row index of each live row
         p, res, s, lam = params[live], res[live], rss[live], np.full(live.size, _LAMBDA0)
         diag = slice(None, None, qmax + 1)  # the diagonal of a flattened qmax x qmax
-        it = 0
+        it, m = 0, 0
         while live.size and it < _MAX_ITER:
             it += 1
-            m, fl, r, c = live.size, fam[live], np.arange(live.size)[:, None], cols[live]
-            at = np.searchsorted(fl, np.arange(len(specs) + 1))  # family f has at[f]:at[f+1]
+            if live.size != m:  # first pass, or rows stopped: derive the live views
+                m, fl, r = live.size, fam[live], np.arange(live.size)[:, None]
+                c, lo_l, hi_l = cols[live], lo[live], hi[live]
+                heads = np.flatnonzero(np.diff(fl, prepend=-1))  # each family's first row
+                ends = heads.tolist() + [m]
+                families = [(slice(i, j), specs[f], len(free[f]), free[f])
+                            for i, j, f in zip(ends, ends[1:], fl[heads].tolist())]
             a, g = np.zeros((m, qmax, qmax)), np.zeros((m, qmax))
-            for f in np.unique(fl):
-                rows, spec = slice(at[f], at[f + 1]), specs[f]
-                a[rows, :q[f], :q[f]], g[rows, :q[f]] = _normal_equations(
-                    spec, p[rows, :spec.n_params].copy(), xs, sw, res[rows], free[f])
+            for rows, spec, qf, fr in families:
+                a[rows, :qf, :qf], g[rows, :qf] = _normal_equations(
+                    spec, p[rows, :spec.n_params].copy(), xs, sw, res[rows], fr)
             finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
             scale = np.maximum(a.reshape(m, -1)[:, diag], 1e-12)
 
             # Every trial solves all rows; only pending rows may take its step.
             p_old, s_old, base = p.copy(), s.copy(), p[r, c]
-            lo_l, hi_l, res_new = lo[live], hi[live], res.copy()
+            res_new = res.copy()
             pending = finite.copy()
             for _ in range(50):  # damping escalations within one iteration
                 if not pending.any():
@@ -278,8 +296,8 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
                 step = _solve(damped, g)
                 p_new = p_old.copy()
                 p_new[r, c] = np.minimum(np.maximum(base + step, lo_l), hi_l)
-                for f in np.unique(fl[pending]):  # families with a pending row
-                    rows, spec = slice(at[f], at[f + 1]), specs[f]
+                busy = np.logical_or.reduceat(pending, heads).tolist()  # per family
+                for rows, spec, _, _ in compress(families, busy):
                     pf = p_new[rows, :spec.n_params].copy()
                     res_new[rows] = _residuals(spec, pf, xs, ys, sw)
                     p_new[rows, :spec.n_params] = pf
@@ -331,7 +349,7 @@ def fit_least_squares(spec: ModelSpec, d: Dataset,
     Accepted iterations never increase the RSS. The fitter has no options:
     its settings are the module constants above.
     """
-    if why := _ruled_out(spec, np.unique(d.xs).size):
+    if why := _ruled_out(spec, _ages(d)):
         raise ValueError(f"{spec.name}: {why}")
     [(params, rss, iterations, stop)] = _lockstep(
         [spec], d, [np.asarray(start, dtype=float)[None]])
@@ -359,11 +377,10 @@ def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
     the ValueError or LinAlgError that failed it. The starts of every
     family the data admit run through one ``_lockstep`` call. An empty
     dataset or n_starts < 1 raises once, before any family."""
-    if len(d) == 0:
-        raise ValueError("empty dataset")
+    ages = _ages(d)
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    fits, admitted, ages = [], [], np.unique(d.xs).size
+    fits, admitted = [], []
     for i, spec in enumerate(specs):
         try:
             starts = _start_points(spec, d, n_starts, seed)

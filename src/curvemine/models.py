@@ -53,8 +53,10 @@ class ModelSpec:
     ``a, b = p`` works in both cases. With a batch, ``eval_fn`` returns
     shape (k,) + x.shape and ``grad_fn`` returns (n_params, k) + x.shape, or
     (n_params,) + x.shape when the Jacobian depends on x only. Row i of a
-    batch must equal the call with vector i alone: use numpy functions
-    rather than ``math`` ones, and no Python ``if`` on a parameter.
+    batch must equal the call with vector i alone to the probe's rtol 1e-9,
+    not bit for bit (``np.power`` can round a row's last bit differently
+    with the number of rows): use numpy functions rather than ``math``
+    ones, and no Python ``if`` on a parameter.
 
     ``eval_fn`` must also accept complex x and complex parameters and stay
     analytic in them, since dy/dx is Im f(x + ih) / h (see
@@ -395,7 +397,7 @@ def _make_poly(deg: int):
         return np.polynomial.polynomial.polyval(x, p, tensor=False)
 
     def g(p, x):
-        return np.stack([x ** j * _ones_like(x) for j in range(deg + 1)])
+        return np.array([x ** j * _ones_like(x) for j in range(deg + 1)])
 
     _add(ModelSpec(f"poly{deg}", deg + 1, "polynomial", f, g,
                    linear=range(deg + 1)))
@@ -414,7 +416,7 @@ def _exp_decay(p, x):
 def _exp_decay_g(p, x):
     a, b = p
     e = np.exp(-b * x)
-    return np.stack([e, -a * x * e])
+    return np.array([e, -a * x * e])
 
 _add(ModelSpec("exp_decay", 2, "exponential", _exp_decay, _exp_decay_g,
                lambda xs, ys: np.array(_log_linear_decay(xs, ys))))
@@ -429,7 +431,7 @@ def _dbl_exp(p, x):
 def _dbl_exp_g(p, x):
     a, b, c, d = p
     e1, e2 = np.exp(-b * x), np.exp(-d * x)
-    return np.stack([e1, -a * x * e1, e2, -c * x * e2])
+    return np.array([e1, -a * x * e1, e2, -c * x * e2])
 
 _add(ModelSpec("double_exp_decay", 4, "exponential", _dbl_exp, _dbl_exp_g,
                lambda xs, ys: np.array([2.0 / _span(xs), 0.3 / _span(xs)]),
@@ -443,7 +445,7 @@ def _exp_sat(p, x):
 def _exp_sat_g(p, x):
     a, b = p
     e = np.exp(-b * x)
-    return np.stack([1.0 - e, a * x * e])
+    return np.array([1.0 - e, a * x * e])
 
 _add(ModelSpec("exp_saturating", 2, "exponential", _exp_sat, _exp_sat_g,
                lambda xs, ys: np.array([2.0 / _span(xs)]), linear=(0,)))
@@ -455,7 +457,7 @@ def _exp_quad(p, x):
 
 def _exp_quad_g(p, x):
     y = _exp_quad(p, x)
-    return np.stack([y, x * y, x * x * y])
+    return np.array([y, x * y, x * x * y])
 
 def _exp_quad_guess(xs, ys):
     mask = ys > 0
@@ -477,7 +479,7 @@ def _stretched_g(p, x):
     u = x / b
     uq = np.power(u, q)
     e = np.exp(-uq)
-    return np.stack([e, a * e * uq * q / b, -a * e * uq * np.log(u)])
+    return np.array([e, a * e * uq * q / b, -a * e * uq * np.log(u)])
 
 _add(ModelSpec("stretched_exp", 3, "exponential", _stretched, _stretched_g,
                lambda xs, ys: np.array([max(float(ys.max()), _TINY), _span(xs) / 2.0, 1.0]),
@@ -494,7 +496,7 @@ def _logistic_g(p, x):
     L, k, x0 = p
     s = np.exp(-k * (x - x0))
     den = (1.0 + s) ** 2
-    return np.stack([1.0 / (1.0 + s), L * (x - x0) * s / den, -L * k * s / den])
+    return np.array([1.0 / (1.0 + s), L * (x - x0) * s / den, -L * k * s / den])
 
 def _sigmoid_guess(xs, ys):
     slope_sign = 1.0 if np.corrcoef(xs, ys)[0, 1] >= 0 else -1.0
@@ -513,7 +515,7 @@ def _gompertz_g(p, x):
     a, b, c = p
     e = np.exp(-c * x)
     y = a * np.exp(-b * e)
-    return np.stack([np.exp(-b * e), -y * e, y * b * x * e])
+    return np.array([np.exp(-b * e), -y * e, y * b * x * e])
 
 _add(ModelSpec("gompertz", 3, "sigmoidal", _gompertz, _gompertz_g,
                lambda xs, ys: np.array([float(ys.max()), 1.0, 2.0 / _span(xs)]),
@@ -532,7 +534,7 @@ def _hill_g(p, x):
     den = (kh + xh) ** 2
     gk = -a * xh * h * np.power(k, h - 1.0) / den
     gh = a * kh * xh * (np.log(x) - np.log(k)) / den
-    return np.stack([xh / (kh + xh), gk, gh])
+    return np.array([xh / (kh + xh), gk, gh])
 
 _add(ModelSpec("hill_sigmoid", 3, "sigmoidal", _hill, _hill_g,
                lambda xs, ys: np.array([float(ys.max()),
@@ -548,7 +550,7 @@ def _tanh_sig_g(p, x):
     a, b, k, x0 = p
     t = np.tanh(k * (x - x0))
     sech2 = 1.0 - t * t
-    return np.stack([_ones_like(t), t, b * (x - x0) * sech2, -b * k * sech2])
+    return np.array([_ones_like(t), t, b * (x - x0) * sech2, -b * k * sech2])
 
 _add(ModelSpec("tanh_sigmoid", 4, "sigmoidal", _tanh_sig, _tanh_sig_g,
                lambda xs, ys: np.array([float(ys.mean()), _span(ys) / 2.0,
@@ -565,7 +567,7 @@ def _gauss_g(p, x):
     A, c, w = p
     u = x - c
     e = np.exp(-(u * u) / (2.0 * w * w))
-    return np.stack([e, A * e * u / (w * w), A * e * u * u / (w ** 3)])
+    return np.array([e, A * e * u / (w * w), A * e * u * u / (w ** 3)])
 
 def _peak_guess(xs, ys):
     return np.array([float(ys.max()), float(xs[np.argmax(ys)]), _span(xs) / 6.0])
@@ -584,7 +586,7 @@ def _lognorm_peak_g(p, x):
     A, c, w = p
     u = np.log(x / c)
     e = np.exp(-(u * u) / (2.0 * w * w))
-    return np.stack([e, A * e * u / (w * w * c), A * e * u * u / (w ** 3)])
+    return np.array([e, A * e * u / (w * w * c), A * e * u * u / (w ** 3)])
 
 _add(ModelSpec("lognormal_peak", 3, "peaked", _lognorm_peak, _lognorm_peak_g,
                lambda xs, ys: np.array([float(ys.max()),
@@ -601,7 +603,7 @@ def _lorentz_g(p, x):
     A, c, w = p
     u = (x - c) / w
     den = (1.0 + u * u) ** 2
-    return np.stack([1.0 / (1.0 + u * u), 2.0 * A * u / (w * den),
+    return np.array([1.0 / (1.0 + u * u), 2.0 * A * u / (w * den),
                      2.0 * A * u * u / (w * den)])
 
 _add(ModelSpec("lorentzian_peak", 3, "peaked", _lorentz, _lorentz_g, _peak_guess,
@@ -617,7 +619,7 @@ def _gamma_peak_g(p, x):
     A, c = p
     u = x / c
     e = np.exp(1.0 - u)
-    return np.stack([u * e, A * e * u * (u - 1.0) / c])
+    return np.array([u * e, A * e * u * (u - 1.0) / c])
 
 _add(ModelSpec("linear_rise_exp_fall", 2, "peaked", _gamma_peak, _gamma_peak_g,
                lambda xs, ys: np.array([float(ys.max()),
@@ -635,7 +637,7 @@ def _sech2_g(p, x):
     u = (x - c) / w
     s2 = 1.0 / np.cosh(u) ** 2
     t = np.tanh(u)
-    return np.stack([s2, 2.0 * A * s2 * t / w, 2.0 * A * s2 * t * u / w])
+    return np.array([s2, 2.0 * A * s2 * t / w, 2.0 * A * s2 * t * u / w])
 
 _add(ModelSpec("sech2_peak", 3, "peaked", _sech2, _sech2_g, _peak_guess,
                bounds=[(-np.inf, np.inf), (-np.inf, np.inf), (_TINY, np.inf)]))
@@ -650,7 +652,7 @@ def _rat_ll(p, x):
 def _rat_ll_g(p, x):
     a, b, c = p
     den = 1.0 + c * x
-    return np.stack([1.0 / den, x / den, -(a + b * x) * x / den ** 2])
+    return np.array([1.0 / den, x / den, -(a + b * x) * x / den ** 2])
 
 def _rat_guess(xs, ys):
     sol = _lstsq(np.vander(xs, 2, increasing=True), ys)
@@ -667,7 +669,7 @@ def _rat_ql_g(p, x):
     a, b, c, d = p
     num = a + b * x + d * x * x
     den = 1.0 + c * x
-    return np.stack([1.0 / den, x / den, -num * x / den ** 2, x * x / den])
+    return np.array([1.0 / den, x / den, -num * x / den ** 2, x * x / den])
 
 _add(ModelSpec("rational_quad_lin", 4, "rational", _rat_ql, _rat_ql_g,
                lambda xs, ys: np.append(_rat_guess(xs, ys), 0.0)))
@@ -681,7 +683,7 @@ def _rat_lq_g(p, x):
     a, b, c, d = p
     num = a + b * x
     den = 1.0 + c * x + d * x * x
-    return np.stack([1.0 / den, x / den, -num * x / den ** 2,
+    return np.array([1.0 / den, x / den, -num * x / den ** 2,
                      -num * x * x / den ** 2])
 
 _add(ModelSpec("rational_lin_quad", 4, "rational", _rat_lq, _rat_lq_g,
@@ -695,7 +697,7 @@ def _inv_shift(p, x):
 def _inv_shift_g(p, x):
     a, b, c = p
     den = x + c
-    return np.stack([_ones_like(den), 1.0 / den, -b / den ** 2])
+    return np.array([_ones_like(den), 1.0 / den, -b / den ** 2])
 
 _add(ModelSpec("inverse_shift", 3, "rational", _inv_shift, _inv_shift_g,
                lambda xs, ys: np.array([float(ys.min()), 1.0,
@@ -711,7 +713,7 @@ def _power(p, x):
 def _power_g(p, x):
     a, b = p
     xb = np.power(x, b)
-    return np.stack([xb, a * xb * np.log(x)])
+    return np.array([xb, a * xb * np.log(x)])
 
 def _power_guess(xs, ys):
     mask = (xs > 0) & (ys > 0)
@@ -731,7 +733,7 @@ def _sqrt_law(p, x):
     return a + b * np.sqrt(x)
 
 _add(ModelSpec("sqrt_law", 2, "power", _sqrt_law,
-               lambda p, x: np.stack([_ones_like(x), np.sqrt(x)]), linear=(0, 1)))
+               lambda p, x: np.array([_ones_like(x), np.sqrt(x)]), linear=(0, 1)))
 
 
 def _log_law(p, x):
@@ -739,4 +741,4 @@ def _log_law(p, x):
     return a + b * np.log1p(x)
 
 _add(ModelSpec("log_law", 2, "power", _log_law,
-               lambda p, x: np.stack([_ones_like(x), np.log1p(x)]), linear=(0, 1)))
+               lambda p, x: np.array([_ones_like(x), np.log1p(x)]), linear=(0, 1)))

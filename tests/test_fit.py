@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from curvemine.fit import (
     _lockstep,
     _residuals,
     _row_dot,
+    _ruled_out,
     _solve,
     _start_points,
     fit_least_squares,
@@ -221,11 +223,14 @@ class TestMultiStart:
 
 class TestRankAll:
     def test_empty_dataset_rejected(self):
+        # every fit entry point gives the same reason
         empty = Dataset.from_points([], [])
-        with pytest.raises(ValueError, match="empty dataset"):
+        with pytest.raises(ValueError, match="^empty dataset$"):
             rank_all(catalog(), empty, PlausibilityConfig(domain=(0, 1)))
         with pytest.raises(ValueError, match="^empty dataset$"):
             multi_start(get_model("poly1"), empty)
+        with pytest.raises(ValueError, match="^empty dataset$"):
+            fit_least_squares(get_model("poly1"), empty, [0.0, 0.0])
 
     def test_linear_dominates_constant_on_line(self, line_dataset):
         specs = [get_model("poly0"), get_model("poly1")]
@@ -505,6 +510,23 @@ class TestEquivalentFamilies:
         assert quad == pytest.approx(gauss, rel=1e-9)
 
 
+@functools.cache
+def _admitted_catalog_call(case):
+    """The families of the catalog that ``case`` admits, their starts, and
+    their rows from one ``_lockstep`` call over all of them."""
+    d, _, seed = oracle_case(case)
+    specs, starts = [], []
+    for spec in catalog():
+        try:
+            s = _start_points(spec, d, 5, seed)
+        except (ValueError, np.linalg.LinAlgError):
+            continue
+        if _ruled_out(spec, np.unique(d.xs).size) is None:
+            specs.append(spec)
+            starts.append(s)
+    return d, specs, starts, _lockstep(specs, d, starts)
+
+
 class TestLockstep:
     """One catalog-wide kernel call gives each family the rows of its own call.
     Alone, a family's q x q systems are unpadded; in the catalog call they are
@@ -530,6 +552,19 @@ class TestLockstep:
         if max_iter is not None:  # rows stop at different iterations, some capped
             stopped = {int(i) for _, _, its, _ in together for i in its}
             assert max_iter in stopped and len(stopped) > 2
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(ORACLE_CASES), st.data())
+    def test_any_families_in_any_order_get_their_catalog_bits(self, case, data):
+        # the per-family row slices and first rows the kernel keeps between
+        # compactions must not depend on which families share the call
+        d, specs, starts, together = _admitted_catalog_call(case)
+        order = data.draw(st.permutations(range(len(specs))))
+        picked = order[:data.draw(st.integers(1, len(order)))]
+        got = _lockstep([specs[i] for i in picked], d, [starts[i] for i in picked])
+        for i, rows in zip(picked, got):
+            for g, want in zip(rows, together[i]):  # params, rss, iterations, stop
+                assert self._bits(g) == self._bits(want), specs[i].name
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda q: st.tuples(
