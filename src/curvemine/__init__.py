@@ -3,5 +3,3 @@ published summaries, and fit, rank, validate and analyze a catalog of
 parametric models."""
 
 __version__ = "0.1.0"
-
-from . import analyze, dataset, fit, models, plotting, synth, validate  # noqa: F401

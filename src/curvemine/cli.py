@@ -7,53 +7,32 @@ options name (``--data``, ``--train``, ``--test``, ``--summary``,
 ``--units``), and the command's result. Two runs on identical inputs with
 the same numpy are byte-identical. Plain-text mirrors accompany a report
 where a human-readable form is useful.
+
+Each handler imports the modules it runs, so a command loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
-from .analyze import (
-    monthly_loss,
-    peak_age,
-    percent_remaining,
-    prediction_band,
-)
-from .dataset import (
-    Dataset,
-    IngestError,
-    UnknownUnitError,
-    _key_values,
-    describe,
-    ingest_csv,
-    normalize_units,
-    read_unit_table,
-    write_csv,
-)
-from .fit import multi_start, rank_all
-from .models import PlausibilityConfig, catalog, evaluate, get_model, spec_to_dict
-from .plotting import write_svg
-from .synth import (
-    DEFAULT_Z_ONE_SIDED_95,
-    read_summary_csv,
-    replicate,
-)
-from .validate import compare_descriptives, holdout_validate, split
+
+if TYPE_CHECKING:
+    from .dataset import Dataset
 
 __all__ = ["main"]
 
 
 def _report(args, result: dict) -> str:
+    import hashlib
     inputs = [getattr(args, k) for k in ("data", "train", "test", "summary", "units")
               if getattr(args, k, None)]
     envelope = {
@@ -71,6 +50,7 @@ def _report(args, result: dict) -> str:
 def _load(args, path: Optional[Path] = None,
           label: Optional[str] = None) -> Dataset:
     """Read the point CSV at ``path`` (default ``--data``) and apply ``--units``."""
+    from .dataset import ingest_csv, normalize_units, read_unit_table
     path = path or args.data
     with open(path, encoding="utf-8", newline="") as fh:  # as csv needs
         d = ingest_csv(fh, skip_bad_rows=args.skip_bad_rows,
@@ -96,6 +76,8 @@ def _write(path: Path, write) -> None:
 def _fit(args, d: Dataset):
     """``--model``'s spec and its fit to ``d`` from ``--starts`` starts
     seeded by ``--seed``."""
+    from .fit import multi_start
+    from .models import get_model
     spec = get_model(args.model)
     return spec, multi_start(spec, d, n_starts=args.starts, seed=args.seed)
 
@@ -125,6 +107,7 @@ def _bind_domain_values(argv: Sequence[str]) -> list[str]:
 # --- subcommand handlers: each returns its report's result ----------------
 
 def _cmd_ingest(args) -> dict:
+    from .dataset import write_csv
     d = _load(args)
     if args.out:
         _write(args.out, lambda fh: write_csv(d, fh))
@@ -141,14 +124,18 @@ def _cmd_ingest(args) -> dict:
 
 
 def _cmd_describe(args) -> dict:
+    from .dataset import describe
     return {args.axis: describe(_load(args), axis=args.axis).as_dict()}
 
 
 def _cmd_synth(args) -> dict:
+    from .dataset import write_csv
+    from .synth import DEFAULT_Z_ONE_SIDED_95, read_summary_csv, replicate
+    z = DEFAULT_Z_ONE_SIDED_95 if args.z is None else args.z
     with open(args.summary, encoding="utf-8", newline="") as fh:
         rows = read_summary_csv(fh)
     datasets = replicate(rows, args.seed, args.replicates,
-                         moment_correct=args.moment_correct, z=args.z)
+                         moment_correct=args.moment_correct, z=z)
     outdir = args.out_dir
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -156,7 +143,7 @@ def _cmd_synth(args) -> dict:
         path = outdir / f"replicate_{i:03d}.csv"
         _write(path, lambda fh: write_csv(d, fh))
         written.append({"path": str(path), "n_points": len(d)})
-    return {"replicates": written, "z": args.z,
+    return {"replicates": written, "z": z,
             "moment_correct": args.moment_correct}
 
 
@@ -165,6 +152,7 @@ def _cmd_fit(args) -> dict:
 
 
 def _filtered_catalog(pattern: Optional[str]):
+    from .models import catalog
     specs = catalog()
     if pattern:
         specs = [s for s in specs
@@ -175,6 +163,8 @@ def _filtered_catalog(pattern: Optional[str]):
 
 
 def _cmd_rank(args) -> dict:
+    from .fit import rank_all
+    from .models import PlausibilityConfig
     plaus = PlausibilityConfig(
         domain=_parse_domain(args.domain),
         require_nonnegative=args.nonnegative,
@@ -191,6 +181,7 @@ def _cmd_rank(args) -> dict:
 
 
 def _cmd_validate(args) -> dict:
+    from .validate import compare_descriptives, holdout_validate, split
     if args.data and not (args.train or args.test):
         train, test = split(_load(args), args.fraction, seed=args.seed,
                             stratify_bins=args.stratify_bins)
@@ -211,6 +202,8 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_analyze(args) -> dict:
+    from .analyze import monthly_loss, peak_age, percent_remaining, prediction_band
+    from .models import evaluate
     domain = _parse_domain(args.domain)
     d = _load(args)
     spec, fitted = _fit(args, d)
@@ -240,6 +233,9 @@ def _cmd_analyze(args) -> dict:
 
 
 def _cmd_plot(args) -> None:
+    from .analyze import prediction_band
+    from .models import evaluate
+    from .plotting import write_svg
     d = _load(args)
     curve = None
     band = None
@@ -255,6 +251,7 @@ def _cmd_plot(args) -> None:
 
 
 def _cmd_catalog(args) -> dict:
+    from .models import catalog, spec_to_dict
     return {"models": [spec_to_dict(s) for s in catalog()]}
 
 
@@ -307,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="summary CSV (x,n,mean,sd,upper_pl95,family)")
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--moment-correct", action="store_true")
-    p.add_argument("--z", type=float, default=DEFAULT_Z_ONE_SIDED_95,
-                   help="z-multiplier for upper prediction limits")
+    p.add_argument("--z", type=float, default=None,
+                   help="z-multiplier for upper prediction limits "
+                        "(default: the one-sided 95%% normal quantile)")
     p.add_argument("--out-dir", type=Path, required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -376,6 +374,7 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     any other value of a store_true key, is an error naming its line."""
     if not getattr(args, "config", None):
         return args
+    from .dataset import _key_values
     flags = []
     lines = args.config.read_text(encoding="utf-8").splitlines()
     for lineno, key, value in _key_values(lines, "config", "key=value"):
@@ -409,8 +408,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _write(args.out / "leaderboard.json", lambda fh: fh.write(payload))
         sys.stdout.write(payload)
         return 0
-    except (IngestError, UnknownUnitError, ValueError, OSError,
-            KeyError, np.linalg.LinAlgError) as exc:
+    except (ValueError, OSError, KeyError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvemine import cli
+from curvemine import cli, dataset, plotting
 from curvemine.analyze import IntervalBand, percent_remaining
 from curvemine.cli import main
 from curvemine.dataset import Dataset, ingest_csv, write_csv
@@ -20,7 +20,7 @@ from curvemine.fit import multi_start
 from curvemine.models import get_model
 from curvemine.plotting import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, \
     WIDTH, _nice_ticks, write_svg
-from curvemine.synth import SummaryRow, reconstruct_dataset
+from curvemine.synth import DEFAULT_Z_ONE_SIDED_95, SummaryRow, reconstruct_dataset
 from curvemine.validate import holdout_validate, split
 
 from conftest import make_dataset
@@ -172,6 +172,15 @@ class TestSynth:
                 "--seed", "9", "--out-dir", str(outdir))
             blobs.append((outdir / "replicate_000.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("flag, z", [([], DEFAULT_Z_ONE_SIDED_95),
+                                         (["--z", "2.5"], 2.5)])
+    def test_report_names_the_z_it_used(self, capsys, summary_csv, tmp_path,
+                                        flag, z):
+        code, out, _ = run(capsys, "synth", "--summary", str(summary_csv),
+                           "--out-dir", str(tmp_path / "out"), *flag)
+        assert code == 0
+        assert json.loads(out)["result"]["z"] == z
 
     @pytest.mark.parametrize("flag", [["--units", "units.cfg"], ["--skip-bad-rows"]])
     def test_point_csv_flags_rejected(self, summary_csv, tmp_path, flag):
@@ -539,8 +548,9 @@ class TestOutputFiles:
 
         if target == "to_csv":
             monkeypatch.setattr(IntervalBand, "to_csv", broken)
-        else:
-            monkeypatch.setattr(cli, target, broken)
+        else:   # a handler looks its writer up in the defining module
+            module = plotting if target == "write_svg" else dataset
+            monkeypatch.setattr(module, target, broken)
         out = tmp_path / "out"
         out.mkdir()
         code, stdout, err = run(capsys, *argv.format(
@@ -661,3 +671,30 @@ class TestConfigFile:
         root = ET.fromstring(svg_path.read_bytes())
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "Gewicht Ø" in texts
+
+
+class TestImportFootprint:
+    """A command imports only the package modules it runs, in a fresh
+    interpreter; ``statistics`` (with ``decimal`` and ``fractions``) comes in
+    only with ``analyze``."""
+
+    LOADED = ("print(*sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('curvemine', 'statistics')), file=sys.stderr)")
+
+    @pytest.mark.parametrize("code, loaded", [
+        ("import curvemine", "curvemine"),
+        ("from curvemine import cli; assert cli.main(['catalog']) == 0",
+         "curvemine curvemine.cli curvemine.models"),
+        ("from curvemine import cli; "
+         "assert cli.main(['rank', '--data', sys.argv[1], '--starts', '1']) == 0",
+         "curvemine curvemine.cli curvemine.dataset curvemine.fit curvemine.models"),
+    ], ids=["import", "catalog", "rank"])
+    def test_modules_loaded(self, data_csv, code, loaded):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import sys; {code}; {self.LOADED}",
+             str(data_csv)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == loaded.split()
