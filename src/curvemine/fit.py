@@ -58,11 +58,13 @@ __all__ = [
 
 # Levenberg-Marquardt settings: the iteration cap, the relative RSS drop
 # (rss_rtol) and step norm (step_tol) that stop a start, and the damping's
-# start, growth on a rejected trial and shrink after an accepted step.
+# start. An accepted step's gain ratio rho, actual over predicted RSS drop,
+# then sets lam / 3 above 3/4 and 2 lam below 1/4 (floor 1e-12); rejected
+# trials multiply lam by 2, 4, 8, ... (Nielsen 1999, IMM-REP-1999-05).
 _MAX_ITER = 200
 _RTOL = 1e-10
 _XTOL = 1e-10
-_LAMBDA0, _LAMBDA_UP, _LAMBDA_DOWN = 1e-3, 10.0, 0.1
+_LAMBDA0 = 1e-3
 
 
 @dataclass(frozen=True)
@@ -277,6 +279,7 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
                 ends = heads.tolist() + [m]
                 families = [(slice(i, j), specs[f], len(free[f]), free[f])
                             for i, j, f in zip(ends, ends[1:], fl[heads].tolist())]
+                res_new = np.empty((m, xs.size))  # trials decide on the rows they wrote
             a, g = np.zeros((m, qmax, qmax)), np.zeros((m, qmax))
             for rows, spec, qf, fr in families:
                 a[rows, :qf, :qf], g[rows, :qf] = _normal_equations(
@@ -286,9 +289,8 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
 
             # Every trial solves all rows; only pending rows may take its step.
             p_old, s_old, base = p.copy(), s.copy(), p[r, c]
-            res_new = res.copy()
             pending = finite.copy()
-            for _ in range(50):  # damping escalations within one iteration
+            for trial in range(50):  # damping escalations within one iteration
                 if not pending.any():
                     break
                 damped = a.copy()
@@ -306,13 +308,17 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
                 np.copyto(p, p_new, where=win[:, None])
                 np.copyto(res, res_new, where=win[:, None])
                 np.copyto(s, rss_new, where=win)
+                # gain ratio: the RSS drop over the linear model's, step'(g + lam scale step)
+                rho = (s_old - rss_new) / (step * (g + lam[:, None] * scale * step)).sum(axis=1)
+                gained = np.select([rho > 0.75, rho < 0.25], [lam / 3.0, lam * 2.0], lam)
+                np.maximum(gained, 1e-12, out=lam, where=win)  # a NaN rho keeps lam
                 pending &= ~win
-                np.multiply(lam, _LAMBDA_UP, out=lam, where=pending)
+                # every pending row was rejected at each trial so far: nu = 2^(trial+1)
+                np.multiply(lam, 2.0 ** (trial + 1), out=lam, where=pending)
             # a finite row still pending cannot improve at any damping
             accepted = finite & ~pending
             step_norm = np.sqrt(_row_dot((p - p_old)[r, c]))
             rel_drop = (s_old - s) / np.maximum(s_old, 1e-300)
-            np.maximum(lam * _LAMBDA_DOWN, 1e-12, out=lam, where=accepted)
             small_drop = rel_drop < _RTOL
             done = pending | (accepted & (small_drop | (step_norm < _XTOL)))
             stop = done | ~finite
@@ -344,8 +350,8 @@ def fit_least_squares(spec: ModelSpec, d: Dataset,
                       start: Sequence[float]) -> FitResult:
     """Levenberg-Marquardt minimization of the weighted residual sum of squares.
 
-    Damping grows on rejected steps and shrinks on accepted ones;
-    parameters are projected onto the spec's bounds after every step.
+    Damping grows on rejected trials and follows the gain ratio of accepted
+    steps; parameters are projected onto the spec's bounds after every step.
     Accepted iterations never increase the RSS. The fitter has no options:
     its settings are the module constants above.
     """

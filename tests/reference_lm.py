@@ -2,7 +2,12 @@
 multi-start batch, kept for the tests as a differential oracle.
 
 One start at a time, one parameter vector per model call, every operation
-on 1-D arrays. ``fit_catalog`` has the signature of
+on 1-D arrays. It reads the fitter's settings (iteration cap, tolerances,
+starting damping) and scores with its ``r_squared``, but runs its own loop.
+Its damping follows the gain-ratio rule the fitter documents: an accepted step with actual over predicted RSS
+drop rho above 3/4 divides lam by 3, below 1/4 doubles it, floored at
+1e-12; rejected trials multiply lam by nu = 2, 4, 8, ... (Nielsen 1999,
+IMM-REP-1999-05). ``fit_catalog`` has the signature of
 ``curvemine.fit._fit_catalog``, so a test can swap it into ``rank_all``.
 """
 
@@ -54,11 +59,11 @@ def fit_least_squares(spec, d, start):
             g = jac @ res
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
             break
-        accepted = False
+        scale = np.maximum(np.diag(a), 1e-12)
+        accepted, nu = False, 2.0
         for _ in range(50):
             try:
-                step = np.linalg.solve(
-                    a + lam * np.diag(np.maximum(np.diag(a), 1e-12)), g)
+                step = np.linalg.solve(a + lam * np.diag(scale), g)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and np.all(np.isfinite(step)):
@@ -68,14 +73,19 @@ def fit_least_squares(spec, d, start):
                 if rss_new <= rss:
                     accepted = True
                     break
-            lam *= fit_module._LAMBDA_UP
+            lam, nu = lam * nu, 2.0 * nu
         if not accepted:
             converged = True
             break
+        with np.errstate(all="ignore"):
+            rho = (rss - rss_new) / (step @ (g + lam * scale * step))
+        if rho > 0.75:
+            lam = max(lam / 3.0, 1e-12)
+        elif rho < 0.25:
+            lam = 2.0 * lam
         step_norm = float(np.linalg.norm(p_new - p))
         rel_drop = (rss - rss_new) / max(rss, 1e-300)
         p, res, rss = p_new, res_new, rss_new
-        lam = max(lam * fit_module._LAMBDA_DOWN, 1e-12)
         if rel_drop < fit_module._RTOL or step_norm < fit_module._XTOL:
             converged = True
             break

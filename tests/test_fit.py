@@ -491,23 +491,53 @@ PEAKED_CASES = (ORACLE_CASES + [f"paper{s}" for s in range(1, 13)]
                 + [f"grid{s}" for s in range(1, 5)])
 
 
+def peaked_case(case):
+    """The dataset and seed of one ``PEAKED_CASES`` entry."""
+    if case in ORACLE_CASES:
+        d, _, seed = oracle_case(case)
+        return d, seed
+    kind = case.rstrip("0123456789")
+    seed = int(case[len(kind):])
+    return {"paper": paper_scale_dataset, "grid": grid_dataset}[kind](seed), seed
+
+
 class TestEquivalentFamilies:
     """Two families that describe the same curves reach the same best RSS:
     an oracle that needs no outside fitter. On peaked data exp(a + b x +
-    c x^2), c < 0, is a Gaussian peak. (inverse_shift and tanh_sigmoid do
-    not yet agree with their twins rational_lin_lin and logistic_offset.)"""
+    c x^2), c < 0, is a Gaussian peak; tanh_sigmoid is logistic_offset with
+    L = 2b, k' = 2k and offset a - b everywhere. (inverse_shift does not yet
+    agree with its twin rational_lin_lin.)"""
+
+    @staticmethod
+    def _best_rss(case, *names):
+        d, seed = peaked_case(case)
+        return [multi_start(get_model(name), d, n_starts=5, seed=seed).rss
+                for name in names]
 
     @pytest.mark.parametrize("case", PEAKED_CASES)
     def test_exp_quadratic_matches_gaussian_peak(self, case):
-        if case in ORACLE_CASES:
-            d, _, seed = oracle_case(case)
-        else:
-            kind = case.rstrip("0123456789")
-            seed = int(case[len(kind):])
-            d = {"paper": paper_scale_dataset, "grid": grid_dataset}[kind](seed)
-        quad, gauss = (multi_start(get_model(name), d, n_starts=5, seed=seed).rss
-                       for name in ("exp_quadratic", "gaussian_peak"))
+        quad, gauss = self._best_rss(case, "exp_quadratic", "gaussian_peak")
         assert quad == pytest.approx(gauss, rel=1e-9)
+
+    @pytest.mark.parametrize("case", PEAKED_CASES)
+    def test_tanh_sigmoid_matches_logistic_offset(self, case):
+        tanh, logistic = self._best_rss(case, "tanh_sigmoid", "logistic_offset")
+        assert tanh == pytest.approx(logistic, rel=1e-9)
+
+
+class TestGeneratingParameters:
+    """The benchmark's own oracle: data drawn from a Gaussian peak with
+    lognormal noise, refitted by that family, reach a weighted RSS no higher
+    than the curve that generated them. The RSS at the generating parameters
+    is computed here, not by the program."""
+
+    @pytest.mark.parametrize("case", PEAKED_CASES[len(ORACLE_CASES):])
+    def test_fit_reaches_the_generating_rss(self, case):
+        d, seed = peaked_case(case)
+        truth = 1e5 * np.exp(-((d.xs - 15.0) ** 2) / (2 * 8.0 ** 2))
+        rss_true = float(np.sum(d.weights * (d.ys - truth) ** 2))
+        fit = multi_start(get_model("gaussian_peak"), d, n_starts=5, seed=seed)
+        assert fit.rss <= rss_true * (1 + 1e-6)
 
 
 @functools.cache
