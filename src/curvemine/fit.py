@@ -1,7 +1,7 @@
 """Weighted nonlinear least squares and r^2-ranked catalog model selection.
 
 The fitter is a damped Gauss-Newton (Levenberg-Marquardt) scheme with
-analytic Jacobians from the model catalog, bound projection, and monotone
+the model catalog's Jacobians, bound projection, and monotone
 RSS descent. Catalog ranking fits every family via multi-start, with every
 start of every family advancing together through one loop, and orders the
 plausible results by coefficient of determination.
@@ -17,7 +17,7 @@ For a family that declares ``linear`` parameters c, the kernel uses
 variable projection (Golub & Pereyra 1973, SIAM J. Numer. Anal. 10:413):
 at every value of the other parameters theta it solves the weighted linear
 least-squares problem for c exactly, from the basis phi(theta, x) that the
-rows of ``grad_fn`` for c give, so Levenberg-Marquardt moves theta only.
+Jacobian rows for c give, so Levenberg-Marquardt moves theta only.
 Its Jacobian is Kaufman's (1975, BIT 15:49): the theta rows of the
 weighted Jacobian at (theta, c), projected onto the complement of the
 basis. A family linear in every parameter is one solve.
@@ -69,7 +69,8 @@ _LAMBDA0 = 1e-3
 
 @dataclass(frozen=True)
 class FitResult:
-    """One fit; ``rss`` is the weighted RSS over every point of the dataset."""
+    """One fit; ``rss`` is the weighted RSS over every point of the dataset. A
+    family fitted as its twin reports the twin's ``iterations`` and ``stop_reason``."""
 
     spec_name: str
     params: tuple[float, ...]
@@ -94,7 +95,7 @@ _CONVERGED = (_RSS_RTOL, _STEP_TOL, _NO_DESCENT)
 
 
 def _basis(spec, params, xs, sw):
-    """sqrt(w) times the ``grad_fn`` rows of the linear parameters, the basis
+    """sqrt(w) times the Jacobian rows of the linear parameters, the basis
     phi (k, l, n); C-contiguous, so that matmul rounds every row alike."""
     lin = list(spec.linear)
     phi = np.empty((len(params), len(lin), len(xs)))
@@ -377,34 +378,52 @@ def _start_points(spec: ModelSpec, d: Dataset, n_starts: int,
     return np.concatenate([base[None], np.clip(jitter, lo, hi)])
 
 
+def _twin_result(spec: ModelSpec, d: Dataset, params: np.ndarray, rss, iterations, stop):
+    """``spec``'s FitResult from its twin's best start (see ``models._reparam``):
+    mapped, and scored at the mapped parameters; or, where that r^2 is more
+    than 1e-9 from the twin's, the ValueError naming how the map loses it."""
+    twin, from_twin, lost = spec.twin
+    with np.errstate(all="ignore"):
+        p = np.asarray(from_twin(params), dtype=float)
+        own = np.sum(d.weights * (d.ys - evaluate(spec, p, d.xs)) ** 2)
+    fit = _fit_result(spec, d, p, own, iterations, stop)
+    twin_r2 = _fit_result(twin, d, params, rss, iterations, stop).r2
+    same = np.isclose(fit.r2, twin_r2, rtol=0.0, atol=1e-9, equal_nan=True)
+    return fit if same else ValueError(f"{spec.name}: {lost}")
+
+
 def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
                  seed: int) -> list:
     """The multi-start fit of every family in ``specs``: its FitResult, or
     the ValueError or LinAlgError that failed it. The starts of every
-    family the data admit run through one ``_lockstep`` call. An empty
-    dataset or n_starts < 1 raises once, before any family."""
+    family the data admit run through one ``_lockstep`` call, a family with
+    a twin as the twin (see ``_twin_result``), whose starts run once. An
+    empty dataset or n_starts < 1 raises once, before any family."""
     ages = _ages(d)
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    fits, admitted = [], []
+    fits, admitted = [], {}  # id of each family fitted -> it, its starts, the specs fitted as it
     for i, spec in enumerate(specs):
+        fitted = spec.twin[0] if spec.twin else spec
         try:
-            starts = _start_points(spec, d, n_starts, seed)
+            starts = _start_points(fitted, d, n_starts, seed)
         except (ValueError, np.linalg.LinAlgError) as exc:
-            fits.append(exc)
+            fits.append(exc if fitted is spec else type(exc)(f"{spec.name}: fitted as {exc}"))
             continue
         why = _ruled_out(spec, ages)
         if not why:
-            admitted.append((i, starts))
+            admitted.setdefault(id(fitted), (fitted, starts, []))[2].append(i)
         # this error stands unless one of the family's starts fits below
         fits.append(ValueError(f"{spec.name}: {why or 'no start point produced a fit'}"))
-    kernel = _lockstep([specs[i] for i, _ in admitted], d, [s for _, s in admitted])
-    for (i, _), (params, rss, iterations, stop) in zip(admitted, kernel):
+    kernel = _lockstep([f for f, _, _ in admitted.values()], d,
+                       [s for _, s, _ in admitted.values()])
+    for (_, _, users), (params, rss, iterations, stop) in zip(admitted.values(), kernel):
         ok = np.flatnonzero(stop != _START_NONFINITE)
         if ok.size:  # converged before not, then the lowest RSS; the first start wins a tie
             best = ok[np.lexsort((rss[ok], ~np.isin(stop[ok], _CONVERGED)))[0]]
-            fits[i] = _fit_result(specs[i], d, params[best], rss[best],
-                                  iterations[best], stop[best])
+            for i in users:
+                fits[i] = (_twin_result if specs[i].twin else _fit_result)(
+                    specs[i], d, params[best], rss[best], iterations[best], stop[best])
     return fits
 
 

@@ -1,8 +1,8 @@
-"""Parametric model catalog: evaluation, analytic gradients, guesses, plausibility.
+"""Parametric model catalog: evaluation, parameter gradients, guesses, plausibility.
 
-Each ModelSpec bundles four pieces: a family's forward evaluation, its
-analytic parameter gradient (for the fitter), parameter bounds, and an
-initial-guess heuristic driven by data descriptives. The x-derivative used
+Each ModelSpec bundles a family's forward evaluation, parameter bounds, an
+initial-guess heuristic driven by data descriptives and, optionally, a
+hand-written parameter gradient for the fitter. The x-derivative used
 in downstream analysis is not written per family: ``x_derivative`` takes a
 complex step through the evaluation, so ``eval_fn`` must accept complex x.
 The built-in catalog covers six family classes and is user-extensible via
@@ -12,7 +12,7 @@ The built-in catalog covers six family classes and is user-extensible via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
@@ -61,13 +61,14 @@ class ModelSpec:
 
     ``eval_fn`` must also accept complex x and complex parameters and stay
     analytic in them, since dy/dx is Im f(x + ih) / h (see
-    ``x_derivative``) and ``grad_fn`` is checked against the partials
-    Im f(p + ih e_j, x) / h: numpy functions only, no ``math``, no
+    ``x_derivative``) and the partials are Im f(p + ih e_j, x) / h (exact
+    to rounding; Martins et al. 2003, ACM TOMS 29:245) unless the optional,
+    cheaper ``grad_fn`` gives them: numpy functions only, no ``math``, no
     comparisons on x and no casts of x or a parameter to float.
 
     ``linear`` lists the parameters that enter linearly: f(theta, c) =
-    f(theta, 0) + sum_j c_j phi_j(theta, x), where phi_j is row j of
-    ``grad_fn`` and may not depend on c. Their bounds must be unbounded. The
+    f(theta, 0) + sum_j c_j phi_j(theta, x), where phi_j is partial j (see
+    ``gradient``) and may not depend on c. Their bounds must be unbounded. The
     fitter then solves them exactly at every value of the other parameters
     (variable projection, see ``curvemine.fit``), and ``guess_fn(xs, ys)``
     returns starting values only for the other parameters, in index order
@@ -80,10 +81,12 @@ class ModelSpec:
     n_params: int
     family_class: str  # polynomial | exponential | sigmoidal | peaked | rational | power
     eval_fn: EvalFn
-    grad_fn: GradFn
+    grad_fn: Optional[GradFn] = None
     guess_fn: GuessFn = lambda xs, ys: ()
     bounds: tuple[tuple[float, float], ...] = ()
     linear: tuple[int, ...] = ()
+    # (twin, map from its parameters, reason where the map loses a curve): _reparam's
+    twin: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bounds = self.bounds or ((-np.inf, np.inf),) * self.n_params
@@ -118,10 +121,20 @@ def _param_columns(p: np.ndarray, xv: np.ndarray) -> np.ndarray:
     return p.T.reshape(p.shape[::-1] + (1,) * xv.ndim)
 
 
+def _partials(spec: ModelSpec, p: np.ndarray, xv: np.ndarray) -> np.ndarray:
+    """``_jacobian`` by complex step, Im f(p + ih e_j, x) / h for every j."""
+    n = spec.n_params  # every row of p at every p + ih e_j
+    z = (p[..., None, :] + 1j * _COMPLEX_STEP * np.eye(n)).reshape(-1, n)
+    y = np.broadcast_to(spec.eval_fn(_param_columns(z, xv), xv), z.shape[:1] + xv.shape)
+    return y.imag.reshape(p.shape + xv.shape) / _COMPLEX_STEP
+
+
 def _jacobian(spec: ModelSpec, p: np.ndarray, xv: np.ndarray) -> np.ndarray:
-    """``grad_fn`` at one vector p, shape (n_params,) + x.shape, or at a
-    (k, n_params) batch, shape (k, n_params) + x.shape; a Jacobian of x only
-    is broadcast to every row. The caller holds the ``np.errstate``."""
+    """``grad_fn`` (or ``_partials``) at one vector p, shape (n_params,) + x.shape,
+    or at a (k, n_params) batch, shape (k, n_params) + x.shape; a Jacobian of
+    x only is broadcast to every row. The caller holds the ``np.errstate``."""
+    if spec.grad_fn is None:
+        return _partials(spec, p, xv)
     g = np.asarray(spec.grad_fn(_param_columns(p, xv), xv), dtype=float)
     if g.ndim == xv.ndim + 2:  # (n_params, k) + x.shape from a batch
         return g.swapaxes(0, 1)
@@ -150,7 +163,7 @@ def evaluate(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray | float:
 
 
 def gradient(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray:
-    """Analytic partials dy/dtheta_j, shape (n_params,) + shape(x).
+    """Partials dy/dtheta_j (``grad_fn``'s, or by complex step), shape (n_params,) + shape(x).
 
     A batch (k, n_params) gives (k, n_params) + shape(x), also for a family
     whose Jacobian depends on x only.
@@ -235,6 +248,7 @@ def spec_to_dict(spec: ModelSpec) -> dict:
         "n_params": spec.n_params,
         "family_class": spec.family_class,
         "bounds": [[lo, hi] for lo, hi in spec.bounds],
+        **({"fitted_as": spec.twin[0].name} if spec.twin else {}),
     }
 
 
@@ -293,12 +307,9 @@ def _check_batch_contract(spec: ModelSpec) -> None:
                              "difference: eval_fn must take complex x")
         if spec.linear:
             _check_linear(spec, batch, x)
-        n = spec.n_params  # every row of the batch at every p + ih e_j
-        z = np.repeat(batch, n, axis=0) + 1j * _COMPLEX_STEP * np.tile(np.eye(n), (2, 1))
         with np.errstate(all="ignore"):
-            y = np.broadcast_to(spec.eval_fn(_param_columns(z, x), x), (2 * n, x.size))
-        bad = ~np.isclose(gradient(spec, batch, x), y.imag.reshape(2, n, -1) / _COMPLEX_STEP,
-                          rtol=1e-9, atol=0.0, equal_nan=True)
+            bad = ~np.isclose(gradient(spec, batch, x), _partials(spec, batch, x),
+                              rtol=1e-9, atol=0.0, equal_nan=True)
         if bad.any():
             raise ValueError(f"grad_fn row {np.argwhere(bad)[0, 1]} is not the complex-step "
                              f"partial of eval_fn, which must take complex parameters")
@@ -311,7 +322,7 @@ def _check_batch_contract(spec: ModelSpec) -> None:
 def _check_linear(spec: ModelSpec, batch: Array, x: Array) -> None:
     """The ``linear`` parameters of ``batch`` must be unbounded, and moving
     them must change eval_fn by exactly sum_j c_j phi_j and leave their own
-    grad_fn rows phi_j unchanged."""
+    partials phi_j unchanged."""
     lin = list(spec.linear)
     if any(spec.bounds[j] != (-np.inf, np.inf) for j in lin):
         raise ValueError("a linear parameter must have (-inf, inf) bounds")
@@ -387,6 +398,16 @@ def _with_offset(base: ModelSpec, name: str, lift: float,
                      linear=linear + (n,) if linear else ())
 
 
+def _reparam(twin: ModelSpec, name: str, eval_fn: EvalFn, from_twin, lost: str) -> ModelSpec:
+    """``twin``'s curves as ``eval_fn`` at the parameters ``from_twin`` maps
+    ``twin``'s to: fitted as ``twin``, or failed with reason ``lost`` where
+    the map loses the curve (see ``curvemine.fit``). Its guess is mapped."""
+    spec = ModelSpec(name, twin.n_params, twin.family_class, eval_fn,
+                     guess_fn=lambda xs, ys: from_twin(_guess(twin, xs, ys)))
+    object.__setattr__(spec, "twin", (twin, from_twin, lost))
+    return spec
+
+
 def _ones_like(x):
     return np.ones_like(np.asarray(x, dtype=float))
 
@@ -439,14 +460,13 @@ _add(ModelSpec("double_exp_decay", 4, "exponential", _dbl_exp, _dbl_exp_g,
                linear=(0, 2)))
 
 
-def _exp_sat(p, x):
+def _exp_sat(p, x):  # -expm1, not 1 - exp, keeps its digits as b x -> 0
     a, b = p
-    return a * (1.0 - np.exp(-b * x))
+    return -a * np.expm1(-b * x)
 
 def _exp_sat_g(p, x):
     a, b = p
-    e = np.exp(-b * x)
-    return np.array([1.0 - e, a * x * e])
+    return np.array([-np.expm1(-b * x), a * x * np.exp(-b * x)])
 
 _add(ModelSpec("exp_saturating", 2, "exponential", _exp_sat, _exp_sat_g,
                lambda xs, ys: np.array([2.0 / _span(xs)]), linear=(0,)))
@@ -547,15 +567,10 @@ def _tanh_sig(p, x):
     a, b, k, x0 = p
     return a + b * np.tanh(k * (x - x0))
 
-def _tanh_sig_g(p, x):
-    a, b, k, x0 = p
-    t = np.tanh(k * (x - x0))
-    sech2 = 1.0 - t * t
-    return np.array([_ones_like(t), t, b * (x - x0) * sech2, -b * k * sech2])
-
-_add(ModelSpec("tanh_sigmoid", 4, "sigmoidal", _tanh_sig, _tanh_sig_g,
-               lambda xs, ys: np.array([float(ys.mean()), _span(ys) / 2.0,
-                                        2.0 / _span(xs), float(np.median(xs))])))
+# L / (1 + exp(-k'(x - x0))) + c is c + L/2 + (L/2) tanh(k'(x - x0) / 2)
+_add(_reparam(get_model("logistic_offset"), "tanh_sigmoid", _tanh_sig,
+              lambda p: np.array([p[3] + p[0] / 2.0, p[0] / 2.0, p[1] / 2.0, p[2]]),
+              "the best fit has no finite tanh_sigmoid parameters"))
 
 
 # --- peaked class ---
@@ -695,14 +710,10 @@ def _inv_shift(p, x):
     a, b, c = p
     return a + b / (x + c)
 
-def _inv_shift_g(p, x):
-    a, b, c = p
-    den = x + c
-    return np.array([_ones_like(den), 1.0 / den, -b / den ** 2])
-
-_add(ModelSpec("inverse_shift", 3, "rational", _inv_shift, _inv_shift_g,
-               lambda xs, ys: np.array([float(ys.min()), 1.0,
-                                        max(1.0, 1.0 - float(xs.min()))])))
+# (a' + b'x) / (1 + c'x) is a + b / (x + c) with a = b'/c', b = (a'c' - b')/c'^2, c = 1/c'
+_add(_reparam(get_model("rational_lin_lin"), "inverse_shift", _inv_shift,
+              lambda p: np.array([p[1] / p[2], (p[0] * p[2] - p[1]) / p[2] ** 2, 1.0 / p[2]]),
+              "the best fit is a straight line, which inverse_shift reaches only as c -> inf"))
 
 
 # --- power class ---

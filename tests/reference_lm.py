@@ -8,7 +8,8 @@ Its damping follows the gain-ratio rule the fitter documents: an accepted step w
 drop rho above 3/4 divides lam by 3, below 1/4 doubles it, floored at
 1e-12; rejected trials multiply lam by nu = 2, 4, 8, ... (Nielsen 1999,
 IMM-REP-1999-05). ``fit_catalog`` has the signature of
-``curvemine.fit._fit_catalog``, so a test can swap it into ``rank_all``.
+``curvemine.fit._fit_catalog``, so a test can swap it into ``rank_all``;
+like the fitter, it fits a family that has a twin as that twin.
 """
 
 import numpy as np
@@ -132,13 +133,34 @@ def multi_start(spec, d, n_starts=5, seed=0):
     return best
 
 
+def twin_multi_start(spec, d, n_starts, seed):
+    """``multi_start`` of the twin of ``spec``, its best parameters mapped into
+    the coordinates of ``spec`` and scored there. Raises the named reason of
+    ``spec`` if the two r^2 differ by more than 1e-9."""
+    twin, from_twin, lost = spec.twin
+    best = multi_start(twin, d, n_starts, seed)
+    with np.errstate(all="ignore"):
+        p = np.asarray(from_twin(np.array(best.params)), dtype=float)
+    try:
+        r2 = r_squared(spec, p, d)
+    except ValueError:
+        r2 = float("nan")
+    if not (abs(r2 - best.r2) <= 1e-9 or (np.isnan(r2) and np.isnan(best.r2))):
+        raise ValueError(f"{spec.name}: {lost}")
+    rss = _rss(_weighted_residuals(spec, p, d.xs, d.ys, np.sqrt(d.weights)))
+    return FitResult(spec_name=spec.name, params=tuple(float(v) for v in p),
+                     rss=rss, r2=r2, converged=best.converged,
+                     iterations=best.iterations)
+
+
 def fit_catalog(specs, d, n_starts, seed):
-    """``multi_start`` for each family in turn: its result, or the error that
-    failed it."""
+    """``multi_start`` for each family in turn, or ``twin_multi_start`` for one
+    with a twin: its result, or the error that failed it."""
     fits = []
     for spec in specs:
         try:
-            fits.append(multi_start(spec, d, n_starts, seed))
+            fit = twin_multi_start if spec.twin else multi_start
+            fits.append(fit(spec, d, n_starts, seed))
         except (ValueError, np.linalg.LinAlgError) as exc:
             fits.append(exc)
     return fits

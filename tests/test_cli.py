@@ -261,6 +261,20 @@ class TestFitRank:
         models = json.loads(out)["result"]["models"]
         assert len(models) >= 30
         assert {"name", "n_params", "family_class", "bounds"} <= set(models[0])
+        assert {m["name"]: m["fitted_as"] for m in models if "fitted_as" in m} == {
+            "tanh_sigmoid": "logistic_offset", "inverse_shift": "rational_lin_lin"}
+
+    def test_twin_filtered_alone_reports_its_full_catalog_entry(self, capsys, data_csv):
+        # inverse_shift is fitted as rational_lin_lin, which this filter drops
+        def entry(*flags):
+            code, out, _ = run(capsys, "rank", "--data", str(data_csv), "--seed", "7",
+                               "--nonnegative", *flags)
+            assert code == 0
+            return {e["spec_name"]: e for e in json.loads(out)["result"]["entries"]}
+
+        alone = entry("--catalog-filter", "inverse_shift")
+        assert list(alone) == ["inverse_shift"]
+        assert alone["inverse_shift"] == entry()["inverse_shift"]
 
 
 class TestValidateCmd:

@@ -365,9 +365,16 @@ class TestBatchedKernel:
                 assert alone.params == tuple(params[i]), spec.name
                 assert (alone.rss, alone.iterations, alone.stop_reason) == \
                     (rss[i], iterations[i], STOP_REASONS[stop[i]]), spec.name
-            if ok.any():
+            if ok.any() and not spec.twin:
                 best = multi_start(spec, d, n_starts=5, seed=4)
                 assert best.params in {tuple(params[i]) for i in np.flatnonzero(ok)}
+        for spec in catalog():  # a twin's best is a mapped row of its twin's call
+            if spec.twin:
+                twin, from_twin, _ = spec.twin
+                params, _, _, stop = _lockstep([twin], d, [_start_points(twin, d, 5, seed=4)])[0]
+                mapped = {tuple(from_twin(params[i]))
+                          for i in np.flatnonzero(stop != STOP_REASONS.index("start_nonfinite"))}
+                assert multi_start(spec, d, n_starts=5, seed=4).params in mapped, spec.name
 
     def test_degenerate_start_leaves_other_starts_unchanged(self):
         # amplitude 0 zeroes two Jacobian columns (singular J^T J); a NaN
@@ -444,7 +451,8 @@ class TestAgainstPerStartReference:
         monkeypatch.setattr(reference_lm, "multi_start", counted)
         monkeypatch.setattr(fit_module, "_fit_catalog", reference_lm.fit_catalog)
         want = rank_all(catalog(), d, cfg, n_starts=5, seed=seed)
-        assert ran == [s.name for s in catalog()]  # the reference ran, once per family
+        # the reference ran once per family, a family with a twin as that twin
+        assert ran == [(s.twin[0] if s.twin else s).name for s in catalog()]
 
         assert got.gold_standard.spec_name == want.gold_standard.spec_name
         # Families with linear parameters are solved by variable projection,
@@ -504,15 +512,29 @@ def peaked_case(case):
 class TestEquivalentFamilies:
     """Two families that describe the same curves reach the same best RSS:
     an oracle that needs no outside fitter. On peaked data exp(a + b x +
-    c x^2), c < 0, is a Gaussian peak; tanh_sigmoid is logistic_offset with
-    L = 2b, k' = 2k and offset a - b everywhere. (inverse_shift does not yet
-    agree with its twin rational_lin_lin.)"""
+    c x^2), c < 0, is a Gaussian peak; the two are fitted apart. Everywhere,
+    tanh_sigmoid is logistic_offset with L = 2b, k' = 2k and offset a - b,
+    and inverse_shift is rational_lin_lin with c' = 1/c: each is its twin's
+    one fit, mapped and scored in its own coordinates."""
 
     @staticmethod
     def _best_rss(case, *names):
         d, seed = peaked_case(case)
         return [multi_start(get_model(name), d, n_starts=5, seed=seed).rss
                 for name in names]
+
+    @staticmethod
+    def _assert_twin_fit(case, name):
+        d, seed = peaked_case(case)
+        spec = get_model(name)
+        twin, from_twin, _ = spec.twin
+        want = multi_start(twin, d, n_starts=5, seed=seed)
+        got = multi_start(spec, d, n_starts=5, seed=seed)
+        assert got.params == tuple(from_twin(np.array(want.params)))
+        assert (got.iterations, got.stop_reason) == (want.iterations, want.stop_reason)
+        assert got.rss == np.sum(d.weights * (d.ys - evaluate(spec, got.params, d.xs)) ** 2)
+        assert got.rss == pytest.approx(want.rss, rel=1e-9)
+        assert got.r2 == pytest.approx(want.r2, rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("case", PEAKED_CASES)
     def test_exp_quadratic_matches_gaussian_peak(self, case):
@@ -521,8 +543,93 @@ class TestEquivalentFamilies:
 
     @pytest.mark.parametrize("case", PEAKED_CASES)
     def test_tanh_sigmoid_matches_logistic_offset(self, case):
-        tanh, logistic = self._best_rss(case, "tanh_sigmoid", "logistic_offset")
-        assert tanh == pytest.approx(logistic, rel=1e-9)
+        self._assert_twin_fit(case, "tanh_sigmoid")
+
+    @pytest.mark.parametrize("case", PEAKED_CASES)
+    def test_inverse_shift_matches_rational_lin_lin(self, case):
+        self._assert_twin_fit(case, "inverse_shift")
+
+
+class TestTwinFamilies:
+    """A family with a twin (``models._reparam``) is fitted as that twin."""
+
+    CFG = PlausibilityConfig(domain=(-1.0, 55.0), require_nonnegative=True)
+
+    def test_each_twin_runs_its_starts_once_per_rank(self, monkeypatch):
+        calls = []
+
+        def recording(specs, d, starts):
+            calls.append([s.name for s in specs])
+            return _lockstep(specs, d, starts)
+
+        monkeypatch.setattr(fit_module, "_lockstep", recording)
+        rank_all(catalog(), paper_scale_dataset(3), self.CFG, seed=4)
+        # one kernel call, in which each twin's twin (rational_lin_lin,
+        # logistic_offset) runs once and the two twins not at all
+        assert calls == [[s.name for s in catalog() if not s.twin]]
+
+    def test_a_line_is_lost_to_inverse_shift(self):
+        # rational_lin_lin fits y = 2 + 3x with c' ~ 0, where inverse_shift's
+        # a, b and c diverge: its own r^2 there would contradict the twin's 1
+        xs = np.linspace(0.0, 50.0, 40)
+        d = make_dataset(xs, 2.0 + 3.0 * xs)
+        assert multi_start(get_model("rational_lin_lin"), d).r2 == pytest.approx(1.0)
+        why = ("inverse_shift: the best fit is a straight line, which "
+               "inverse_shift reaches only as c -> inf")
+        with pytest.raises(ValueError) as info:
+            multi_start(get_model("inverse_shift"), d)
+        assert str(info.value) == why
+        entries = {e.result.spec_name: e
+                   for e in rank_all(catalog(), d, self.CFG, seed=1).entries}
+        assert entries["inverse_shift"].reason == f"fit failed: {why}"
+        assert not entries["inverse_shift"].plausible
+
+    def test_a_guess_error_of_the_twin_names_both(self):
+        d = make_dataset([1.0, 2.0], [3.0, 5.0])
+        entries = {e.result.spec_name: e.reason
+                   for e in rank_all(catalog(), d, self.CFG, seed=1).entries}
+        assert entries["rational_lin_lin"] == \
+            "fit failed: rational_lin_lin: need >= 3 points, got 2"
+        assert entries["inverse_shift"] == \
+            "fit failed: inverse_shift: fitted as rational_lin_lin: need >= 3 points, got 2"
+        with pytest.raises(ValueError, match="^tanh_sigmoid: fitted as logistic_offset: "):
+            multi_start(get_model("tanh_sigmoid"), d)
+
+    def test_a_family_with_unhashable_callables_is_ranked(self):
+        # families are told apart by identity, so a callable that defines
+        # __eq__ and no __hash__ still fits
+        class Decay:
+            __hash__ = None
+
+            def __call__(self, p, x):
+                return p[0] * np.exp(-p[1] * x)
+
+        spec = ModelSpec("decay_object", 2, "exponential", Decay(),
+                         guess_fn=lambda xs, ys: np.array([1.0, 0.1]))
+        d = paper_scale_dataset(3)
+        entry, = rank_all([spec], d, self.CFG, seed=1).entries
+        assert entry.result.converged
+        assert entry.result.rss == multi_start(spec, d, seed=1).rss
+
+    @pytest.mark.parametrize("name", ["inverse_shift", "tanh_sigmoid"])
+    def test_fit_least_squares_iterates_in_own_coordinates(self, name):
+        d = acceptance_datasets()[0][0]
+        spec = get_model(name)
+        r = fit_least_squares(spec, d, initial_guess(spec, d))
+        assert r.spec_name == name and r.iterations > 0
+        assert np.isfinite(r.params).all() and np.isfinite([r.rss, r.r2]).all()
+
+
+@pytest.mark.parametrize("case", PEAKED_CASES)
+def test_family_without_gradient_fits_as_well(case):
+    # gaussian_peak without its grad_fn: the kernel takes complex-step partials
+    d, seed = peaked_case(case)
+    gauss = get_model("gaussian_peak")
+    no_grad = ModelSpec("gaussian_peak_no_grad", 3, "peaked", gauss.eval_fn,
+                        guess_fn=gauss.guess_fn, bounds=gauss.bounds)
+    got = multi_start(no_grad, d, n_starts=5, seed=seed)
+    want = multi_start(gauss, d, n_starts=5, seed=seed)
+    assert got.rss == pytest.approx(want.rss, rel=1e-9)
 
 
 class TestGeneratingParameters:

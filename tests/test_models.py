@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import curvemine.models as models_module
 from curvemine.fit import fit_least_squares
@@ -36,6 +39,13 @@ def sample_params(spec, rng):
     lo = np.array([b[0] for b in spec.bounds])
     hi = np.array([b[1] for b in spec.bounds])
     return np.clip(rng.uniform(0.2, 2.5, spec.n_params), lo, hi)
+
+
+def complex_step_partials(spec, p, x):
+    """Im f(p + ih e_j, x) / h with h = 1e-20, one partial j at a time."""
+    with np.errstate(all="ignore"):
+        return np.array([np.broadcast_to(spec.eval_fn(p + 1e-20j * e, x), x.shape).imag
+                         for e in np.eye(spec.n_params)]) / 1e-20
 
 
 class TestCatalog:
@@ -439,6 +449,39 @@ class TestPlausibility:
     def test_empty_domain_error(self):
         with pytest.raises(ValueError):
             PlausibilityConfig(domain=(5.0, 5.0))
+
+
+class TestGradients:
+    @pytest.mark.parametrize("name", [s.name for s in catalog() if s.grad_fn])
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.lists(st.floats(0.2, 2.5), min_size=6, max_size=6),
+           x=arrays(np.float64, st.integers(1, 12), elements=st.floats(-1.0, 60.0)))
+    def test_grad_fn_is_the_complex_step_partial(self, name, p, x):
+        # Pre-birth ages included. Where the model and both partials are
+        # finite, each partial agrees to 1e-9 relative, above a floor of 1e-12
+        # times the largest partial at its age (the Jacobian row of that age).
+        spec = get_model(name)
+        p = np.clip(p[:spec.n_params], *models_module._bounds(spec))
+        want, got = complex_step_partials(spec, p, x), gradient(spec, p, x)
+        with np.errstate(all="ignore"):
+            both = np.isfinite(want) & np.isfinite(got) & np.isfinite(evaluate(spec, p, x))
+            floor = 1e-12 * np.max(np.abs(want), axis=0, where=np.isfinite(want),
+                                   initial=0.0) + 1e-300
+            assert np.all((np.abs(got - want) <= 1e-9 * np.abs(want) + floor)[both])
+
+    def test_family_without_grad_fn_registers_with_complex_step_partials(
+            self, monkeypatch):
+        monkeypatch.setattr(models_module, "_REGISTRY", dict(models_module._REGISTRY))
+        gauss = get_model("gaussian_peak")
+        spec = register_model(ModelSpec(
+            "gaussian_peak_no_grad", 3, "peaked", gauss.eval_fn,
+            guess_fn=gauss.guess_fn, bounds=gauss.bounds))
+        assert spec.grad_fn is None and get_model("gaussian_peak_no_grad") is spec
+        x = np.linspace(-1.0, 60.0, 25)
+        for p in ([100.0, 15.0, 8.0], [2.5, 0.2, 1.5]):
+            assert np.array_equal(gradient(spec, p, x),
+                                  complex_step_partials(gauss, np.array(p), x))
+            assert gradient(spec, p, x) == pytest.approx(gradient(gauss, p, x), rel=1e-12)
 
 
 class TestCustomSpec:
