@@ -3,11 +3,14 @@ multi-start batch, kept for the tests as a differential oracle.
 
 One start at a time, one parameter vector per model call, every operation
 on 1-D arrays. It reads the fitter's settings (iteration cap, tolerances,
-starting damping) and scores with its ``r_squared``, but runs its own loop.
-Its damping follows the gain-ratio rule the fitter documents: an accepted step with actual over predicted RSS
+starting damping, damping levels per iteration) and scores with its
+``r_squared``, but runs its own loop. Its damping follows the gain-ratio
+rule the fitter documents: an accepted step with actual over predicted RSS
 drop rho above 3/4 divides lam by 3, below 1/4 doubles it, floored at
 1e-12; rejected trials multiply lam by nu = 2, 4, 8, ... (Nielsen 1999,
-IMM-REP-1999-05). ``fit_catalog`` has the signature of
+IMM-REP-1999-05). It tries one damping level at a time; the fitter tries a
+rejected start's next levels together, but walks the same sequence of
+levels and takes the first that wins. ``fit_catalog`` has the signature of
 ``curvemine.fit._fit_catalog``, so a test can swap it into ``rank_all``;
 like the fitter, it fits a family that has a twin as that twin.
 """
@@ -62,7 +65,7 @@ def fit_least_squares(spec, d, start):
             break
         scale = np.maximum(np.diag(a), 1e-12)
         accepted, nu = False, 2.0
-        for _ in range(50):
+        for _ in range(fit_module._MAX_TRIALS):
             try:
                 step = np.linalg.solve(a + lam * np.diag(scale), g)
             except np.linalg.LinAlgError:

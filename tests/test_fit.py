@@ -649,9 +649,10 @@ class TestGeneratingParameters:
 
 @functools.cache
 def _admitted_catalog_call(case):
-    """The families of the catalog that ``case`` admits, their starts, and
-    their rows from one ``_lockstep`` call over all of them."""
-    d, _, seed = oracle_case(case)
+    """The families of the catalog that the ``PEAKED_CASES`` entry ``case``
+    admits, their starts, and their rows from one ``_lockstep`` call over
+    all of them."""
+    d, seed = peaked_case(case)
     specs, starts = [], []
     for spec in catalog():
         try:
@@ -727,6 +728,84 @@ class TestLockstep:
         assert (got[:, q:] == 0.0).all()
         for short, long in ((want, got), (g, padded_g)):
             assert self._bits(_row_dot(long)) == self._bits(_row_dot(short))
+
+    @staticmethod
+    def _residual_rows(monkeypatch):
+        """The number of rows of each ``_residuals`` call the kernel makes from here on."""
+        rows = []
+
+        def counted(spec, params, *args):
+            rows.append(len(params))
+            return _residuals(spec, params, *args)
+
+        monkeypatch.setattr(fit_module, "_residuals", counted)
+        return rows
+
+    @pytest.mark.parametrize("case", ORACLE_CASES + ["paper1", "paper2", "paper5",
+                                                     "grid1", "grid2"])
+    def test_lookahead_ends_every_row_where_one_level_per_pass_does(self, case, monkeypatch):
+        d, specs, starts, want = _admitted_catalog_call(case)
+        monkeypatch.setattr(fit_module, "_LOOKAHEAD", 1)
+        for spec, rows, got in zip(specs, want, _lockstep(specs, d, starts)):
+            for g, w in zip(got, rows):  # params, rss, iterations, stop
+                assert self._bits(g) == self._bits(w), spec.name
+
+    def test_lookahead_over_several_passes_and_all_levels(self, gaussian_dataset, monkeypatch):
+        # y = a exp(-b x), NaN once b is more than 1e-6 from 0.05, so a step
+        # wins only at a large damping; every trial of nan_trials is NaN
+        def tethered(p, x):
+            return np.where(np.abs(p[1] - 0.05) <= 1e-6, p[0] * np.exp(-p[1] * x), np.nan)
+
+        def grad(p, x):
+            e = np.exp(-p[1] * x)
+            return np.stack([e, -p[0] * x * e])
+
+        tether = ModelSpec(name="tethered", n_params=2, family_class="exponential",
+                           eval_fn=tethered, grad_fn=grad,
+                           guess_fn=lambda xs, ys: np.array([1.0, 0.1]))
+
+        def run(new_spec, depth, max_iter):
+            with monkeypatch.context() as m:
+                m.setattr(fit_module, "_LOOKAHEAD", depth)
+                m.setattr(fit_module, "_MAX_ITER", max_iter)
+                rows = self._residual_rows(m)
+                start = np.array([[50.0, 0.05]])
+                return _lockstep([new_spec()], gaussian_dataset, [start])[0], rows
+
+        def nan_trials():
+            return _counting_model("nan_trials", nan_after=1)
+
+        # The first iteration: a call for the start, one for trial 0, then one
+        # per pass. Tethered wins past the first look-ahead pass; nan_trials
+        # tries all its levels and no more, however many each pass holds.
+        def passes(depth, levels):
+            return -(-levels // depth)
+
+        won_at = len(run(lambda: tether, 1, 1)[1]) - 2
+        assert won_at > fit_module._LOOKAHEAD
+        assert len(run(lambda: tether, fit_module._LOOKAHEAD, 1)[1]) == \
+            2 + passes(fit_module._LOOKAHEAD, won_at)
+        for depth in (1, fit_module._LOOKAHEAD):
+            (_, _, _, stop), rows = run(nan_trials, depth, 1)
+            assert STOP_REASONS[stop[0]] == "no_descent"
+            assert sum(rows) == 1 + fit_module._MAX_TRIALS
+            assert len(rows) == 2 + passes(depth, fit_module._MAX_TRIALS - 1)
+        for new_spec, reason in ((lambda: tether, "rss_rtol"), (nan_trials, "no_descent")):
+            (want, _), (got, _) = (run(new_spec, depth, fit_module._MAX_ITER)
+                                   for depth in (1, fit_module._LOOKAHEAD))
+            assert STOP_REASONS[got[3][0]] == reason
+            for g, w in zip(got, want):  # params, rss, iterations, stop
+                assert self._bits(g) == self._bits(w), reason
+
+    def test_lookahead_saves_model_calls(self, monkeypatch):
+        d, specs, starts, _ = _admitted_catalog_call("paper330")
+        rows = self._residual_rows(monkeypatch)
+        _lockstep(specs, d, starts)
+        at_depth = len(rows)
+        monkeypatch.setattr(fit_module, "_LOOKAHEAD", 1)
+        rows.clear()
+        _lockstep(specs, d, starts)
+        assert at_depth < len(rows)
 
 
 def _raising_model(exc):
