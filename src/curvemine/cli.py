@@ -216,7 +216,6 @@ def _cmd_analyze(args) -> dict:
                                     reference=value_peak.age)
         for age in args.ages
     }
-    band = prediction_band(spec, fitted, d, level=args.level)
     result = {
         "model": spec.name,
         "fit": fitted.as_dict(),
@@ -227,6 +226,7 @@ def _cmd_analyze(args) -> dict:
         "band_level": args.level,
     }
     if args.band_out:
+        band = prediction_band(spec, fitted, d, level=args.level)
         _write(args.band_out, lambda fh: fh.write(band.to_csv()))
         result["band_csv"] = str(args.band_out)
     return result

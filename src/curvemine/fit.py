@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,16 +59,13 @@ __all__ = [
 # (rss_rtol) and step norm (step_tol) that stop a start, and the damping's
 # start. An accepted step's gain ratio rho, actual over predicted RSS drop,
 # then sets lam / 3 above 3/4 and 2 lam below 1/4 (floor 1e-12); rejected
-# trials multiply lam by 2, 4, 8, ... (Nielsen 1999, IMM-REP-1999-05), up
-# to _MAX_TRIALS damping levels per iteration. A row rejected at its first
-# level tries its next _LOOKAHEAD levels in one pass and takes the first
-# that wins, so it ends where one level per pass would end it.
+# trials multiply lam by 2, 4, 8, ... (Nielsen 1999, IMM-REP-1999-05), one
+# trial per pass, and a start stops after _MAX_TRIALS rejected trials in a row.
 _MAX_ITER = 200
 _RTOL = 1e-10
 _XTOL = 1e-10
 _LAMBDA0 = 1e-3
 _MAX_TRIALS = 50
-_LOOKAHEAD = 4
 
 
 @dataclass(frozen=True)
@@ -244,22 +240,21 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
     reason and iteration count, and every operation acts row by row, so a
     row's result does not depend on the other families' rows (a family's
     own live rows share each model call; see ``ModelSpec`` on batch rows).
-    Rows are in ``specs`` order; the model runs per family and all else
-    once over all rows. The live rows' views (their families, step columns
-    and bounds, and each family's row slice and first row) change only
-    when rows stop, so they are derived once per compaction, not per
-    iteration. An iteration's first damping trial solves every live row
-    and runs the model on the live rows of each family that has a finite
-    one, found in one ``reduceat`` over those first rows. Each later pass
-    stacks every row still rejected at its next ``_LOOKAHEAD`` damping
-    levels: one solve, and one model call per family, for the stack. Its
-    residuals share one buffer with trial 0's, which grows only when a
-    stack has more rows than the first iteration's live rows. A row takes
-    the first level that wins, so it ends where trying one level per pass
-    would end it, at any depth. Each row's
-    q x q system is padded to the call's widest q, zero off its block and
-    lam * 1e-12 on the padded diagonal, so the padding solves to exact
-    zeros and the block to the bits of its own solve.
+    Rows are in ``specs`` order; the model runs per family and all else once
+    over all rows. Every pass makes one damping trial for every live row: one
+    solve, and one model call on each family's live rows. A row that wins
+    moves and starts its next iteration on the next pass; a row that loses
+    keeps its parameters and its system and retries at the next damping level,
+    so each row makes the trials of the textbook loop (Madsen, Nielsen &
+    Tingleff 2004, Alg. 3.16) in the same order. A family's JᵀJ and Jᵀr are
+    recomputed, on all its live rows, only in a pass where one of them starts
+    an iteration; one ``reduceat`` over the families' first rows finds those
+    families. The live rows' views (their families, step columns and bounds,
+    and each family's row slice and first row) change only when rows stop, so
+    they are derived once per compaction. Each row's q x q system is padded to
+    the call's widest q, zero off its block and lam * 1e-12 on the padded
+    diagonal, so the padding solves to exact zeros and the block to the bits
+    of its own solve.
     Residuals run on the distinct x of ``d``, grouped once per call, and
     every RSS adds the within-group sum (see ``_distinct_x``), so each RSS
     is the full-data weighted RSS. Steps, bounds and ``step_tol`` apply to
@@ -288,31 +283,15 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
         ok, solved = np.isfinite(res).all(axis=1), q[fam] == 0  # solved: all linear
         iterations = (ok & solved).astype(int)
         stop_code = np.select([~ok, solved], [_START_NONFINITE, _STEP_TOL], _MAX_ITERATIONS)
-        live = np.flatnonzero(ok & ~solved)  # row index of each live row
+        live = np.flatnonzero(ok & ~solved & (_MAX_ITER > 0))  # row index of each live row
         p, res, s, lam = params[live], res[live], rss[live], np.full(live.size, _LAMBDA0)
-        res_try = np.empty_like(res)  # each trial's residuals, in its first rows
+        tried, its = np.zeros((2, live.size), dtype=int)  # failed trials, iteration number
+        a, g = np.zeros((live.size, qmax, qmax)), np.zeros((live.size, qmax))
         diag = slice(None, None, qmax + 1)  # the diagonal of a flattened qmax x qmax
         nu = 2.0 ** np.arange(1, _MAX_TRIALS + 1)  # nu[t]: lam's factor after trial t fails
 
-        def attempt(a, g, scale, lam, p, base, c, lo, hi, families, res_new):
-            """Each row's step at damping ``lam``, projected onto its bounds, and
-            its parameters and RSS there; its residuals go to ``res_new``. The
-            model runs once per ``families`` entry, on its row slice; the other
-            rows' residuals and RSS are left unset."""
-            damped = a.copy()
-            damped.reshape(len(a), -1)[:, diag] += lam[:, None] * scale
-            step = _solve(damped, g)
-            p_new = p.copy()
-            p_new[np.arange(len(p))[:, None], c] = np.minimum(np.maximum(base + step, lo), hi)
-            for rows, spec, *_ in families:
-                pf = p_new[rows, :spec.n_params].copy()
-                res_new[rows] = _residuals(spec, pf, xs, ys, sw)
-                p_new[rows, :spec.n_params] = pf
-            return step, p_new, _rss(res_new, pure)
-
-        it, m = 0, 0
-        while live.size and it < _MAX_ITER:
-            it += 1
+        m = 0
+        while live.size:
             if live.size != m:  # first pass, or rows stopped: derive the live views
                 m, fl, r = live.size, fam[live], np.arange(live.size)[:, None]
                 c, lo_l, hi_l = cols[live], lo[live], hi[live]
@@ -320,72 +299,45 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
                 ends = heads.tolist() + [m]
                 families = [(slice(i, j), specs[f], len(free[f]), free[f])
                             for i, j, f in zip(ends, ends[1:], fl[heads].tolist())]
-            a, g = np.zeros((m, qmax, qmax)), np.zeros((m, qmax))
-            for rows, spec, qf, fr in families:
-                a[rows, :qf, :qf], g[rows, :qf] = _normal_equations(
-                    spec, p[rows, :spec.n_params].copy(), xs, sw, res[rows], fr)
+            fresh = tried == 0  # rows that start an iteration
+            its += fresh
+            starting = np.logical_or.reduceat(fresh, heads).tolist()  # per family
+            for (rows, spec, qf, fr), start in zip(families, starting):
+                if start:
+                    a[rows, :qf, :qf], g[rows, :qf] = _normal_equations(
+                        spec, p[rows, :spec.n_params], xs, sw, res[rows], fr)
             finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(g).all(axis=1)
             scale = np.maximum(a.reshape(m, -1)[:, diag], 1e-12)
 
-            # Trial 0: every live row at its lam, each family's rows in one model call
-            p_old, s_old, base = p.copy(), s.copy(), p[r, c]
-            busy = np.logical_or.reduceat(finite, heads).tolist()  # per family
-            step, p_new, rss_new = attempt(
-                a, g, scale, lam, p_old, base, c, lo_l, hi_l, compress(families, busy),
-                res_try[:m])
-            win = finite & np.isfinite(step).all(axis=1) & (rss_new <= s_old)
-            np.copyto(p, p_new, where=win[:, None])
-            np.copyto(res, res_try[:m], where=win[:, None])
-            np.copyto(s, rss_new, where=win)
-            np.copyto(lam, _damping(s_old - rss_new, step, g, scale, lam), where=win)
-            pending = finite & ~win
-            np.multiply(lam, nu[0], out=lam, where=pending)
-            # Each later pass: every pending row at its next n levels at once
-            trying, trial = np.flatnonzero(pending), 1
-            while trying.size and trial < _MAX_TRIALS:
-                n = min(_LOOKAHEAD, _MAX_TRIALS - trial)
-                # each level's lam, then the next pass's, as one level at a time
-                # forms them: a running product of nu = 2^(trial+1), 2^(trial+2), ...
-                levels = np.empty((trying.size, n + 1))
-                levels[:, 0], levels[:, 1:] = lam[trying], nu[trial:trial + n]
-                np.multiply.accumulate(levels, axis=1, out=levels)
-                stack, ft, lam_s = np.repeat(trying, n), fl[trying], levels[:, :n].ravel()
-                cut = np.flatnonzero(np.diff(ft, prepend=-1))  # each family's first row
-                edges = (cut * n).tolist() + [stack.size]
-                if stack.size > len(res_try):  # more rows than trial 0 has
-                    res_try = np.empty((stack.size, xs.size))
-                step, p_new, rss_new = attempt(
-                    a[stack], g[stack], scale[stack], lam_s, p_old[stack], base[stack],
-                    c[stack], lo_l[stack], hi_l[stack],
-                    [(slice(i, j), specs[f])
-                     for i, j, f in zip(edges, edges[1:], ft[cut].tolist())],
-                    res_try[:stack.size])
-                win = (np.isfinite(step).all(axis=1) & (rss_new <= s_old[stack])).reshape(-1, n)
-                hit = win.any(axis=1)
-                pick = np.flatnonzero(hit) * n + win.argmax(axis=1)[hit]  # first winning level
-                won = trying[hit]
-                lam[trying] = levels[:, n]  # a row no level won carries the next pass's
-                p[won], res[won], s[won] = p_new[pick], res_try[pick], rss_new[pick]
-                lam[won] = _damping(s_old[won] - rss_new[pick], step[pick], g[won], scale[won],
-                                    lam_s[pick])
-                pending[won] = False
-                trying, trial = trying[~hit], trial + n
-            # a finite row still pending cannot improve at any damping
-            accepted = finite & ~pending
-            step_norm = np.sqrt(_row_dot((p - p_old)[r, c]))
-            rel_drop = (s_old - s) / np.maximum(s_old, 1e-300)
-            small_drop = rel_drop < _RTOL
-            done = pending | (accepted & (small_drop | (step_norm < _XTOL)))
-            stop = done | ~finite
+            # One trial per row: its damped step, projected onto its bounds
+            damped = a.copy()
+            damped.reshape(m, -1)[:, diag] += lam[:, None] * scale
+            step = _solve(damped, g)
+            base, p_new, res_new = p[r, c], p.copy(), np.empty_like(res)
+            p_new[r, c] = np.minimum(np.maximum(base + step, lo_l), hi_l)
+            for rows, spec, *_ in families:  # a view: the linear coefficients land in p_new
+                res_new[rows] = _residuals(spec, p_new[rows, :spec.n_params], xs, ys, sw)
+            rss_new = _rss(res_new, pure)
+            win = finite & np.isfinite(step).all(axis=1) & (rss_new <= s)
+            small_drop = (s - rss_new) / np.maximum(s, 1e-300) < _RTOL
+            small_step = np.sqrt(_row_dot(p_new[r, c] - base)) < _XTOL
+            lam = np.where(win, _damping(s - rss_new, step, g, scale, lam), lam * nu[tried])
+            lost = ~win  # keeps its parameters, residuals and RSS
+            p_new[lost], res_new[lost], rss_new[lost] = p[lost], res[lost], s[lost]
+            p, res, s, tried = p_new, res_new, rss_new, np.where(win, 0, tried + 1)
+            # a row that lost at every damping level cannot improve
+            stop = (~finite | (tried == _MAX_TRIALS)
+                    | win & (small_drop | small_step | (its == _MAX_ITER)))
             if stop.any():
                 params[live[stop]], rss[live[stop]] = p[stop], s[stop]
-                iterations[live[stop]] = it
+                iterations[live[stop]] = its[stop]
                 stop_code[live[stop]] = np.select(
-                    [~finite, pending, small_drop],
-                    [_NONFINITE_JACOBIAN, _NO_DESCENT, _RSS_RTOL], _STEP_TOL)[stop]
+                    [~finite, ~win, small_drop, small_step],
+                    [_NONFINITE_JACOBIAN, _NO_DESCENT, _RSS_RTOL, _STEP_TOL],
+                    _MAX_ITERATIONS)[stop]
                 keep = ~stop
-                live, p, res, s, lam = live[keep], p[keep], res[keep], s[keep], lam[keep]
-    params[live], rss[live], iterations[live] = p, s, it
+                live, p, res, s, lam, tried, its, a, g = (
+                    v[keep] for v in (live, p, res, s, lam, tried, its, a, g))
     return [(params[i:j, :spec.n_params], rss[i:j], iterations[i:j], stop_code[i:j])
             for spec, i, j in zip(specs, first[:-1], first[1:])]
 

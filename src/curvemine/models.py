@@ -112,6 +112,9 @@ class PlausibilityConfig:
         lo, hi = self.domain
         if not (lo < hi):
             raise ValueError("empty plausibility domain")
+        if (self.max_sign_changes_of_derivative or 0) < 0:
+            raise ValueError("max_sign_changes_of_derivative must be >= 0, got "
+                             f"{self.max_sign_changes_of_derivative}")
 
 
 def _param_columns(p: np.ndarray, xv: np.ndarray) -> np.ndarray:

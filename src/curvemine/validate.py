@@ -55,6 +55,8 @@ def split(d: Dataset, fraction: float, seed: int = 0,
     """
     if not (0.0 < fraction < 1.0):
         raise ValueError("fraction must be in (0, 1)")
+    if stratify_bins < 1:
+        raise ValueError(f"stratify_bins must be >= 1, got {stratify_bins}")
     if len(d) < 4:
         raise ValueError("need at least 4 points to split")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

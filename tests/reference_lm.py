@@ -8,11 +8,12 @@ starting damping, damping levels per iteration) and scores with its
 rule the fitter documents: an accepted step with actual over predicted RSS
 drop rho above 3/4 divides lam by 3, below 1/4 doubles it, floored at
 1e-12; rejected trials multiply lam by nu = 2, 4, 8, ... (Nielsen 1999,
-IMM-REP-1999-05). It tries one damping level at a time; the fitter tries a
-rejected start's next levels together, but walks the same sequence of
-levels and takes the first that wins. ``fit_catalog`` has the signature of
-``curvemine.fit._fit_catalog``, so a test can swap it into ``rank_all``;
-like the fitter, it fits a family that has a twin as that twin.
+IMM-REP-1999-05). Like the fitter, it tries one damping level at a time
+and keeps a rejected start's linear system for its next level; the fitter
+runs every start at once, one level per start per pass. ``fit_catalog``
+has the signature of ``curvemine.fit._fit_catalog``, so a test can swap it
+into ``rank_all``; like the fitter, it fits a family that has a twin as
+that twin.
 """
 
 import numpy as np

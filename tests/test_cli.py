@@ -354,6 +354,38 @@ class TestAnalyzeCmd:
         assert band_csv.read_text().startswith("x,lower,fit,upper")
 
 
+    def test_no_band_is_built_unless_asked_for(self, capsys, tmp_path):
+        # two points leave a line no residual degrees of freedom: the
+        # report needs no band, and only --band-out asks for one
+        data = tmp_path / "two.csv"
+        write_dataset_csv(data, make_dataset([1.0, 2.0], [3.0, 5.0]))
+        analyze = ["analyze", "--data", str(data), "--model", "poly1"]
+        code, out, err = run(capsys, *analyze)
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert result["fit"]["params"] == pytest.approx([1.0, 2.0])
+        assert "band_csv" not in result
+        code, out, err = run(capsys, *analyze, "--band-out", str(tmp_path / "band.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error: non-positive degrees of freedom\n"
+        assert not (tmp_path / "band.csv").exists()
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_validate_stratify_bins_below_one(self, capsys, data_csv, bins):
+        code, out, err = run(capsys, "validate", "--data", str(data_csv),
+                             "--model", "poly1", "--stratify-bins", bins)
+        assert (code, out) == (1, "")
+        assert err == f"error: stratify_bins must be >= 1, got {bins}\n"
+
+    def test_rank_negative_max_sign_changes(self, capsys, data_csv):
+        code, out, err = run(capsys, "rank", "--data", str(data_csv),
+                             "--max-sign-changes", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: max_sign_changes_of_derivative must be >= 0, got -1\n"
+
+
 class TestDomainArgument:
     def test_negative_domain_after_a_space(self, capsys, data_csv, tmp_path):
         common = ["--data", str(data_csv), "--seed", "2"]

@@ -731,26 +731,18 @@ class TestLockstep:
 
     @staticmethod
     def _residual_rows(monkeypatch):
-        """The number of rows of each ``_residuals`` call the kernel makes from here on."""
+        """The family name and number of rows of each ``_residuals`` call the
+        kernel makes from here on."""
         rows = []
 
         def counted(spec, params, *args):
-            rows.append(len(params))
+            rows.append((spec.name, len(params)))
             return _residuals(spec, params, *args)
 
         monkeypatch.setattr(fit_module, "_residuals", counted)
         return rows
 
-    @pytest.mark.parametrize("case", ORACLE_CASES + ["paper1", "paper2", "paper5",
-                                                     "grid1", "grid2"])
-    def test_lookahead_ends_every_row_where_one_level_per_pass_does(self, case, monkeypatch):
-        d, specs, starts, want = _admitted_catalog_call(case)
-        monkeypatch.setattr(fit_module, "_LOOKAHEAD", 1)
-        for spec, rows, got in zip(specs, want, _lockstep(specs, d, starts)):
-            for g, w in zip(got, rows):  # params, rss, iterations, stop
-                assert self._bits(g) == self._bits(w), spec.name
-
-    def test_lookahead_over_several_passes_and_all_levels(self, gaussian_dataset, monkeypatch):
+    def test_one_trial_per_row_per_pass(self, gaussian_dataset, monkeypatch):
         # y = a exp(-b x), NaN once b is more than 1e-6 from 0.05, so a step
         # wins only at a large damping; every trial of nan_trials is NaN
         def tethered(p, x):
@@ -763,49 +755,48 @@ class TestLockstep:
         tether = ModelSpec(name="tethered", n_params=2, family_class="exponential",
                            eval_fn=tethered, grad_fn=grad,
                            guess_fn=lambda xs, ys: np.array([1.0, 0.1]))
+        start = np.array([[50.0, 0.05]])
 
-        def run(new_spec, depth, max_iter):
+        def run(spec, max_iter):
             with monkeypatch.context() as m:
-                m.setattr(fit_module, "_LOOKAHEAD", depth)
                 m.setattr(fit_module, "_MAX_ITER", max_iter)
                 rows = self._residual_rows(m)
-                start = np.array([[50.0, 0.05]])
-                return _lockstep([new_spec()], gaussian_dataset, [start])[0], rows
+                return _lockstep([spec], gaussian_dataset, [start])[0], rows
 
-        def nan_trials():
-            return _counting_model("nan_trials", nan_after=1)
+        # One call for the start, then a one-row call per trial: nan_trials
+        # loses every damping level of its first iteration and no more
+        (_, _, its, stop), rows = run(_counting_model("nan_trials", nan_after=1),
+                                      fit_module._MAX_ITER)
+        assert (STOP_REASONS[stop[0]], its[0]) == ("no_descent", 1)
+        assert rows == [("nan_trials", 1)] * (1 + fit_module._MAX_TRIALS)
 
-        # The first iteration: a call for the start, one for trial 0, then one
-        # per pass. Tethered wins past the first look-ahead pass; nan_trials
-        # tries all its levels and no more, however many each pass holds.
-        def passes(depth, levels):
-            return -(-levels // depth)
+        # Tethered converges where the one-level-at-a-time reference does
+        (params, rss, its, stop), _ = run(tether, fit_module._MAX_ITER)
+        want = reference_lm.fit_least_squares(tether, gaussian_dataset, start[0])
+        assert STOP_REASONS[stop[0]] == "rss_rtol" and want.converged
+        assert (its[0], rss[0]) == (want.iterations, pytest.approx(want.rss, rel=1e-9))
+        assert params[0] == pytest.approx(want.params, rel=1e-9)
+        # and its first iteration loses its first levels and wins at the
+        # reference's level, after the same number of trials
+        evals = []
+        counted = ModelSpec(name="tethered", n_params=2, family_class="exponential",
+                            eval_fn=lambda p, x: evals.append(1) or tethered(p, x),
+                            grad_fn=grad, guess_fn=tether.guess_fn)
+        monkeypatch.setattr(fit_module, "_MAX_ITER", 1)
+        reference_lm.fit_least_squares(counted, gaussian_dataset, start[0])
+        calls = len(evals) - 1  # the last is the reference's r^2
+        (_, _, its, stop), rows = run(tether, 1)
+        assert (STOP_REASONS[stop[0]], its[0]) == ("max_iterations", 1)
+        assert rows == [("tethered", 1)] * calls and calls > 5
 
-        won_at = len(run(lambda: tether, 1, 1)[1]) - 2
-        assert won_at > fit_module._LOOKAHEAD
-        assert len(run(lambda: tether, fit_module._LOOKAHEAD, 1)[1]) == \
-            2 + passes(fit_module._LOOKAHEAD, won_at)
-        for depth in (1, fit_module._LOOKAHEAD):
-            (_, _, _, stop), rows = run(nan_trials, depth, 1)
-            assert STOP_REASONS[stop[0]] == "no_descent"
-            assert sum(rows) == 1 + fit_module._MAX_TRIALS
-            assert len(rows) == 2 + passes(depth, fit_module._MAX_TRIALS - 1)
-        for new_spec, reason in ((lambda: tether, "rss_rtol"), (nan_trials, "no_descent")):
-            (want, _), (got, _) = (run(new_spec, depth, fit_module._MAX_ITER)
-                                   for depth in (1, fit_module._LOOKAHEAD))
-            assert STOP_REASONS[got[3][0]] == reason
-            for g, w in zip(got, want):  # params, rss, iterations, stop
-                assert self._bits(g) == self._bits(w), reason
-
-    def test_lookahead_saves_model_calls(self, monkeypatch):
-        d, specs, starts, _ = _admitted_catalog_call("paper330")
+    @pytest.mark.parametrize("case", ["paper330", "paper1", "grid1"])
+    def test_no_model_call_holds_more_rows_than_its_family_has_starts(
+            self, case, monkeypatch):
+        d, specs, starts, _ = _admitted_catalog_call(case)
         rows = self._residual_rows(monkeypatch)
         _lockstep(specs, d, starts)
-        at_depth = len(rows)
-        monkeypatch.setattr(fit_module, "_LOOKAHEAD", 1)
-        rows.clear()
-        _lockstep(specs, d, starts)
-        assert at_depth < len(rows)
+        n_starts = {spec.name: len(s) for spec, s in zip(specs, starts)}
+        assert rows and all(k <= n_starts[name] for name, k in rows)
 
 
 def _raising_model(exc):

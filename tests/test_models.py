@@ -435,6 +435,12 @@ class TestPlausibility:
         assert check_plausibility(get_model("gaussian_peak"),
                                   [5.0, 30.0, 5.0], relaxed)[0]
 
+    def test_negative_sign_change_budget_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^max_sign_changes_of_derivative must be >= 0, got -1$"):
+            PlausibilityConfig(max_sign_changes_of_derivative=-1)
+        PlausibilityConfig(max_sign_changes_of_derivative=0)
+
     def test_monotone_under_relaxation(self):
         rng = np.random.default_rng(4)
         strict = PlausibilityConfig(domain=(0, 60), require_nonnegative=True,

@@ -56,6 +56,11 @@ class TestSplit:
             n_train = np.sum((train_xs >= lo) & (train_xs < hi))
             assert abs(n_train - 0.5 * n_bin) <= 1
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_stratify_bins_below_one_rejected(self, uniform100, bins):
+        with pytest.raises(ValueError, match=f"^stratify_bins must be >= 1, got {bins}$"):
+            split(uniform100, 0.5, stratify_bins=bins)
+
     def test_fraction_bounds(self, uniform100):
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError):
