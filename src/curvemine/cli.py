@@ -223,12 +223,12 @@ def _cmd_analyze(args) -> dict:
                               "plateau": loss_peak.plateau},
         "value_peak": {"age": value_peak.age, "value": value_peak.value},
         "percent_remaining": remaining,
-        "band_level": args.level,
     }
     if args.band_out:
         band = prediction_band(spec, fitted, d, level=args.level)
         _write(args.band_out, lambda fh: fh.write(band.to_csv()))
         result["band_csv"] = str(args.band_out)
+        result["band_level"] = args.level
     return result
 
 
@@ -279,7 +279,9 @@ def _add_fit(p: argparse.ArgumentParser, model_required: bool = True):
     p.add_argument("--starts", type=int, default=5)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every subcommand is named with its help; only
+    ``command``'s options are added, or every one's when it is None."""
     parser = argparse.ArgumentParser(
         prog="curvemine",
         description="Aggregate mined datapoints, reconstruct microdata, and "
@@ -287,80 +289,85 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("ingest", help="read, normalize and summarize a point CSV")
-    _add_points(p)
-    p.add_argument("--out", type=Path, default=None,
-                   help="write the normalized CSV here")
-    p.set_defaults(func=_cmd_ingest)
+    def add(name: str, help: str):
+        """The subparser of ``name``, or None when its options are not built."""
+        p = sub.add_parser(name, help=help)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("describe", help="descriptive statistics of one axis")
-    _add_points(p)
-    p.add_argument("--axis", choices=("x", "y"), default="y")
-    p.set_defaults(func=_cmd_describe)
+    if p := add("ingest", "read, normalize and summarize a point CSV"):
+        _add_points(p)
+        p.add_argument("--out", type=Path, default=None,
+                       help="write the normalized CSV here")
+        p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("synth", help="reconstruct microdata from summary rows")
-    _add_common(p)
-    p.add_argument("--summary", type=Path, required=True,
-                   help="summary CSV (x,n,mean,sd,upper_pl95,family)")
-    p.add_argument("--replicates", type=int, default=1)
-    p.add_argument("--moment-correct", action="store_true")
-    p.add_argument("--z", type=float, default=None,
-                   help="z-multiplier for upper prediction limits "
-                        "(default: the one-sided 95%% normal quantile)")
-    p.add_argument("--out-dir", type=Path, required=True)
-    p.set_defaults(func=_cmd_synth)
+    if p := add("describe", "descriptive statistics of one axis"):
+        _add_points(p)
+        p.add_argument("--axis", choices=("x", "y"), default="y")
+        p.set_defaults(func=_cmd_describe)
 
-    p = sub.add_parser("fit", help="fit one model family to a dataset")
-    _add_points(p)
-    _add_fit(p)
-    p.set_defaults(func=_cmd_fit)
+    if p := add("synth", "reconstruct microdata from summary rows"):
+        _add_common(p)
+        p.add_argument("--summary", type=Path, required=True,
+                       help="summary CSV (x,n,mean,sd,upper_pl95,family)")
+        p.add_argument("--replicates", type=int, default=1)
+        p.add_argument("--moment-correct", action="store_true")
+        p.add_argument("--z", type=float, default=None,
+                       help="z-multiplier for upper prediction limits "
+                            "(default: the one-sided 95%% normal quantile)")
+        p.add_argument("--out-dir", type=Path, required=True)
+        p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("rank", help="fit the whole catalog and rank by r^2")
-    _add_points(p)
-    p.add_argument("--domain", default="0:60", help="plausibility domain lo:hi")
-    p.add_argument("--nonnegative", action="store_true")
-    p.add_argument("--max-sign-changes", type=int, default=None)
-    p.add_argument("--starts", type=int, default=5)
-    p.add_argument("--catalog-filter", default=None,
-                   help="substring or family class to restrict the catalog")
-    p.add_argument("--out", type=Path, default=None,
-                   help="directory for leaderboard.json / leaderboard.txt")
-    p.set_defaults(func=_cmd_rank)
+    if p := add("fit", "fit one model family to a dataset"):
+        _add_points(p)
+        _add_fit(p)
+        p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("validate", help="holdout-validate a model")
-    _add_points(p, required=False)
-    p.add_argument("--train", type=Path, default=None)
-    p.add_argument("--test", type=Path, default=None)
-    p.add_argument("--fraction", type=float, default=0.5)
-    p.add_argument("--stratify-bins", type=int, default=1)
-    _add_fit(p)
-    p.add_argument("--tolerance", type=float, default=0.1,
-                   help="relative tolerance for descriptive similarity")
-    p.set_defaults(func=_cmd_validate)
+    if p := add("rank", "fit the whole catalog and rank by r^2"):
+        _add_points(p)
+        p.add_argument("--domain", default="0:60", help="plausibility domain lo:hi")
+        p.add_argument("--nonnegative", action="store_true")
+        p.add_argument("--max-sign-changes", type=int, default=None)
+        p.add_argument("--starts", type=int, default=5)
+        p.add_argument("--catalog-filter", default=None,
+                       help="substring or family class to restrict the catalog")
+        p.add_argument("--out", type=Path, default=None,
+                       help="directory for leaderboard.json / leaderboard.txt")
+        p.set_defaults(func=_cmd_rank)
 
-    p = sub.add_parser("analyze", help="derived quantities of a fitted model")
-    _add_points(p)
-    _add_fit(p)
-    p.add_argument("--domain", default="0:60")
-    p.add_argument("--ages", type=lambda s: [float(v) for v in s.split(",")],
-                   default=[30.0, 40.0],
-                   help="comma-separated ages for percent-remaining")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--band-out", type=Path, default=None,
-                   help="write the prediction band CSV here")
-    p.set_defaults(func=_cmd_analyze)
+    if p := add("validate", "holdout-validate a model"):
+        _add_points(p, required=False)
+        p.add_argument("--train", type=Path, default=None)
+        p.add_argument("--test", type=Path, default=None)
+        p.add_argument("--fraction", type=float, default=0.5)
+        p.add_argument("--stratify-bins", type=int, default=1)
+        _add_fit(p)
+        p.add_argument("--tolerance", type=float, default=0.1,
+                       help="relative tolerance for descriptive similarity")
+        p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("plot", help="scatter + fitted curve + band as SVG")
-    _add_points(p)
-    _add_fit(p, model_required=False)
-    p.add_argument("--band", action="store_true")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--title", default="")
-    p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_cmd_plot)
+    if p := add("analyze", "derived quantities of a fitted model"):
+        _add_points(p)
+        _add_fit(p)
+        p.add_argument("--domain", default="0:60")
+        p.add_argument("--ages", type=lambda s: [float(v) for v in s.split(",")],
+                       default=[30.0, 40.0],
+                       help="comma-separated ages for percent-remaining")
+        p.add_argument("--level", type=float, default=0.95)
+        p.add_argument("--band-out", type=Path, default=None,
+                       help="write the prediction band CSV here")
+        p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("catalog", help="export the model catalog as JSON")
-    p.set_defaults(func=_cmd_catalog)
+    if p := add("plot", "scatter + fitted curve + band as SVG"):
+        _add_points(p)
+        _add_fit(p, model_required=False)
+        p.add_argument("--band", action="store_true")
+        p.add_argument("--level", type=float, default=0.95)
+        p.add_argument("--title", default="")
+        p.add_argument("--out", type=Path, required=True)
+        p.set_defaults(func=_cmd_plot)
+
+    if p := add("catalog", "export the model catalog as JSON"):
+        p.set_defaults(func=_cmd_catalog)
 
     return parser
 
@@ -396,7 +403,9 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _bind_domain_values(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # The first token that is not an option names the subcommand: the
+    # top-level options take no value.
+    parser = build_parser(next((t for t in argv if not t.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args, argv)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, islice, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
@@ -501,10 +502,11 @@ def _rejected(rows: list, at: Mapping[str, Optional[int]], ncols: int,
 
 def _by_distinct(cells: list[str], convert, dtype):
     """convert() of each cell, called once per distinct cell; when all cells
-    are one, that one value, for the caller to broadcast."""
+    are one, that one value, for the caller to broadcast. One compare, which
+    stops at the first cell that differs, finds such a column unhashed."""
+    if cells == [cells[0]] * len(cells):
+        return convert(cells[0])
     value = {cell: convert(cell) for cell in dict.fromkeys(cells)}
-    if len(value) == 1:
-        return value[cells[0]]
     return np.fromiter(map(value.__getitem__, cells), dtype, len(cells))
 
 
@@ -514,15 +516,11 @@ def write_csv(d: Dataset, sink: TextIO) -> None:
     Cells are written as csv.writer writes them, except that a label holding
     ``\\r`` is quoted too, so that it reads back."""
     sink.write("study_id,x,y,unit,assay_id,weight\n")
-    labels = [(c.codes, list(map(_csv_cell, c.table)))  # each label quoted once
-              for c in (d._study, d._unit, d._assay)]
-
-    def columns(a, b):  # the line repr's each y
-        study, unit, assay = (map(cells.__getitem__, codes[a:b].tolist())
-                              for codes, cells in labels)
-        return (study, _by_bits(repr, d._x[a:b]), d._y[a:b].tolist(),
-                unit, assay, _by_bits(repr, d._weight[a:b]))
-    _write_lines(sink, "%s,%s,%r,%s,%s,%s\n", len(d), columns)
+    study, unit, assay = (_by_code(c.codes, list(map(_csv_cell, c.table)))
+                          for c in (d._study, d._unit, d._assay))  # each label quoted once
+    _write_lines(sink, "%s,%s,%r,%s,%s,%s\n", len(d), (
+        study, _by_bits(d._x, repr), _by_bits(d._y), unit, assay,
+        _by_bits(d._weight, repr)))
 
 
 def _csv_cell(label: Optional[str]) -> str:
@@ -535,22 +533,59 @@ def _csv_cell(label: Optional[str]) -> str:
     return label
 
 
-def _by_bits(fmt, col: np.ndarray) -> Iterable[str]:
-    """fmt() of each float of col, called once per distinct bit pattern (so
-    0.0 and -0.0 stay apart): ages and weights repeat, as in _by_distinct."""
-    bits, at = np.unique(col.view(np.int64), return_inverse=True)
-    cells = list(map(fmt, bits.view(np.float64).tolist()))
-    return map(cells.__getitem__, at.tolist())
+def _same(col: np.ndarray) -> bool:
+    """Whether col has rows and every one equals the first."""
+    return len(col) > 0 and bool((col == col[0]).all())
 
 
-def _write_lines(sink: TextIO, line: str, n: int, columns) -> None:
-    """Write line % (row i's values) for each of n rows, a _CHUNK_ROWS part
-    at a time: columns(a, b) gives the values of rows a to b, one iterable
-    per column, and one template formats the part's interleaved values, the
-    mirror of _cells. The plot's markers are written here too."""
+def _by_code(codes: np.ndarray, cells: list):
+    """A coded column's cells, cells[code] of each row: its one cell when
+    every code is equal, else a function of (a, b) giving rows a to b's."""
+    if _same(codes):
+        return cells[codes[0]]
+    return lambda a, b: map(cells.__getitem__, codes[a:b].tolist())
+
+
+def _by_bits(col: np.ndarray, fmt=None, scale=None):
+    """A float column's cells: its one cell when every bit pattern of col is
+    equal (so 0.0 and -0.0 stay apart), else a function of (a, b) giving
+    rows a to b's. A cell is a float of col, mapped by ``scale`` a part at a
+    time if given, or fmt() of that, called once per distinct bit pattern of
+    a part: ages and weights repeat, as in _by_distinct."""
+    scale = scale or (lambda part: part)
+    if _same(col.view(np.int64)):
+        cell = scale(col[:1])[0].item()
+        return cell if fmt is None else fmt(cell)
+    if fmt is None:
+        return lambda a, b: scale(col[a:b]).tolist()
+
+    def part(a, b):
+        unique, at = np.unique(scale(col[a:b]).view(np.int64), return_inverse=True)
+        cells = list(map(fmt, unique.view(np.float64).tolist()))
+        return map(cells.__getitem__, at.tolist())
+    return part
+
+
+def _write_lines(sink: TextIO, line: str, n: int, columns: Sequence) -> None:
+    """Write line % (row i's cells) for each of n rows, a _CHUNK_ROWS part
+    at a time. ``line`` holds one directive per column and no other ``%``.
+    A column is its one cell, written into the template once with its
+    directive (any ``%`` it yields doubled), or a function of (a, b) giving
+    the cells of rows a to b; one template formats the part's interleaved
+    cells of those, the mirror of _cells. The plot's markers are written
+    here too."""
+    pieces = re.split(r"(%[^a-z]*[a-z])", line)  # text, directive, text, ...
+    varying = []
+    for i, col in enumerate(columns, start=1):
+        if callable(col):
+            varying.append(col)
+        else:
+            pieces[2 * i - 1] = (pieces[2 * i - 1] % (col,)).replace("%", "%%")
+    line = "".join(pieces)
     for a in range(0, n, _CHUNK_ROWS):
         b = min(a + _CHUNK_ROWS, n)
-        sink.write(line * (b - a) % tuple(chain.from_iterable(zip(*columns(a, b)))))
+        cells = zip(*(col(a, b) for col in varying))
+        sink.write(line * (b - a) % tuple(chain.from_iterable(cells)))
 
 
 def normalize_units(d: Dataset, table: UnitTable) -> Dataset:

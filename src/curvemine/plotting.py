@@ -12,7 +12,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from .analyze import IntervalBand
-from .dataset import Dataset, _by_bits, _write_lines
+from .dataset import Dataset, _by_bits, _by_code, _write_lines
 
 __all__ = ["write_svg"]
 
@@ -158,12 +158,11 @@ def write_svg(dataset: Dataset, sink: TextIO, *,
     sink.write("\n".join(parts) + "\n")
 
     study_ids = sorted({s.study_id for s in dataset.studies})
-    color = {sid: i % len(PALETTE) for i, sid in enumerate(study_ids)}
-    # Each row's colour as an index into PALETTE: one byte a row.
-    fill = np.fromiter(map(color.__getitem__, dataset.study_ids), np.uint8, len(dataset))
-    _write_lines(sink, _CIRCLE, len(dataset), lambda a, b: (
-        _by_bits(_fmt, sx(xs[a:b])), sy(ys[a:b]).tolist(),
-        map(PALETTE.__getitem__, fill[a:b].tolist())))
+    color = {sid: PALETTE[i % len(PALETTE)] for i, sid in enumerate(study_ids)}
+    codes, table = dataset._study  # a label no row holds may cite no study
+    fill = _by_code(codes, [color.get(sid) for sid in table])
+    _write_lines(sink, _CIRCLE, len(dataset),
+                 (_by_bits(xs, _fmt, sx), _by_bits(ys, scale=sy), fill))
 
     if curve is not None:
         sink.write(f'<polyline points="{points(*curve)}" fill="none" '

@@ -370,6 +370,53 @@ class TestAnalyzeCmd:
         assert err == "error: non-positive degrees of freedom\n"
         assert not (tmp_path / "band.csv").exists()
 
+    def test_band_level_is_reported_only_with_the_band(self, capsys, data_csv, tmp_path):
+        two = tmp_path / "two.csv"
+        write_dataset_csv(two, make_dataset([1.0, 2.0], [3.0, 5.0]))
+        code, out, err = run(capsys, "analyze", "--data", str(two), "--model", "poly1")
+        assert code == 0, err
+        assert "band_level" not in json.loads(out)["result"]
+        code, out, err = run(capsys, "analyze", "--data", str(data_csv), "--model",
+                             "poly1", "--level", "0.9", "--band-out",
+                             str(tmp_path / "band.csv"))
+        assert code == 0, err
+        assert json.loads(out)["result"]["band_level"] == 0.9
+
+
+COMMANDS = ("ingest", "describe", "synth", "fit", "rank", "validate", "analyze",
+            "plot", "catalog")
+
+
+class TestParser:
+    """main builds only the options of the subcommand it runs; what it
+    prints for help and for an unknown subcommand is what the parser of
+    every subcommand's options prints."""
+
+    @staticmethod
+    def _exit(capsys, parse):
+        with pytest.raises(SystemExit) as exc:
+            parse()
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["bogus"], ["bogus", "--data", "x"],
+                                      ["--data", "x"], *([cmd, "--help"] for cmd in COMMANDS)],
+                             ids=" ".join)
+    def test_same_text_as_the_full_parser(self, capsys, argv):
+        full = self._exit(capsys, lambda: cli.build_parser().parse_args(argv))
+        assert full[0] in (0, 2) and full[1] + full[2]
+        assert self._exit(capsys, lambda: main(argv)) == full
+
+    def test_help_lists_every_subcommand(self, capsys):
+        _, out, _ = self._exit(capsys, lambda: main(["--help"]))
+        assert out.split("{", 1)[1].split("}", 1)[0].split(",") == list(COMMANDS)
+
+    def test_only_the_named_subcommand_gets_options(self):
+        parser = cli.build_parser("rank")
+        assert parser.parse_args(["rank", "--data", "d.csv"]).func is cli._cmd_rank
+        with pytest.raises(SystemExit):
+            parser.parse_args(["describe", "--data", "d.csv"])
+
 
 class TestOutOfRangeFlags:
     @pytest.mark.parametrize("bins", ["0", "-3"])
@@ -534,6 +581,29 @@ class TestPlot:
         polylines = root.findall(f"{ns}polyline")
         assert len(circles) == 325
         assert len(polylines) == 1
+
+    @pytest.mark.parametrize("studies", [["s"], ["s", "t"]])
+    def test_markers_match_the_per_row_template(self, studies):
+        """Each marker is the per-row _CIRCLE template of its row, whether
+        the fill is one colour (one study) or varies."""
+        rng = np.random.default_rng(len(studies))
+        n = 4096 + 300
+        d = Dataset.from_points(rng.integers(0, 60, n) + 0.5, rng.uniform(0, 100, n),
+                                study=[studies[i] for i in rng.integers(0, len(studies), n)])
+        svg = io.StringIO()
+        write_svg(d, svg)
+        got = [line + "\n" for line in svg.getvalue().split("\n")
+               if line.startswith("<circle")]
+        # the reference: one row at a time, in Python floats
+        x_lo, x_hi = plotting._range([d.xs], 0.03)
+        y_lo, y_hi = plotting._range([d.ys], 0.05)
+        plot_w, plot_h = WIDTH - MARGIN_L - MARGIN_R, HEIGHT - MARGIN_T - MARGIN_B
+        colour = {sid: plotting.PALETTE[i] for i, sid in enumerate(studies)}
+        want = [plotting._CIRCLE % ("%.3f" % (MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w),
+                                    MARGIN_T + (1.0 - (y - y_lo) / (y_hi - y_lo)) * plot_h,
+                                    colour[sid])
+                for x, y, sid in zip(d.xs.tolist(), d.ys.tolist(), d.study_ids)]
+        assert got == want
 
     def test_markers_are_written_in_parts(self):
         """write_svg never holds the document: its peak is under a quarter of it."""

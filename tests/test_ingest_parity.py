@@ -153,28 +153,44 @@ def test_ingest_matches_row_reference(table, skip_bad_rows):
                 assert (part.studies, part.label) == (ref.studies, ref.label)
 
 
-# Labels for the writer: a comma, a quote and a newline need quoting, spaces
-# and non-ASCII do not. csv.writer (Python 3.11, lineterminator "\n") leaves
-# a "\r" unquoted, so labels holding one are checked for the round trip only.
-WRITER_CHARS = ',"\n aé中'
+# Labels for the writer: a comma, a quote and a newline need quoting, spaces,
+# "%" and non-ASCII do not. csv.writer (Python 3.11, lineterminator "\n")
+# leaves a "\r" unquoted, so labels holding one are checked for the round
+# trip only.
+WRITER_CHARS = ',"\n a%é中'
+COLUMNS = ("study", "x", "y", "unit", "assay", "weight")
+# Which columns hold one value on every row: none, each in turn, or all.
+ONE_VALUE = [(), *((c,) for c in COLUMNS), COLUMNS]
 
 
 @st.composite
-def written_datasets(draw, cr: bool = False):
-    """A dataset of more than one _CHUNK_ROWS part: a short pattern of
-    (study, age, unit, assay, weight) rows, with at least two distinct
-    weights, repeated over the rows, and a y of its own on every row."""
+def written_datasets(draw, cr: bool = False, one_value=None):
+    """A dataset of no rows, one row, or more than one _CHUNK_ROWS part: a
+    short pattern of (study, age, unit, assay, weight) rows, with at least
+    two distinct weights and ages of 0.0 beside -0.0 now and then, repeated
+    over the rows, and a y of its own on every row. Then the columns named
+    by ``one_value`` (drawn from ONE_VALUE when None) hold their first row's
+    value on every row."""
     text = st.text(alphabet=WRITER_CHARS + "\r" * cr, max_size=4)
     pattern = draw(st.lists(
-        st.tuples(text, st.floats(-1.0, 80.0) | st.just(-0.0), text,
+        st.tuples(text, st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 80.0), text,
                   st.none() | text.filter(bool), st.floats(1e-3, 1e3)),
         min_size=2, max_size=12, unique_by=lambda row: row[4]))
     if cr:
         pattern[0] = (pattern[0][0] + "\r", *pattern[0][1:])
-    n = 4096 + draw(st.integers(1, 5000))
-    study, x, unit, assay, weight = zip(*(pattern * (n // len(pattern) + 1))[:n])
-    y = draw(st.floats(0.0, 1e3)) + np.arange(n) / 7.0
-    return Dataset.from_points(x, y, weight=weight, study=study, unit=unit, assay=assay)
+    if draw(st.integers(0, 3)):
+        n = draw(st.integers(4096 + 1, 4096 + 5000))
+    else:
+        n = draw(st.sampled_from([0, 1]))
+    rows = (pattern * (n // len(pattern) + 1))[:n]
+    cols = {c: [row[i] for row in rows]
+            for i, c in enumerate(("study", "x", "unit", "assay", "weight"))}
+    cols["y"] = (draw(st.floats(0.0, 1e3)) + np.arange(n) / 7.0).tolist()
+    for c in draw(st.sampled_from(ONE_VALUE)) if one_value is None else one_value:
+        cols[c] = cols[c][:1] * n
+    return Dataset.from_points(cols["x"], cols["y"], weight=cols["weight"],
+                               study=cols["study"], unit=cols["unit"],
+                               assay=cols["assay"])
 
 
 def _read_back(d, text):
@@ -199,17 +215,68 @@ WRITER_SETTINGS = settings(max_examples=25, deadline=None,
                            phases=set(Phase) - {Phase.explain})
 
 
-@given(written_datasets())
-@WRITER_SETTINGS
-def test_write_csv_matches_csv_writer(d):
+def _matches_csv_writer(d):
     text = _written(d)
     buf = io.StringIO()
     reference_ingest.write_csv(d, buf)
     _same_lines(text, buf.getvalue())
-    _read_back(d, text)
+    if len(d):  # no rows reads as an IngestError
+        _read_back(d, text)
+
+
+@given(written_datasets())
+@WRITER_SETTINGS
+def test_write_csv_matches_csv_writer(d):
+    _matches_csv_writer(d)
+
+
+@pytest.mark.parametrize("one_value", ONE_VALUE, ids=lambda cols: "+".join(cols) or "none")
+@given(data=st.data())
+@settings(WRITER_SETTINGS, max_examples=8)
+def test_one_value_columns_match_csv_writer(one_value, data):
+    """Each column in turn, and all of them, holding one value on every row:
+    a column written once into the line template gives the same bytes."""
+    _matches_csv_writer(data.draw(written_datasets(one_value=one_value)))
 
 
 @given(written_datasets(cr=True))
 @WRITER_SETTINGS
 def test_labels_holding_cr_round_trip(d):
-    _read_back(d, _written(d))
+    if len(d):
+        _read_back(d, _written(d))
+
+
+def test_zero_beside_negative_zero_is_not_one_value():
+    d = Dataset.from_points([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], weight=2.0)
+    assert _written(d).splitlines()[1:] == [",0.0,-0.0,,,2.0", ",-0.0,0.0,,,2.0",
+                                            ",0.0,-0.0,,,2.0"]
+    _matches_csv_writer(d)
+
+
+def test_label_one_value_per_part_but_not_per_file():
+    """A label that is one value within each part of the read, but another
+    from part to part, gets the codes and table the row reader gives."""
+    n = 5000
+    text = "study_id,x,y,unit,assay_id,weight\n" + "".join(
+        f"{'a' if i < 4096 else 'b'},1.5,{i},u,,\n" for i in range(n))
+    got, want = ingest_csv(text), reference_ingest.ingest_csv(text)
+    assert got == want
+    assert got._study.table == ("a", "b")
+    assert got._study.codes.tolist() == [0] * 4096 + [1] * (n - 4096)
+    assert got._unit.table == ("u",) and not got._unit.codes.any()
+
+
+@pytest.mark.parametrize("column, cell", [("x", "nope"), ("x", "-2"),
+                                          ("weight", "0"), ("y", "-1")])
+def test_one_value_column_of_bad_cells_names_every_row(column, cell):
+    """A bad cell on every row of a one-value column: every row is named,
+    with the error text of the row reader."""
+    rows = [{"study_id": "s", "x": "1.5", "y": "2.0", "weight": "1"} for _ in range(3)]
+    for row in rows:
+        row[column] = cell
+    text = "study_id,x,y,weight\n" + "".join(
+        f"{r['study_id']},{r['x']},{r['y']},{r['weight']}\n" for r in rows)
+    want = _outcome(reference_ingest.ingest_csv, text)
+    assert want.startswith("IngestError: rejected rows:")
+    assert want.count("\n  row ") == 3
+    assert _outcome(ingest_csv, text) == want
