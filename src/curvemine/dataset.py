@@ -214,7 +214,9 @@ def _median(sorted_vals: Sequence[float]) -> float:
     mid = n // 2
     if n % 2:
         return sorted_vals[mid]
-    return 0.5 * (sorted_vals[mid - 1] + sorted_vals[mid])
+    a, b = float(sorted_vals[mid - 1]), float(sorted_vals[mid])
+    half = 0.5 * (a + b)  # halving is exact; the sum overflows near the largest float
+    return half if math.isfinite(half) else 0.5 * a + 0.5 * b
 
 
 @dataclass(frozen=True)

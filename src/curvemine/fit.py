@@ -66,6 +66,11 @@ _RTOL = 1e-10
 _XTOL = 1e-10
 _LAMBDA0 = 1e-3
 _MAX_TRIALS = 50
+# A start whose RSS exceeds _FAR times the zero curve's (sum w y^2), an RMS
+# miss 10^6 times the data's own, is not iterated (start_far): from there LM
+# walks down about one log-unit per step, to where a nearer start lands
+# (sample reduction, Rinnooy Kan & Timmer 1987, Math. Program. 39:27).
+_FAR = 1e12
 
 
 @dataclass(frozen=True)
@@ -86,11 +91,11 @@ class FitResult:
 
 
 # Why a start stopped; the kernel returns each as its index. A
-# start_nonfinite start is never iterated.
+# start_nonfinite or start_far start is never iterated.
 STOP_REASONS = ("rss_rtol", "step_tol", "no_descent", "max_iterations",
-                "nonfinite_jacobian", "start_nonfinite")
+                "nonfinite_jacobian", "start_nonfinite", "start_far")
 (_RSS_RTOL, _STEP_TOL, _NO_DESCENT, _MAX_ITERATIONS, _NONFINITE_JACOBIAN,
- _START_NONFINITE) = range(len(STOP_REASONS))
+ _START_NONFINITE, _START_FAR) = range(len(STOP_REASONS))
 # The stop codes that count as converged.
 _CONVERGED = (_RSS_RTOL, _STEP_TOL, _NO_DESCENT)
 
@@ -259,7 +264,11 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
     every RSS adds the within-group sum (see ``_distinct_x``), so each RSS
     is the full-data weighted RSS. Steps, bounds and ``step_tol`` apply to
     the free parameters; the ``linear`` ones are solved at every start and
-    trial. Returns (params, rss, iterations, stop) per family of ``specs``.
+    trial. A row whose starting RSS, after that solve, exceeds ``_FAR`` times
+    the zero curve's stops at once as ``start_far``, unless its family is all
+    linear or every y is 0; the rule reads only the row and the data, so a
+    row ends alike in any batch. Returns (params, rss, iterations, stop) per
+    family of ``specs``.
     """
     xs, wsum, ys, pure = _distinct_x(d)
     sw = np.sqrt(wsum)
@@ -279,11 +288,13 @@ def _lockstep(specs: Sequence[ModelSpec], d: Dataset, starts: Sequence[np.ndarra
             res[rows] = _residuals(spec, p, xs, ys, sw)
             params[rows, :spec.n_params], cols[rows, :q[f]] = p, fr
             lo[rows, :q[f]], hi[rows, :q[f]] = b_lo[fr], b_hi[fr]
-        rss = _rss(res, pure)
+        rss, zero = _rss(res, pure), pure + float((sw * ys) @ (sw * ys))
         ok, solved = np.isfinite(res).all(axis=1), q[fam] == 0  # solved: all linear
+        far = (rss > _FAR * zero) & (zero > 0.0)
         iterations = (ok & solved).astype(int)
-        stop_code = np.select([~ok, solved], [_START_NONFINITE, _STEP_TOL], _MAX_ITERATIONS)
-        live = np.flatnonzero(ok & ~solved & (_MAX_ITER > 0))  # row index of each live row
+        stop_code = np.select([~ok, solved, far], [_START_NONFINITE, _STEP_TOL, _START_FAR],
+                              _MAX_ITERATIONS)
+        live = np.flatnonzero(ok & ~solved & ~far & (_MAX_ITER > 0))  # row index of each live row
         p, res, s, lam = params[live], res[live], rss[live], np.full(live.size, _LAMBDA0)
         tried, its = np.zeros((2, live.size), dtype=int)  # failed trials, iteration number
         a, g = np.zeros((live.size, qmax, qmax)), np.zeros((live.size, qmax))
@@ -359,8 +370,9 @@ def fit_least_squares(spec: ModelSpec, d: Dataset,
 
     Damping grows on rejected trials and follows the gain ratio of accepted
     steps; parameters are projected onto the spec's bounds after every step.
-    Accepted iterations never increase the RSS. The fitter has no options:
-    its settings are the module constants above.
+    Accepted iterations never increase the RSS. A start beyond ``_FAR`` is
+    returned as it is, unconverged, with stop_reason ``start_far``. The
+    fitter has no options: its settings are the module constants above.
     """
     if why := _ruled_out(spec, _ages(d)):
         raise ValueError(f"{spec.name}: {why}")

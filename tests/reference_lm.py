@@ -3,8 +3,10 @@ multi-start batch, kept for the tests as a differential oracle.
 
 One start at a time, one parameter vector per model call, every operation
 on 1-D arrays. It reads the fitter's settings (iteration cap, tolerances,
-starting damping, damping levels per iteration) and scores with its
-``r_squared``, but runs its own loop. Its damping follows the gain-ratio
+starting damping, damping levels per iteration, far-start bound) and scores
+with its ``r_squared``, but runs its own loop. Like the fitter, it does not
+iterate a start whose RSS exceeds ``_FAR`` times sum w y^2, unless the family
+is linear in every parameter or every y is 0. Its damping follows the gain-ratio
 rule the fitter documents: an accepted step with actual over predicted RSS
 drop rho above 3/4 divides lam by 3, below 1/4 doubles it, floored at
 1e-12; rejected trials multiply lam by nu = 2, 4, 8, ... (Nielsen 1999,
@@ -52,11 +54,12 @@ def fit_least_squares(spec, d, start):
     res = _weighted_residuals(spec, p, xs, ys, sw)
     if not np.all(np.isfinite(res)):
         raise ValueError(f"{spec.name}: start point evaluates non-finite")
-    rss = _rss(res)
+    rss, zero = _rss(res), _rss(sw * ys)
+    far = len(spec.linear) < spec.n_params and zero > 0 and rss > fit_module._FAR * zero
     lam = fit_module._LAMBDA0
     converged = False
     it = 0
-    for it in range(1, fit_module._MAX_ITER + 1):
+    for it in range(1, 0 if far else fit_module._MAX_ITER + 1):
         jac = gradient(spec, p, xs)
         with np.errstate(all="ignore"):
             jac = np.where(np.isfinite(jac), jac, 0.0) * sw

@@ -90,6 +90,20 @@ class TestIngestDescribe:
         stats = json.loads(out)["result"]["x"]
         assert stats["count"] == 80
 
+    def test_describe_values_near_the_largest_float(self, tmp_path):
+        # a fresh interpreter, as a user runs it: the mean overflows to inf
+        # with numpy's RuntimeWarning, which the test suite makes an error
+        data = tmp_path / "big.csv"
+        data.write_text("study_id,x,y\ns,0.0,8.98846567431158e+307\n"
+                        "s,1.0,8.98846567431158e+307\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvemine.cli", "describe", "--data", str(data)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        y = json.loads(proc.stdout)["result"]["y"]
+        assert y["min"] == y["median"] == y["max"] == 8.98846567431158e+307
+
     def test_label_holding_cr_survives_ingest_out(self, capsys, tmp_path):
         d = make_dataset([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], study_id="a\rb",
                          unit="ng\r", assay="k\r\n1")

@@ -16,6 +16,7 @@ from curvemine.dataset import (
     StudyMeta,
     UnknownUnitError,
     UnitTable,
+    _median,
     describe,
     ingest_csv,
     merge,
@@ -582,6 +583,16 @@ class TestDescribe:
         desc = describe(d, axis="y")
         assert desc.min == desc.max == desc.median == desc.mean == 7.0
         assert desc.sd == 0.0
+
+    @pytest.mark.parametrize("median", [_median, reference_ingest._median],
+                             ids=["program", "reference"])
+    def test_median_of_values_near_the_largest_float(self, median):
+        # the sum of the middle two overflows; halving each first does not
+        big = 8.98846567431158e+307
+        assert median([big, big]) == big
+        assert median(np.array([1.5e308, 1.7e308])) == 0.5 * 1.5e308 + 0.5 * 1.7e308
+        assert median([-1.7e308, 1.7e308]) == 0.0
+        assert median([0.1, 0.2]) == 0.5 * (0.1 + 0.2)  # a finite sum keeps its bits
 
     def test_even_count_median_is_midpoint_mean(self):
         d = make_dataset([0, 1, 2, 3], [1.0, 2.0, 10.0, 20.0])

@@ -1095,6 +1095,8 @@ class TestStopReasons:
             spec = _counting_model("huge_jacobian", grad_scale=1e200)
         elif reason == "start_nonfinite":
             start = [[np.nan, 15.0, 4.0]]
+        elif reason == "start_far":  # an RMS miss ~1e18 times the data's
+            start = [[1e20, 15.0, 4.0]]
         if spec.n_params == 2:
             start = [[50.0, 0.05]]
         params, rss, iterations, stop = _lockstep(
@@ -1131,6 +1133,71 @@ class TestStopReasons:
         failed = [e for e in entries if e["reason"].startswith("fit failed")]
         assert failed and all(e["stop_reason"] is None for e in failed)
         assert "excluded: not converged (max_iterations)" in capped.leaderboard()
+
+
+class TestFarStarts:
+    """A start whose RSS, after its linear solve, exceeds ``_FAR`` times the
+    zero curve's (sum w y^2) stops at once as ``start_far``."""
+
+    @staticmethod
+    def _rss(spec, d, start):
+        """The start's weighted RSS over every point."""
+        with np.errstate(all="ignore"):
+            return np.sum(d.weights * (d.ys - evaluate(spec, start, d.xs)) ** 2)
+
+    def test_far_start_is_returned_unconverged_with_its_rss(self, gaussian_dataset):
+        d, spec = gaussian_dataset, get_model("gaussian_peak")
+        start = [1e20, 15.0, 4.0]
+        r = fit_least_squares(spec, d, start)
+        assert (r.stop_reason, r.converged, r.iterations) == ("start_far", False, 0)
+        assert r.params == tuple(start)
+        assert r.rss == pytest.approx(self._rss(spec, d, start), rel=1e-12)
+
+    def test_far_row_ends_alike_in_a_batch(self, gaussian_dataset):
+        d, spec = gaussian_dataset, get_model("gaussian_peak")
+        batch = np.array([[90.0, 15.0, 4.0], [1e20, 15.0, 4.0], [80.0, 12.0, 3.0]])
+        params, rss, iterations, stop = _lockstep([spec], d, [batch])[0]
+        assert STOP_REASONS[stop[1]] == "start_far"
+        for i, start in enumerate(batch):
+            alone = fit_least_squares(spec, d, start)
+            assert alone.params == tuple(params[i])
+            assert (alone.rss, alone.iterations, alone.stop_reason) == \
+                (rss[i], iterations[i], STOP_REASONS[stop[i]])
+
+    @pytest.mark.parametrize("factor, far", [(1 + 1e-6, False), (1 - 1e-6, True)])
+    def test_bound_is_the_starting_rss_over_the_zero_curves(
+            self, gaussian_dataset, monkeypatch, factor, far):
+        d, spec = gaussian_dataset, get_model("gaussian_peak")
+        start = [1e4, 15.0, 4.0]
+        ratio = self._rss(spec, d, start) / np.sum(d.weights * d.ys ** 2)
+        monkeypatch.setattr(fit_module, "_FAR", ratio * factor)
+        r = fit_least_squares(spec, d, start)
+        assert (r.stop_reason == "start_far") == far
+        assert (r.iterations == 0) == far
+
+    def test_family_whose_every_start_is_far_is_not_converged(self, monkeypatch):
+        # with a bound of 0 every start that misses at all is far; a family
+        # linear in every parameter is one solve and is never far
+        monkeypatch.setattr(fit_module, "_FAR", 0.0)
+        cfg = PlausibilityConfig(domain=(-1.0, 55.0))
+        ranked = rank_all(catalog(), paper_scale_dataset(3), cfg, seed=3)
+        linear = {s.name for s in catalog() if len(s.linear) == s.n_params}
+        assert linear
+        # an entry without a stop_reason had no start that evaluated
+        for r in (e.result for e in ranked.entries if e.result.stop_reason):
+            if r.spec_name in linear:
+                assert (r.stop_reason, r.converged) == ("step_tol", True), r.spec_name
+            else:
+                assert (r.stop_reason, r.converged, r.iterations) == \
+                    ("start_far", False, 0), r.spec_name
+        assert ranked.gold_standard.spec_name in linear
+        assert "excluded: not converged (start_far)" in ranked.leaderboard()
+
+    def test_all_zero_y_is_never_far(self, monkeypatch):
+        monkeypatch.setattr(fit_module, "_FAR", 0.0)
+        d = make_dataset(np.linspace(0.0, 50.0, 30), np.zeros(30))
+        r = fit_least_squares(get_model("gaussian_peak"), d, [5.0, 20.0, 4.0])
+        assert r.stop_reason != "start_far" and r.iterations > 0
 
 
 class TestGroupingOncePerRank:
