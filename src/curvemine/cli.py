@@ -4,9 +4,14 @@ analyze, plot, catalog.
 Every command but ``plot`` prints one JSON report envelope: the command, the
 seed, the tool and numpy versions, SHA-256 digests of the files its path
 options name (``--data``, ``--train``, ``--test``, ``--summary``,
-``--units``), and the command's result. Two runs on identical inputs with
-the same numpy are byte-identical. Plain-text mirrors accompany a report
-where a human-readable form is useful.
+``--units``), and the command's result. Each digest is of the bytes the
+command read, taken as it read them, so a command that rewrites its input
+(``ingest --data a.csv --out a.csv``) reports the file it read. Two runs on
+identical inputs with the same numpy are byte-identical. Plain-text mirrors
+accompany a report where a human-readable form is useful. A point CSV is
+read through ``dataset.ingest_cached``, which keeps its parsed columns in
+``__curvemine_cache__`` beside it; a read from that cache prints and
+writes the same bytes as a parse.
 
 Each handler imports the modules it runs, so a command loads only those.
 """
@@ -14,6 +19,7 @@ Each handler imports the modules it runs, so a command loads only those.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -32,32 +38,40 @@ __all__ = ["main"]
 
 
 def _report(args, result: dict) -> str:
-    import hashlib
-    inputs = [getattr(args, k) for k in ("data", "train", "test", "summary", "units")
-              if getattr(args, k, None)]
     envelope = {
         "command": args.subcommand,
         "version": __version__,
         "numpy": np.__version__,
         "seed": getattr(args, "seed", None),
-        "inputs": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in inputs},
+        "inputs": args.digests,
         "result": result,
     }
     return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
+def _read(args, path: Path, newline: Optional[str] = None) -> io.TextIOWrapper:
+    """The text of ``path`` as ``open(path, encoding="utf-8",
+    newline=newline)`` gives it, from its bytes read once; their SHA-256
+    goes into the report's inputs."""
+    import hashlib
+    with open(path, "rb") as fh:
+        data = fh.read()
+    args.digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+
 def _load(args, path: Optional[Path] = None,
           label: Optional[str] = None) -> Dataset:
-    """Read the point CSV at ``path`` (default ``--data``) and apply ``--units``."""
-    from .dataset import ingest_csv, normalize_units, read_unit_table
+    """Read the point CSV at ``path`` (default ``--data``), from its cache
+    entry when that holds these bytes, and apply ``--units``."""
+    from .dataset import ingest_cached, normalize_units, read_unit_table
     path = path or args.data
-    with open(path, encoding="utf-8", newline="") as fh:  # as csv needs
-        d = ingest_csv(fh, skip_bad_rows=args.skip_bad_rows,
-                       label=path.stem if label is None else label)
+    with open(path, "rb") as fh:
+        d, digest = ingest_cached(fh, path, skip_bad_rows=args.skip_bad_rows,
+                                  label=path.stem if label is None else label)
+    args.digests[str(path)] = digest
     if args.units is not None:
-        with open(args.units, encoding="utf-8") as fh:
-            d = normalize_units(d, read_unit_table(fh))
+        d = normalize_units(d, read_unit_table(_read(args, args.units)))
     return d
 
 
@@ -132,8 +146,7 @@ def _cmd_synth(args) -> dict:
     from .dataset import write_csv
     from .synth import DEFAULT_Z_ONE_SIDED_95, read_summary_csv, replicate
     z = DEFAULT_Z_ONE_SIDED_95 if args.z is None else args.z
-    with open(args.summary, encoding="utf-8", newline="") as fh:
-        rows = read_summary_csv(fh)
+    rows = read_summary_csv(_read(args, args.summary, newline=""))
     datasets = replicate(rows, args.seed, args.replicates,
                          moment_correct=args.moment_correct, z=z)
     outdir = args.out_dir
@@ -409,6 +422,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args, argv)
+        args.digests = {}   # input path -> SHA-256 of the bytes read
         result = args.func(args)
         if result is None:   # plot writes only its SVG
             return 0

@@ -6,17 +6,24 @@ column store: float64 x, y and weight, and study, unit and assay as integer
 codes into label tables, built and checked once per operation. Datasets are
 immutable and all operations here are pure. ``Dataset.from_points`` builds
 one from point columns; its name stays because the benchmark's trace wraps it.
+``ingest_cached`` reads a point CSV file as ``ingest_csv`` does and keeps
+the columns it parsed in a content-addressed cache beside the file.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import hashlib
 import io
+import json
 import math
+import os
 import re
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, islice, repeat
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
+from pathlib import Path
+from typing import BinaryIO, Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -28,6 +35,7 @@ __all__ = [
     "IngestError",
     "UnknownUnitError",
     "ingest_csv",
+    "ingest_cached",
     "write_csv",
     "read_unit_table",
     "normalize_units",
@@ -368,6 +376,111 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     return Dataset._from_columns(x, y, weight, study, unit, assay, None, label)
 
 
+# The directory, beside a CSV, that holds its cache entry.
+CACHE_DIR = "__curvemine_cache__"
+# A cache entry holds each of these label columns as its codes and, under
+# "<name>_labels", its table as UTF-8 JSON: a numpy str array would drop a
+# label's trailing NUL.
+_LABELS = ("study", "unit", "assay")
+
+
+def ingest_cached(raw: BinaryIO, path: str | os.PathLike, skip_bad_rows: bool = False,
+                  label: str = "") -> tuple[Dataset, str]:
+    """``ingest_csv`` of the point CSV at ``path``, open in binary as ``raw``,
+    and the SHA-256 of the bytes read, in hex.
+
+    As ``__pycache__`` keeps bytecode (PEP 3147), the columns a parse gives
+    are kept in one entry per CSV, ``<dir>/__curvemine_cache__/<name>.npz``,
+    keyed by the CSV's SHA-256, ``skip_bad_rows`` and the SHA-256 of this
+    module's source. A read whose key is the entry's builds the Dataset
+    from the stored columns through the same row rules and study synthesis
+    as a parse; any other read parses and writes the entry. The digest and
+    the parse are of one open file, so a file replaced meanwhile cannot
+    pair one content's key with another's columns. An entry that cannot be
+    read is a miss, and one that cannot be written is not kept, so a
+    read-only directory gets no cache; a parse that fails raises as
+    ``ingest_csv`` does and writes no entry.
+    """
+    # 64 KiB blocks stay below glibc's default mmap threshold (128 KiB); a
+    # larger block, once freed, raises that threshold and so changes how
+    # every later large array of the process is allocated.
+    sha = hashlib.sha256()
+    for block in iter(lambda: raw.read(1 << 16), b""):
+        sha.update(block)
+    digest, reader = sha.hexdigest(), _reader_digest()
+    path = Path(path)
+    entry = path.parent / CACHE_DIR / f"{path.name}.npz"
+    key = json.dumps([digest, reader, skip_bad_rows]).encode()
+    d = _cached(entry, key, label) if reader else None
+    if d is None:
+        raw.seek(0)
+        text = io.TextIOWrapper(raw, encoding="utf-8", newline="")  # as csv needs
+        try:
+            d = ingest_csv(text, skip_bad_rows=skip_bad_rows, label=label)
+        finally:
+            text.detach()  # raw stays open for its owner
+        if reader:
+            _store(entry, key, d)
+    return d, digest
+
+
+@functools.cache
+def _reader_digest() -> Optional[str]:
+    """SHA-256 of this module's source, in every cache key, so that any edit
+    to the reader retires every entry; None, and no cache, if unreadable."""
+    try:
+        with open(__file__, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return None
+
+
+def _cached(entry: Path, key: bytes, label: str) -> Optional[Dataset]:
+    """The Dataset of the cache entry at ``entry`` if its key is ``key``;
+    None if there is no such entry or it is not one ``_store`` writes."""
+    try:
+        with np.load(entry, allow_pickle=False) as z:
+            if z["key"].tobytes() != key:
+                return None
+            x, y, weight = z["x"], z["y"], z["weight"]
+            codes = [z[c] for c in _LABELS]
+            tables = [json.loads(z[f"{c}_labels"].tobytes()) for c in _LABELS]
+        n = x.shape
+        if len(n) != 1 or any(c.dtype != np.float64 or c.shape != n
+                              for c in (x, y, weight)):
+            return None
+        for c, table, kinds in zip(codes, tables, (str, str, (str, type(None)))):
+            if (c.dtype != np.intp or c.shape != n or type(table) is not list
+                    or not all(isinstance(s, kinds) for s in table)
+                    or (n[0] and not 0 <= c.min() <= c.max() < len(table))):
+                return None
+        return Dataset._from_columns(x, y, weight, *map(_Codes, codes, map(tuple, tables)),
+                                     None, label)
+    except Exception:  # nothing but a parse depends on the entry, and damaged
+        return None     # bytes raise BadZipFile, EOFError, NotImplementedError...
+
+
+def _store(entry: Path, key: bytes, d: Dataset) -> None:
+    """Write d's columns to the cache entry at ``entry`` under ``key``: to a
+    temp file moved into place, or, if that cannot be written, not at all."""
+    tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
+    arrays = {"key": np.frombuffer(key, np.uint8), "x": d._x, "y": d._y, "weight": d._weight}
+    for c in _LABELS:
+        codes, table = getattr(d, f"_{c}")
+        arrays[c] = codes
+        arrays[f"{c}_labels"] = np.frombuffer(json.dumps(table).encode(), np.uint8)
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, entry)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError:
+        pass
+
+
 # Lines in the first part of a CSV read (later parts hold as many
 # characters), csv rows converted at a time, and rows written at a time: it
 # bounds the lines and cell strings alive at once.
@@ -624,10 +737,29 @@ def describe(d: Dataset, axis: str = "y") -> Descriptives:
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
     vals = np.sort(d.xs if axis == "x" else d.ys, kind="stable")
-    return Descriptives(
-        count=len(vals), min=float(vals[0]), max=float(vals[-1]),
-        median=float(_median(vals)), mean=float(np.mean(vals)),
-        sd=float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0)
+    mean, sd = _moments(vals)
+    return Descriptives(count=len(vals), min=float(vals[0]), max=float(vals[-1]),
+                        median=float(_median(vals)), mean=mean, sd=sd)
+
+
+def _moments(vals: np.ndarray) -> tuple[float, float]:
+    """Mean and sd (n-1 denominator; 0 for one value) of finite values. A
+    moment whose sums overflow is taken of the values scaled by a power of
+    two, which is exact, and scaled back, the mean kept within the values'
+    range; a finite one keeps its bits. Ages are >= -1 and values >= 0, so
+    both moments of a dataset fit a float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(vals))
+        sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            k = math.frexp(float(np.max(np.abs(vals))))[1]
+            scaled = np.ldexp(vals, -k)
+            if not math.isfinite(mean):
+                mean = math.ldexp(float(np.clip(np.mean(scaled), scaled.min(),
+                                                scaled.max())), k)
+            if not math.isfinite(sd):
+                sd = math.ldexp(float(np.std(scaled, ddof=1)), k)
+    return mean, sd
 
 
 def split_by_assay(d: Dataset) -> dict[str, Dataset]:

@@ -156,8 +156,19 @@ def write_csv(d, sink):
 def describe(d, axis="y"):
     vals = sorted(p.x if axis == "x" else p.y for p in rows(d))
     n = len(vals)
-    mean = float(np.mean(vals))
-    sd = float(np.std(vals, ddof=1)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(vals))
+        sd = float(np.std(vals, ddof=1)) if n > 1 else 0.0
+    if not math.isfinite(mean) or not math.isfinite(sd):
+        # numpy's moments of the values over 2**k, the largest below 1 in
+        # magnitude, times 2**k: no sum overflows, and the mean stays
+        # within the values' range
+        k = max(math.frexp(v)[1] for v in vals)
+        small = [math.ldexp(v, -k) for v in vals]
+        if not math.isfinite(mean):
+            mean = math.ldexp(min(max(float(np.mean(small)), small[0]), small[-1]), k)
+        if not math.isfinite(sd):
+            sd = math.ldexp(float(np.std(small, ddof=1)), k)
     return Descriptives(count=n, min=vals[0], max=vals[-1],
                         median=_median(vals), mean=mean, sd=sd)
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -103,6 +104,28 @@ class TestIngestDescribe:
         assert proc.returncode == 0, proc.stderr
         y = json.loads(proc.stdout)["result"]["y"]
         assert y["min"] == y["median"] == y["max"] == 8.98846567431158e+307
+
+    @pytest.mark.parametrize("ys", [("1e160", "0"),
+                                    ("8.98846567431158e+307",) * 2])
+    def test_describe_moments_whose_sums_overflow_are_finite(self, tmp_path, ys):
+        # a fresh interpreter, where numpy's overflow is a warning, and a
+        # JSON parse that rejects the Infinity json.dumps would write
+        data = tmp_path / "big.csv"
+        data.write_text("study_id,x,y\n" + "".join(f"s,{i},{y}\n"
+                                                    for i, y in enumerate(ys)))
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "curvemine.cli", "describe", "--data", str(data)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        y = json.loads(proc.stdout, parse_constant=reject)["result"]["y"]
+        vals = [float(v) for v in ys]
+        assert y["mean"] == pytest.approx(sum(v / 2 for v in vals), rel=1e-15)
+        assert y["sd"] == pytest.approx(abs(vals[0] - vals[1]) / math.sqrt(2), rel=1e-15)
 
     def test_label_holding_cr_survives_ingest_out(self, capsys, tmp_path):
         d = make_dataset([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], study_id="a\rb",
@@ -528,6 +551,149 @@ class TestEnvelope:
                 for k in read.split()}
         assert report["inputs"] == want
         assert set(want) == opened
+
+    def test_input_rewritten_by_the_command_reports_the_bytes_read(self, capsys,
+                                                                   tmp_path):
+        data = tmp_path / "a.csv"
+        data.write_text("study_id,x,y\ns,1,2\ns,2,3.5\n")
+        read = hashlib.sha256(data.read_bytes()).hexdigest()
+        code, out, err = run(capsys, "ingest", "--data", str(data), "--out", str(data))
+        assert code == 0, err
+        assert hashlib.sha256(data.read_bytes()).hexdigest() != read  # rewritten
+        assert json.loads(out)["inputs"] == {str(data): read}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The number of ingest_csv calls (parses) while the test runs."""
+    count = [0]
+    real = dataset.ingest_csv
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "ingest_csv", counted)
+    return count
+
+
+def entry_of(path):
+    return path.parent / "__curvemine_cache__" / f"{path.name}.npz"
+
+
+def entry_arrays(entry):
+    """Each array of a cache entry as bytes: the zip file itself holds the
+    time it was written."""
+    with np.load(entry) as z:
+        return {k: (z[k].dtype, z[k].tobytes()) for k in z.files}
+
+
+class TestParseCache:
+    """A point CSV is parsed once: a later read of the same bytes loads the
+    columns from its cache entry, and prints and writes the same bytes."""
+
+    @pytest.mark.parametrize("argv", [
+        "describe --data {data} --axis x",
+        "fit --data {data} --model gaussian_peak --starts 2",
+        "rank --data {data} --catalog-filter peak --starts 2",
+        "validate --data {data} --model poly2 --stratify-bins 3 --seed 4",
+        "validate --train {data} --test {data} --model poly1",
+        "analyze --data {data} --model gaussian_peak --band-out {tmp}/band.csv",
+        "plot --data {data} --model poly2 --band --out {tmp}/p.svg",
+    ])
+    def test_hit_prints_and_writes_the_bytes_of_a_miss(self, capsys, data_csv,
+                                                       tmp_path, parses, argv):
+        argv = argv.format(data=data_csv, tmp=tmp_path).split()
+        outputs = []
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            written = [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".svg")
+                       and p != data_csv]
+            outputs.append((out, {p.name: p.read_bytes() for p in written}))
+            assert entry_of(data_csv).is_file()
+        assert parses[0] == 1
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] or outputs[0][1]
+
+    def test_one_byte_changed_at_the_same_size_and_mtime_is_a_miss(
+            self, capsys, data_csv, parses):
+        first = run(capsys, "describe", "--data", str(data_csv))[1]
+        stat = data_csv.stat()
+        text = data_csv.read_bytes()
+        at = text.index(b".", text.index(b"\n")) + 1   # a digit of the first row's x
+        changed = text[:at] + (b"1" if text[at:at + 1] != b"1" else b"2") + text[at + 1:]
+        data_csv.write_bytes(changed)
+        os.utime(data_csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert data_csv.stat().st_mtime_ns == stat.st_mtime_ns
+        assert data_csv.stat().st_size == stat.st_size
+        second = run(capsys, "describe", "--data", str(data_csv), "--axis", "x")[1]
+        assert parses[0] == 2
+        assert json.loads(second)["inputs"] == {
+            str(data_csv): hashlib.sha256(changed).hexdigest()}
+        assert first != second
+
+    @pytest.mark.parametrize("damage", ["reader digest", "truncated", "object array"])
+    def test_bad_entry_is_a_miss_that_rewrites_it(self, capsys, monkeypatch, data_csv,
+                                                  parses, damage):
+        want = run(capsys, "describe", "--data", str(data_csv))[1]
+        entry = entry_of(data_csv)
+        good = entry_arrays(entry)
+        if damage == "reader digest":   # written by another version of the reader
+            with monkeypatch.context() as mp:
+                mp.setattr(dataset, "_reader_digest", lambda: "0" * 64)
+                entry.unlink()
+                run(capsys, "describe", "--data", str(data_csv))
+        elif damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
+        else:   # loading it would need pickle
+            with np.load(entry) as z:
+                arrays = {k: z[k] for k in z.files}
+            arrays["x"] = np.array(list(arrays["x"]), dtype=object)
+            with open(entry, "wb") as fh:
+                np.savez(fh, **arrays)
+        try:
+            damaged = entry_arrays(entry)
+        except Exception:   # not loadable at all
+            damaged = None
+        assert damaged != good
+        before = parses[0]
+        assert run(capsys, "describe", "--data", str(data_csv))[1] == want
+        assert parses[0] == before + 1
+        assert entry_arrays(entry) == good
+        assert run(capsys, "describe", "--data", str(data_csv))[1] == want
+        assert parses[0] == before + 1
+
+    def test_entry_that_cannot_be_written_is_not_kept(self, capsys, monkeypatch,
+                                                      data_csv, parses):
+        def broken(fh, **arrays):
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", broken)
+        outs = [run(capsys, "describe", "--data", str(data_csv)) for _ in range(2)]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0 and outs[0][2] == ""
+        assert parses[0] == 2
+        cache = entry_of(data_csv).parent
+        assert not cache.exists() or list(cache.iterdir()) == []
+
+    def test_strict_read_of_bad_rows_writes_nothing_and_fails_each_time(
+            self, capsys, tmp_path, parses):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("study_id,x,y\ns,1,2\ns,nope,3\ns,2,-1\ns,3,4\n")
+        text = ("error: rejected rows:\n"
+                "  row 3: could not convert string to float: 'nope'\n"
+                "  row 4: value -1.0 must be finite and >= 0\n")
+        strict = ["describe", "--data", str(bad)]
+        assert run(capsys, *strict) == (1, "", text)
+        assert not entry_of(bad).exists()
+        assert run(capsys, *strict) == (1, "", text)
+        code, out, _ = run(capsys, *strict, "--skip-bad-rows")
+        assert code == 0 and json.loads(out)["result"]["y"]["count"] == 2
+        assert entry_of(bad).is_file()
+        assert run(capsys, *strict) == (1, "", text)
+        assert parses[0] == 4
 
 
 class TestPlot:

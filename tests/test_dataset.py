@@ -594,6 +594,31 @@ class TestDescribe:
         assert median([-1.7e308, 1.7e308]) == 0.0
         assert median([0.1, 0.2]) == 0.5 * (0.1 + 0.2)  # a finite sum keeps its bits
 
+    @pytest.mark.parametrize("ys, mean, sd", [
+        # np.std squares the deviations 5e159
+        ([1e160, 0.0], 5e159, math.sqrt(0.5) * 1e160),
+        # np.mean sums two values near the largest float
+        ([8.98846567431158e+307] * 2, 8.98846567431158e+307, 0.0),
+        ([1.7976931348623157e308, 0.0], 0.5 * 1.7976931348623157e308,
+         math.sqrt(0.5) * 1.7976931348623157e308),
+    ])
+    def test_moments_of_values_whose_sums_overflow(self, ys, mean, sd):
+        # RuntimeWarning is an error here, so no overflow escapes either
+        desc = describe(make_dataset(np.arange(len(ys)), ys), axis="y")
+        assert desc.mean == pytest.approx(mean, rel=1e-15)
+        assert desc.sd == pytest.approx(sd, rel=1e-15)
+
+    def test_moments_scaled_back_equal_the_unscaled_bits(self):
+        # what describe computes where it must scale is what numpy gives
+        # for the same values at a smaller exponent, where nothing overflows
+        ys = np.random.default_rng(3).uniform(0, 1, 101)
+        small = describe(make_dataset(np.arange(101), ys), axis="y")
+        big = describe(make_dataset(np.arange(101), np.ldexp(ys, 1023)), axis="y")
+        with np.errstate(over="ignore"):  # these sums overflow
+            assert math.isinf(np.sum(np.ldexp(ys, 1023)))
+        assert (big.mean, big.sd) == (math.ldexp(small.mean, 1023),
+                                      math.ldexp(small.sd, 1023))
+
     def test_even_count_median_is_midpoint_mean(self):
         d = make_dataset([0, 1, 2, 3], [1.0, 2.0, 10.0, 20.0])
         assert describe(d, axis="y").median == pytest.approx(6.0)

@@ -2,9 +2,13 @@
 generated point tables: ingest gives the same columns, labels and studies
 bit for bit, or the same IngestError text; write -> ingest -> write is
 byte-stable; describe, normalize_units and split agree with the reference.
-write_csv writes what csv.writer writes, and what it writes reads back."""
+write_csv writes what csv.writer writes, and what it writes reads back.
+A read from ingest_cached's cache gives what a fresh parse gives."""
 
+import hashlib
 import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +16,14 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import reference_ingest
+from curvemine import dataset
 from curvemine.dataset import (
     Dataset,
     IngestError,
     UnitTable,
     UnknownUnitError,
     describe,
+    ingest_cached,
     ingest_csv,
     normalize_units,
     write_csv,
@@ -109,8 +115,6 @@ def _written(d) -> str:
     return buf.getvalue()
 
 
-# Huge generated values overflow np.std's squares, in both implementations.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @given(point_tables(), st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_ingest_matches_row_reference(table, skip_bad_rows):
@@ -280,3 +284,55 @@ def test_one_value_column_of_bad_cells_names_every_row(column, cell):
     assert want.startswith("IngestError: rejected rows:")
     assert want.count("\n  row ") == 3
     assert _outcome(ingest_csv, text) == want
+
+
+def _same_columns(got, want):
+    """got == want, with x, y and weight bit for bit (0.0 beside -0.0) and
+    labels, studies and label by repr."""
+    for col in ("xs", "ys", "weights"):
+        assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+    for col in ("study_ids", "units", "assay_ids", "studies", "label"):
+        assert repr(getattr(got, col)) == repr(getattr(want, col)), col
+    assert got == want
+
+
+def _cached_read(path, **kw):
+    with open(path, "rb") as fh:
+        return ingest_cached(fh, path, **kw)
+
+
+@given(written_datasets(cr=True))
+@WRITER_SETTINGS
+def test_cache_hit_equals_a_fresh_parse(d):
+    """Labels hold "%", ",", '"', "\r" and a newline, an assay may be
+    empty, and ages hold 0.0 beside -0.0: the miss and the hit after it
+    both give a fresh ingest_csv's dataset, and the digest of the bytes."""
+    if not len(d):  # no rows reads as an IngestError
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write_csv(d, fh)
+        with open(path, encoding="utf-8", newline="") as fh:
+            fresh = ingest_csv(fh, label="points")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        miss = _cached_read(path, label="points")
+        assert (path.parent / "__curvemine_cache__" / "points.csv.npz").is_file()
+        with pytest.MonkeyPatch.context() as mp:  # a hit parses nothing
+            mp.setattr(dataset, "ingest_csv", None)
+            hit = _cached_read(path, label="points")
+        for got, got_digest in (miss, hit):
+            assert got_digest == digest
+            _same_columns(got, fresh)
+
+
+@pytest.mark.parametrize("label", ["a\0", "\0", "b\0\0", "%,\"\r\n\0x"])
+def test_cache_entry_keeps_labels_ending_in_nul(tmp_path, label):
+    """An entry holds its label tables as JSON, which a numpy str array
+    would not do for a label ending in NUL."""
+    d = Dataset.from_points([0.0, -0.0, 1.0], [2.0, 3.0, 4.0], weight=[1.0, 2.0, 1.0],
+                            study=[label, "s", label], unit=label, assay=[None, label, ""])
+    entry = tmp_path / "__curvemine_cache__" / "t.csv.npz"
+    dataset._store(entry, b"key", d)
+    _same_columns(dataset._cached(entry, b"key", ""), d)
+    assert dataset._cached(entry, b"other key", "") is None
