@@ -11,7 +11,10 @@ identical inputs with the same numpy are byte-identical. Plain-text mirrors
 accompany a report where a human-readable form is useful. A point CSV is
 read through ``dataset.ingest_cached``, which keeps its parsed columns in
 ``__curvemine_cache__`` beside it; a read from that cache prints and
-writes the same bytes as a parse.
+writes the same bytes as a parse. Entries are written by any read that
+misses, and by ``synth`` and ``ingest --out`` for the point CSVs they
+write (``dataset.cache_written``), so that no later read of those parses
+them. Deleting the directory is always safe.
 
 Each handler imports the modules it runs, so a command loads only those.
 """
@@ -75,16 +78,26 @@ def _load(args, path: Optional[Path] = None,
     return d
 
 
-def _write(path: Path, write) -> None:
+def _write(path: Path, write, points: Optional[Dataset] = None) -> None:
     """Call write(fh) on a sibling temp file and move that to ``path`` only
-    when it returns, so that a failure leaves no partial file at ``path``."""
+    when it returns, so that a failure leaves no partial file at ``path``.
+    ``points`` is the dataset that write() writes as a point CSV, if it
+    does: the bytes written are read back through the same handle and
+    hashed before they are moved, and once they are at ``path`` their
+    cache entry is stored beside them."""
+    from .dataset import _sha256, cache_written
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w+", encoding="utf-8") as fh:
             write(fh)
+            if points is not None:
+                fh.seek(0)  # after flushing what write() left buffered
+                digest = _sha256(fh.buffer)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    if points is not None:
+        cache_written(points, path, digest)
 
 
 def _fit(args, d: Dataset):
@@ -124,7 +137,7 @@ def _cmd_ingest(args) -> dict:
     from .dataset import write_csv
     d = _load(args)
     if args.out:
-        _write(args.out, lambda fh: write_csv(d, fh))
+        _write(args.out, lambda fh: write_csv(d, fh), d)
     return {
         "n_points": len(d),
         "studies": [
@@ -154,7 +167,7 @@ def _cmd_synth(args) -> dict:
     written = []
     for i, d in enumerate(datasets):
         path = outdir / f"replicate_{i:03d}.csv"
-        _write(path, lambda fh: write_csv(d, fh))
+        _write(path, lambda fh: write_csv(d, fh), d)
         written.append({"path": str(path), "n_points": len(d)})
     return {"replicates": written, "z": z,
             "moment_correct": args.moment_correct}
@@ -292,33 +305,54 @@ def _add_fit(p: argparse.ArgumentParser, model_required: bool = True):
     p.add_argument("--starts", type=int, default=5)
 
 
+# Each subcommand and its help, in the order the help lists them.
+COMMANDS = {
+    "ingest": "read, normalize and summarize a point CSV",
+    "describe": "descriptive statistics of one axis",
+    "synth": "reconstruct microdata from summary rows",
+    "fit": "fit one model family to a dataset",
+    "rank": "fit the whole catalog and rank by r^2",
+    "validate": "holdout-validate a model",
+    "analyze": "derived quantities of a fitted model",
+    "plot": "scatter + fitted curve + band as SVG",
+    "catalog": "export the model catalog as JSON",
+}
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser. Every subcommand is named with its help; only
-    ``command``'s options are added, or every one's when it is None."""
+    """The CLI parser: with only ``command``'s subparser when it names a
+    subcommand, else with every one. Its usage line names every subcommand
+    either way, so an error that prints it reads the same."""
     parser = argparse.ArgumentParser(
         prog="curvemine",
         description="Aggregate mined datapoints, reconstruct microdata, and "
                     "fit/rank/validate a catalog of parametric models.")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    one = command in COMMANDS
+    # The metavar spells out the choices argparse would list. It would also
+    # name the subcommand in an invalid-choice or missing-subcommand error,
+    # which a parser built for the subcommand given cannot raise.
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar="{" + ",".join(COMMANDS) + "}" if one else None)
 
-    def add(name: str, help: str):
-        """The subparser of ``name``, or None when its options are not built."""
-        p = sub.add_parser(name, help=help)
-        return p if command in (None, name) else None
+    def add(name: str):
+        """The subparser of ``name``, or None when it is not built."""
+        if one and name != command:
+            return None
+        return sub.add_parser(name, help=COMMANDS[name])
 
-    if p := add("ingest", "read, normalize and summarize a point CSV"):
+    if p := add("ingest"):
         _add_points(p)
         p.add_argument("--out", type=Path, default=None,
                        help="write the normalized CSV here")
         p.set_defaults(func=_cmd_ingest)
 
-    if p := add("describe", "descriptive statistics of one axis"):
+    if p := add("describe"):
         _add_points(p)
         p.add_argument("--axis", choices=("x", "y"), default="y")
         p.set_defaults(func=_cmd_describe)
 
-    if p := add("synth", "reconstruct microdata from summary rows"):
+    if p := add("synth"):
         _add_common(p)
         p.add_argument("--summary", type=Path, required=True,
                        help="summary CSV (x,n,mean,sd,upper_pl95,family)")
@@ -330,12 +364,12 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=Path, required=True)
         p.set_defaults(func=_cmd_synth)
 
-    if p := add("fit", "fit one model family to a dataset"):
+    if p := add("fit"):
         _add_points(p)
         _add_fit(p)
         p.set_defaults(func=_cmd_fit)
 
-    if p := add("rank", "fit the whole catalog and rank by r^2"):
+    if p := add("rank"):
         _add_points(p)
         p.add_argument("--domain", default="0:60", help="plausibility domain lo:hi")
         p.add_argument("--nonnegative", action="store_true")
@@ -347,7 +381,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                        help="directory for leaderboard.json / leaderboard.txt")
         p.set_defaults(func=_cmd_rank)
 
-    if p := add("validate", "holdout-validate a model"):
+    if p := add("validate"):
         _add_points(p, required=False)
         p.add_argument("--train", type=Path, default=None)
         p.add_argument("--test", type=Path, default=None)
@@ -358,7 +392,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                        help="relative tolerance for descriptive similarity")
         p.set_defaults(func=_cmd_validate)
 
-    if p := add("analyze", "derived quantities of a fitted model"):
+    if p := add("analyze"):
         _add_points(p)
         _add_fit(p)
         p.add_argument("--domain", default="0:60")
@@ -370,7 +404,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                        help="write the prediction band CSV here")
         p.set_defaults(func=_cmd_analyze)
 
-    if p := add("plot", "scatter + fitted curve + band as SVG"):
+    if p := add("plot"):
         _add_points(p)
         _add_fit(p, model_required=False)
         p.add_argument("--band", action="store_true")
@@ -379,7 +413,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True)
         p.set_defaults(func=_cmd_plot)
 
-    if p := add("catalog", "export the model catalog as JSON"):
+    if p := add("catalog"):
         p.set_defaults(func=_cmd_catalog)
 
     return parser
@@ -416,9 +450,9 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = _bind_domain_values(sys.argv[1:] if argv is None else argv)
-    # The first token that is not an option names the subcommand: the
-    # top-level options take no value.
-    parser = build_parser(next((t for t in argv if not t.startswith("-")), None))
+    # A subcommand named first gets a parser of it alone; anything else
+    # (--help, --version, an unknown or missing name) gets every one.
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         args = _apply_config(parser, args, argv)

@@ -7,7 +7,10 @@ codes into label tables, built and checked once per operation. Datasets are
 immutable and all operations here are pure. ``Dataset.from_points`` builds
 one from point columns; its name stays because the benchmark's trace wraps it.
 ``ingest_cached`` reads a point CSV file as ``ingest_csv`` does and keeps
-the columns it parsed in a content-addressed cache beside the file.
+the columns it parsed in a content-addressed cache beside the file;
+``cache_written`` stores the entry of a point CSV that ``write_csv`` has
+just written, so that its first read is a hit too. Deleting a cache
+directory is always safe: the next read parses again.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "UnknownUnitError",
     "ingest_csv",
     "ingest_cached",
+    "cache_written",
     "write_csv",
     "read_unit_table",
     "normalize_units",
@@ -371,9 +375,31 @@ def ingest_csv(source: TextIO | str, schema: Optional[Mapping[str, str]] = None,
     for i in range(len(columns)):
         columns[i] = np.concatenate(columns[i])
     x, y, weight, *codes = columns
-    study, unit, assay = (_Codes(c, tuple(t) or ("",)) for c, t in zip(codes, tables.values()))
-    assay = assay._replace(table=tuple(s or None for s in assay.table))  # "" is no assay
+    study, unit, assay = (_Codes(c, _read_table(t, name == "assay_id"))
+                          for c, (name, t) in zip(codes, tables.items()))
     return Dataset._from_columns(x, y, weight, study, unit, assay, None, label)
+
+
+def _read_table(labels: Iterable[str], assay: bool) -> tuple:
+    """A label table as ingest_csv ends it: the labels, numbered in order of
+    first appearance, or ("",) if there are none; an assay's "" is None."""
+    table = tuple(labels) or ("",)
+    return tuple(s or None for s in table) if assay else table
+
+
+def _as_read(c: _Codes, assay: bool) -> _Codes:
+    """The codes and table ingest_csv reads back from the cells write_csv
+    writes for the label column c: each label as its cell reads (None as
+    ""), one code per distinct label, numbered in order of first
+    appearance, and labels no row uses dropped. normalize_units may map two
+    labels to one, and _take may leave labels unused."""
+    n = len(c.codes)
+    first = np.full(len(c.table), n)  # each code's first row; n if unused
+    np.minimum.at(first, c.codes, np.arange(n))
+    code, index = np.zeros(len(c.table), dtype=np.intp), {}
+    for i in np.argsort(first)[:np.count_nonzero(first < n)].tolist():
+        code[i] = index.setdefault(c.table[i] or "", len(index))
+    return _Codes(code[c.codes], _read_table(index, assay))
 
 
 # The directory, beside a CSV, that holds its cache entry.
@@ -401,16 +427,8 @@ def ingest_cached(raw: BinaryIO, path: str | os.PathLike, skip_bad_rows: bool = 
     read-only directory gets no cache; a parse that fails raises as
     ``ingest_csv`` does and writes no entry.
     """
-    # 64 KiB blocks stay below glibc's default mmap threshold (128 KiB); a
-    # larger block, once freed, raises that threshold and so changes how
-    # every later large array of the process is allocated.
-    sha = hashlib.sha256()
-    for block in iter(lambda: raw.read(1 << 16), b""):
-        sha.update(block)
-    digest, reader = sha.hexdigest(), _reader_digest()
-    path = Path(path)
-    entry = path.parent / CACHE_DIR / f"{path.name}.npz"
-    key = json.dumps([digest, reader, skip_bad_rows]).encode()
+    digest, reader = _sha256(raw), _reader_digest()
+    entry, key = _entry(path, digest, skip_bad_rows)
     d = _cached(entry, key, label) if reader else None
     if d is None:
         raw.seek(0)
@@ -420,8 +438,44 @@ def ingest_cached(raw: BinaryIO, path: str | os.PathLike, skip_bad_rows: bool = 
         finally:
             text.detach()  # raw stays open for its owner
         if reader:
-            _store(entry, key, d)
+            _store(entry, key, d._x, d._y, d._weight, [getattr(d, f"_{c}") for c in _LABELS])
     return d, digest
+
+
+def cache_written(d: Dataset, path: str | os.PathLike, digest: str) -> None:
+    """Store the cache entry that ``ingest_cached`` would store on reading
+    the point CSV at ``path``, whose bytes ``write_csv(d)`` wrote and whose
+    SHA-256, in hex, is ``digest``, without reading them: a command that
+    writes a point CSV leaves its next read a hit. The entry holds d's
+    float columns, which write_csv writes as their reprs and so read back
+    bit for bit, and d's labels as ingest_csv codes them (``_as_read``).
+    Nothing is stored where a read of those bytes fails: for no rows, or a
+    label that holds NUL, which Python 3.10's csv rejects, or is longer
+    than csv's field limit."""
+    labels = [_as_read(getattr(d, f"_{c}"), c == "assay") for c in _LABELS]
+    limit = csv.field_size_limit()
+    if _reader_digest() and len(d) and not any(
+            s and ("\0" in s or len(s) > limit) for c in labels for s in c.table):
+        _store(*_entry(path, digest, False), d._x, d._y, d._weight, labels)
+
+
+def _sha256(raw: BinaryIO) -> str:
+    """The SHA-256, in hex, of the bytes left in the binary file raw. It is
+    read in 64 KiB blocks, below glibc's default mmap threshold (128 KiB):
+    a larger block, once freed, raises that threshold and so changes how
+    every later large array of the process is allocated."""
+    sha = hashlib.sha256()
+    for block in iter(lambda: raw.read(1 << 16), b""):
+        sha.update(block)
+    return sha.hexdigest()
+
+
+def _entry(path: str | os.PathLike, digest: str, skip_bad_rows: bool) -> tuple[Path, bytes]:
+    """The cache entry of the CSV at ``path`` and the key of its columns
+    when its bytes have SHA-256 ``digest`` and are read with skip_bad_rows."""
+    path = Path(path)
+    return (path.parent / CACHE_DIR / f"{path.name}.npz",
+            json.dumps([digest, _reader_digest(), skip_bad_rows]).encode())
 
 
 @functools.cache
@@ -460,13 +514,13 @@ def _cached(entry: Path, key: bytes, label: str) -> Optional[Dataset]:
         return None     # bytes raise BadZipFile, EOFError, NotImplementedError...
 
 
-def _store(entry: Path, key: bytes, d: Dataset) -> None:
-    """Write d's columns to the cache entry at ``entry`` under ``key``: to a
-    temp file moved into place, or, if that cannot be written, not at all."""
+def _store(entry: Path, key: bytes, x, y, weight, labels: Sequence[_Codes]) -> None:
+    """Write the columns, with the study, unit and assay labels, to the
+    cache entry at ``entry`` under ``key``: to a temp file moved into place,
+    or, if that cannot be written, not at all."""
     tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
-    arrays = {"key": np.frombuffer(key, np.uint8), "x": d._x, "y": d._y, "weight": d._weight}
-    for c in _LABELS:
-        codes, table = getattr(d, f"_{c}")
+    arrays = {"key": np.frombuffer(key, np.uint8), "x": x, "y": y, "weight": weight}
+    for c, (codes, table) in zip(_LABELS, labels):
         arrays[c] = codes
         arrays[f"{c}_labels"] = np.frombuffer(json.dumps(table).encode(), np.uint8)
     try:

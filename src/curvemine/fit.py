@@ -415,18 +415,25 @@ def _fit_catalog(specs: Sequence[ModelSpec], d: Dataset, n_starts: int,
     """The multi-start fit of every family in ``specs``: its FitResult, or
     the ValueError or LinAlgError that failed it. The starts of every
     family the data admit run through one ``_lockstep`` call, a family with
-    a twin as the twin (see ``_twin_result``), whose starts run once. An
-    empty dataset or n_starts < 1 raises once, before any family."""
+    a twin as the twin (see ``_twin_result``), whose starts are drawn and
+    run once. An empty dataset or n_starts < 1 raises once, before any
+    family."""
     ages = _ages(d)
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     fits, admitted = [], {}  # id of each family fitted -> it, its starts, the specs fitted as it
+    drawn = {}  # id of each family fitted -> its starts, or the error its guess raised
     for i, spec in enumerate(specs):
         fitted = spec.twin[0] if spec.twin else spec
-        try:
-            starts = _start_points(fitted, d, n_starts, seed)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            fits.append(exc if fitted is spec else type(exc)(f"{spec.name}: fitted as {exc}"))
+        if id(fitted) not in drawn:
+            try:
+                drawn[id(fitted)] = _start_points(fitted, d, n_starts, seed)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                drawn[id(fitted)] = exc
+        starts = drawn[id(fitted)]
+        if isinstance(starts, Exception):
+            fits.append(starts if fitted is spec
+                        else type(starts)(f"{spec.name}: fitted as {starts}"))
             continue
         why = _ruled_out(spec, ages)
         if not why:

@@ -224,16 +224,18 @@ def test_criterion_8_determinism(tmp_path, capsys):
     summary_csv = tmp_path / "s.csv"
     summary_csv.write_text("x,n,mean,sd\n25,20,5.0,1.0\n30,30,6.0,1.5\n")
 
-    # synth: identical files
-    blobs = []
+    # synth: identical files, the cache entries of the replicates included
+    # (numpy writes npz members with a fixed date)
+    trees = []
     for sub in ("s1", "s2"):
         outdir = tmp_path / sub
         assert main(["synth", "--summary", str(summary_csv), "--seed", "1",
                      "--replicates", "2", "--out-dir", str(outdir)]) == 0
         capsys.readouterr()
-        blobs.append(b"".join(sorted(
-            p.read_bytes() for p in outdir.iterdir())))
-    assert blobs[0] == blobs[1]
+        trees.append({p.relative_to(outdir): p.read_bytes()
+                      for p in outdir.rglob("*") if p.is_file()})
+    assert len(trees[0]) == 4
+    assert trees[0] == trees[1]
 
     # split: identical partitions
     assert split(d, 0.5, seed=3, stratify_bins=4) \

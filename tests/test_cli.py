@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -425,9 +427,9 @@ COMMANDS = ("ingest", "describe", "synth", "fit", "rank", "validate", "analyze",
 
 
 class TestParser:
-    """main builds only the options of the subcommand it runs; what it
-    prints for help and for an unknown subcommand is what the parser of
-    every subcommand's options prints."""
+    """main builds only the subparser of the subcommand it runs; what it
+    prints for help, for an unknown subcommand and for an unrecognized
+    argument is what the parser of every subcommand prints."""
 
     @staticmethod
     def _exit(capsys, parse):
@@ -453,6 +455,65 @@ class TestParser:
         assert parser.parse_args(["rank", "--data", "d.csv"]).func is cli._cmd_rank
         with pytest.raises(SystemExit):
             parser.parse_args(["describe", "--data", "d.csv"])
+
+    def test_only_the_named_subcommand_is_built(self, monkeypatch):
+        built = []
+        real = argparse._SubParsersAction.add_parser
+
+        def recording(self, name, **kwargs):
+            built.append(name)
+            return real(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", recording)
+        for command in COMMANDS:
+            cli.build_parser(command)
+            assert built == [command]
+            built.clear()
+        for command in (None, "bogus", "--help"):
+            cli.build_parser(command)
+            assert built == list(COMMANDS)
+            built.clear()
+
+    USAGE = ("usage: curvemine [-h] [--version]\n"
+             "                 {ingest,describe,synth,fit,rank,validate,analyze,plot,catalog}\n"
+             "                 ...\n")
+
+    @pytest.mark.skipif(sys.version_info[:2] not in ((3, 10), (3, 11)),
+                        reason="argparse's wording of Python 3.10 and 3.11")
+    @pytest.mark.parametrize("argv, want", [
+        (["--help"], (0, USAGE + """
+Aggregate mined datapoints, reconstruct microdata, and fit/rank/validate a
+catalog of parametric models.
+
+positional arguments:
+  {ingest,describe,synth,fit,rank,validate,analyze,plot,catalog}
+    ingest              read, normalize and summarize a point CSV
+    describe            descriptive statistics of one axis
+    synth               reconstruct microdata from summary rows
+    fit                 fit one model family to a dataset
+    rank                fit the whole catalog and rank by r^2
+    validate            holdout-validate a model
+    analyze             derived quantities of a fitted model
+    plot                scatter + fitted curve + band as SVG
+    catalog             export the model catalog as JSON
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""", "")),
+        (["bogus"], (2, "", USAGE + (
+            "curvemine: error: argument subcommand: invalid choice: 'bogus' (choose from "
+            "'ingest', 'describe', 'synth', 'fit', 'rank', 'validate', 'analyze', 'plot', "
+            "'catalog')\n"))),
+        ([], (2, "", USAGE + "curvemine: error: the following arguments are required: "
+                             "subcommand\n")),
+        (["rank", "--data", "d.csv", "--bogus"],
+         (2, "", USAGE + "curvemine: error: unrecognized arguments: --bogus\n")),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else "")
+    def test_texts(self, capsys, argv, want):
+        """The texts of the parser of every subcommand, also where main
+        builds one subcommand's: an unrecognized argument prints the usage."""
+        assert self._exit(capsys, lambda: main(argv)) == want
 
 
 class TestOutOfRangeFlags:
@@ -694,6 +755,73 @@ class TestParseCache:
         assert entry_of(bad).is_file()
         assert run(capsys, *strict) == (1, "", text)
         assert parses[0] == 4
+
+
+class TestWriteThrough:
+    """synth and ingest --out store the cache entry of each point CSV they
+    write, so that a chain of commands parses none of them."""
+
+    CHAIN = ["synth --summary {summary} --replicates 2 --seed 3 --out-dir {dir}/reps",
+             "ingest --data {dir}/reps/replicate_000.csv --units {units} --out {dir}/n.csv",
+             "describe --data {dir}/n.csv",
+             "validate --train {dir}/reps/replicate_000.csv "
+             "--test {dir}/reps/replicate_001.csv --model poly1"]
+
+    def _chain(self, capsys, workdir, summary, clear):
+        """Each stdout of CHAIN run in workdir, its paths as <dir>, and every
+        file it writes but the cache entries; with ``clear``, every cache
+        directory is deleted before every command."""
+        workdir.mkdir()
+        units = workdir / "units.cfg"
+        units.write_text("thousand = count,1000\n = count\n")
+        outs = []
+        for argv in self.CHAIN:
+            if clear:
+                for cache in list(workdir.rglob(dataset.CACHE_DIR)):
+                    shutil.rmtree(cache)
+            code, out, err = run(capsys, *argv.format(
+                summary=summary, units=units, dir=workdir).split())
+            assert (code, err) == (0, "")
+            outs.append(out.replace(str(workdir), "<dir>"))
+        files = {p.relative_to(workdir): p.read_bytes() for p in workdir.rglob("*")
+                 if p.is_file() and dataset.CACHE_DIR not in p.parts}
+        return outs, files
+
+    def test_chain_parses_nothing_and_gives_the_bytes_of_parses(
+            self, capsys, tmp_path, summary_csv, parses):
+        cached = self._chain(capsys, tmp_path / "cached", summary_csv, clear=False)
+        assert parses[0] == 0
+        for path in ("reps/replicate_000.csv", "reps/replicate_001.csv", "n.csv"):
+            assert entry_of(tmp_path / "cached" / path).is_file()
+        parsed = self._chain(capsys, tmp_path / "parsed", summary_csv, clear=True)
+        assert parses[0] == 4
+        assert cached == parsed
+        assert len(cached[1]) == 4   # units.cfg, two replicates, n.csv
+
+    @pytest.mark.parametrize("argv, cache", [
+        ("synth --summary {summary} --replicates 2 --out-dir {dir}/reps", "reps"),
+        ("ingest --data {data} --out {dir}/n.csv", "."),
+    ])
+    def test_cache_path_that_is_a_file(self, capsys, tmp_path, data_csv, summary_csv,
+                                       argv, cache):
+        """A plain file where the cache directory goes: the command writes
+        its CSVs and prints what it prints where the cache is stored."""
+        results = []
+        for name, blocked in (("free", False), ("blocked", True)):
+            workdir = tmp_path / name
+            (workdir / cache).mkdir(parents=True, exist_ok=True)
+            if blocked:
+                (workdir / cache / dataset.CACHE_DIR).write_text("not a directory\n")
+            code, out, err = run(capsys, *argv.format(
+                summary=summary_csv, data=data_csv, dir=workdir).split())
+            assert (code, err) == (0, "")
+            results.append((out.replace(str(workdir), "<dir>"),
+                            {p.relative_to(workdir): p.read_bytes()
+                             for p in workdir.rglob("*.csv")}))
+        assert results[0] == results[1]
+        assert results[0][1]
+        assert (tmp_path / "blocked" / cache / dataset.CACHE_DIR).read_text() == \
+            "not a directory\n"
 
 
 class TestPlot:

@@ -568,6 +568,19 @@ class TestTwinFamilies:
         # logistic_offset) runs once and the two twins not at all
         assert calls == [[s.name for s in catalog() if not s.twin]]
 
+    def test_each_family_fitted_draws_its_starts_once_per_rank(self, monkeypatch):
+        drawn = []
+
+        def recording(spec, *args):
+            drawn.append(spec.name)
+            return _start_points(spec, *args)
+
+        monkeypatch.setattr(fit_module, "_start_points", recording)
+        rank_all(catalog(), paper_scale_dataset(3), self.CFG, seed=4)
+        # logistic_offset and rational_lin_lin are drawn once, not once
+        # more for tanh_sigmoid and inverse_shift
+        assert drawn == [s.name for s in catalog() if not s.twin]
+
     def test_a_line_is_lost_to_inverse_shift(self):
         # rational_lin_lin fits y = 2 + 3x with c' ~ 0, where inverse_shift's
         # a, b and c diverge: its own r^2 there would contradict the twin's 1

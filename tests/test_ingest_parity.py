@@ -5,6 +5,7 @@ byte-stable; describe, normalize_units and split agree with the reference.
 write_csv writes what csv.writer writes, and what it writes reads back.
 A read from ingest_cached's cache gives what a fresh parse gives."""
 
+import csv
 import hashlib
 import io
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import reference_ingest
-from curvemine import dataset
+from curvemine import cli, dataset
 from curvemine.dataset import (
     Dataset,
     IngestError,
@@ -326,6 +327,66 @@ def test_cache_hit_equals_a_fresh_parse(d):
             _same_columns(got, fresh)
 
 
+def _entry_of(path):
+    return path.parent / "__curvemine_cache__" / f"{path.name}.npz"
+
+
+def _entry_arrays(entry):
+    """Each member of a cache entry: its dtype and bytes."""
+    with np.load(entry) as z:
+        return {k: (z[k].dtype, z[k].tobytes()) for k in z.files}
+
+
+def _changed(d, change):
+    """d as drawn, with its first two unit labels merged by normalize_units
+    (or its one label renamed), or with the rows of its first unit label
+    left out by _take, which keeps that label in its tables, unused, and
+    the other rows reversed, so that labels first appear in another order
+    than their tables'."""
+    if change == "units merged" and len(d):
+        first, *rest = d._unit.table
+        aliases = {first: (rest[0] if rest else "merged", 2.0)}
+        return normalize_units(d, UnitTable(aliases | {u: (u, 1.0) for u in rest}))
+    if change == "rows taken":
+        return d._take(np.flatnonzero(d._unit.codes != d._unit.codes[:1])[::-1], "part")
+    return d
+
+
+@given(written_datasets(cr=True), st.sampled_from(["as drawn", "units merged",
+                                                   "rows taken"]))
+@WRITER_SETTINGS
+def test_written_entry_equals_a_miss_entry(d, change):
+    """The entry a writer stores for the point CSV it writes has the
+    members, dtypes and bytes of the entry a miss on those bytes stores;
+    where the bytes read as an IngestError (no rows), it stores none."""
+    d = _changed(d, change)
+    with tempfile.TemporaryDirectory() as tmp:
+        written, missed = Path(tmp) / "w" / "points.csv", Path(tmp) / "m" / "points.csv"
+        written.parent.mkdir()
+        cli._write(written, lambda fh: write_csv(d, fh), d)
+        missed.parent.mkdir()
+        missed.write_bytes(written.read_bytes())
+        try:
+            _cached_read(missed)
+        except IngestError:
+            assert not len(d)
+            assert not _entry_of(written).parent.exists()
+            return
+        assert _entry_arrays(_entry_of(written)) == _entry_arrays(_entry_of(missed))
+
+
+@pytest.mark.parametrize("label", ["a\0", "x" * (csv.field_size_limit() + 1)])
+def test_writer_stores_no_entry_where_a_read_may_fail(tmp_path, label):
+    """Python 3.10's csv rejects NUL, and every version a field longer
+    than its limit: the writer stores no entry, and the next read parses."""
+    d = Dataset.from_points([1.0, 2.0], [3.0, 4.0], study=["s", label])
+    path = tmp_path / "points.csv"
+    dataset.cache_written(d, path, "0" * 64)
+    assert not _entry_of(path).parent.exists()
+    dataset.cache_written(d._take(np.array([0]), "s"), path, "0" * 64)
+    assert _entry_of(path).is_file()  # without the label, the entry is stored
+
+
 @pytest.mark.parametrize("label", ["a\0", "\0", "b\0\0", "%,\"\r\n\0x"])
 def test_cache_entry_keeps_labels_ending_in_nul(tmp_path, label):
     """An entry holds its label tables as JSON, which a numpy str array
@@ -333,6 +394,6 @@ def test_cache_entry_keeps_labels_ending_in_nul(tmp_path, label):
     d = Dataset.from_points([0.0, -0.0, 1.0], [2.0, 3.0, 4.0], weight=[1.0, 2.0, 1.0],
                             study=[label, "s", label], unit=label, assay=[None, label, ""])
     entry = tmp_path / "__curvemine_cache__" / "t.csv.npz"
-    dataset._store(entry, b"key", d)
+    dataset._store(entry, b"key", d._x, d._y, d._weight, [d._study, d._unit, d._assay])
     _same_columns(dataset._cached(entry, b"key", ""), d)
     assert dataset._cached(entry, b"other key", "") is None
