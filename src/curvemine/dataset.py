@@ -7,10 +7,11 @@ codes into label tables, built and checked once per operation. Datasets are
 immutable and all operations here are pure. ``Dataset.from_points`` builds
 one from point columns; its name stays because the benchmark's trace wraps it.
 ``ingest_cached`` reads a point CSV file as ``ingest_csv`` does and keeps
-the columns it parsed in a content-addressed cache beside the file;
-``cache_written`` stores the entry of a point CSV that ``write_csv`` has
-just written, so that its first read is a hit too. Deleting a cache
-directory is always safe: the next read parses again.
+the columns it parsed in a content-addressed cache beside the file: a JSON
+header line, then the raw columns, a one-value column stored once (an old
+``.npz`` entry is never read). ``cache_written`` stores the entry of a point
+CSV that ``write_csv`` has just written, so that its first read is a hit
+too. Deleting a cache directory is always safe: the next read parses again.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import json
 import math
 import os
 import re
+import zlib
 from dataclasses import asdict, dataclass, field
 from itertools import chain, count, islice, repeat
 from pathlib import Path
@@ -404,10 +406,8 @@ def _as_read(c: _Codes, assay: bool) -> _Codes:
 
 # The directory, beside a CSV, that holds its cache entry.
 CACHE_DIR = "__curvemine_cache__"
-# A cache entry holds each of these label columns as its codes and, under
-# "<name>_labels", its table as UTF-8 JSON: a numpy str array would drop a
-# label's trailing NUL.
-_LABELS = ("study", "unit", "assay")
+# The dtypes of a cache entry's x, y and weight and study, unit and assay codes.
+_DTYPES = [np.dtype(np.float64).str] * 3 + [np.dtype(np.intp).str] * 3
 
 
 def ingest_cached(raw: BinaryIO, path: str | os.PathLike, skip_bad_rows: bool = False,
@@ -416,16 +416,20 @@ def ingest_cached(raw: BinaryIO, path: str | os.PathLike, skip_bad_rows: bool = 
     and the SHA-256 of the bytes read, in hex.
 
     As ``__pycache__`` keeps bytecode (PEP 3147), the columns a parse gives
-    are kept in one entry per CSV, ``<dir>/__curvemine_cache__/<name>.npz``,
-    keyed by the CSV's SHA-256, ``skip_bad_rows`` and the SHA-256 of this
-    module's source. A read whose key is the entry's builds the Dataset
-    from the stored columns through the same row rules and study synthesis
-    as a parse; any other read parses and writes the entry. The digest and
-    the parse are of one open file, so a file replaced meanwhile cannot
-    pair one content's key with another's columns. An entry that cannot be
-    read is a miss, and one that cannot be written is not kept, so a
-    read-only directory gets no cache; a parse that fails raises as
-    ``ingest_csv`` does and writes no entry.
+    are kept in one entry per CSV, ``<dir>/__curvemine_cache__/<name>.cols``:
+    a JSON line with the key (the CSV's SHA-256, ``skip_bad_rows`` and the
+    SHA-256 of this module's source), the row count, each column's dtype
+    and stored length, the label tables and a CRC32, then the raw bytes of
+    x, y, weight and the study, unit and assay codes, a column whose rows
+    hold one bit pattern stored once. A read whose key is the entry's
+    builds the Dataset from the stored columns through the same row rules
+    and study synthesis as a parse; any other read parses, having read no
+    column, and writes the entry. The digest and the parse are of one open
+    file, so a file replaced meanwhile cannot pair one content's key with
+    another's columns. An entry that cannot be read is a miss, and one that
+    cannot be written is not kept, so a read-only directory gets no cache;
+    a parse that fails raises as ``ingest_csv`` does and writes no entry.
+    ``.npz`` entries of earlier versions are never read.
     """
     digest, reader = _sha256(raw), _reader_digest()
     entry, key = _entry(path, digest, skip_bad_rows)
@@ -438,7 +442,7 @@ def ingest_cached(raw: BinaryIO, path: str | os.PathLike, skip_bad_rows: bool = 
         finally:
             text.detach()  # raw stays open for its owner
         if reader:
-            _store(entry, key, d._x, d._y, d._weight, [getattr(d, f"_{c}") for c in _LABELS])
+            _store(entry, key, d._x, d._y, d._weight, [d._study, d._unit, d._assay])
     return d, digest
 
 
@@ -452,7 +456,7 @@ def cache_written(d: Dataset, path: str | os.PathLike, digest: str) -> None:
     Nothing is stored where a read of those bytes fails: for no rows, or a
     label that holds NUL, which Python 3.10's csv rejects, or is longer
     than csv's field limit."""
-    labels = [_as_read(getattr(d, f"_{c}"), c == "assay") for c in _LABELS]
+    labels = [_as_read(d._study, False), _as_read(d._unit, False), _as_read(d._assay, True)]
     limit = csv.field_size_limit()
     if _reader_digest() and len(d) and not any(
             s and ("\0" in s or len(s) > limit) for c in labels for s in c.table):
@@ -470,12 +474,12 @@ def _sha256(raw: BinaryIO) -> str:
     return sha.hexdigest()
 
 
-def _entry(path: str | os.PathLike, digest: str, skip_bad_rows: bool) -> tuple[Path, bytes]:
+def _entry(path: str | os.PathLike, digest: str, skip_bad_rows: bool) -> tuple[Path, list]:
     """The cache entry of the CSV at ``path`` and the key of its columns
     when its bytes have SHA-256 ``digest`` and are read with skip_bad_rows."""
     path = Path(path)
-    return (path.parent / CACHE_DIR / f"{path.name}.npz",
-            json.dumps([digest, _reader_digest(), skip_bad_rows]).encode())
+    return (path.parent / CACHE_DIR / f"{path.name}.cols",
+            [digest, _reader_digest(), skip_bad_rows])
 
 
 @functools.cache
@@ -489,45 +493,53 @@ def _reader_digest() -> Optional[str]:
         return None
 
 
-def _cached(entry: Path, key: bytes, label: str) -> Optional[Dataset]:
+def _cached(entry: Path, key: list, label: str) -> Optional[Dataset]:
     """The Dataset of the cache entry at ``entry`` if its key is ``key``;
     None if there is no such entry or it is not one ``_store`` writes."""
     try:
-        with np.load(entry, allow_pickle=False) as z:
-            if z["key"].tobytes() != key:
+        with open(entry, "rb") as fh:
+            head = json.loads(line := fh.readline())
+            if head["key"] != key:
                 return None
-            x, y, weight = z["x"], z["y"], z["weight"]
-            codes = [z[c] for c in _LABELS]
-            tables = [json.loads(z[f"{c}_labels"].tobytes()) for c in _LABELS]
-        n = x.shape
-        if len(n) != 1 or any(c.dtype != np.float64 or c.shape != n
-                              for c in (x, y, weight)):
-            return None
+            n, shapes, tables = head["n"], head["columns"], head["labels"]
+            if [d for d, _ in shapes] != _DTYPES or any(s not in (1, n) for _, s in shapes):
+                return None
+            stored = [np.fromfile(fh, d, s) for d, s in shapes]
+            if fh.read(1) or _header(key, n, stored, tables) != line:
+                return None
+        x, y, weight, *codes = (c if len(c) == n else c.repeat(n) for c in stored)
         for c, table, kinds in zip(codes, tables, (str, str, (str, type(None)))):
-            if (c.dtype != np.intp or c.shape != n or type(table) is not list
-                    or not all(isinstance(s, kinds) for s in table)
-                    or (n[0] and not 0 <= c.min() <= c.max() < len(table))):
+            if (type(table) is not list or not all(isinstance(s, kinds) for s in table)
+                    or not 0 <= c.min() <= c.max() < len(table)):
                 return None
         return Dataset._from_columns(x, y, weight, *map(_Codes, codes, map(tuple, tables)),
                                      None, label)
     except Exception:  # nothing but a parse depends on the entry, and damaged
-        return None     # bytes raise BadZipFile, EOFError, NotImplementedError...
+        return None     # bytes raise JSONDecodeError, KeyError, ValueError...
 
 
-def _store(entry: Path, key: bytes, x, y, weight, labels: Sequence[_Codes]) -> None:
-    """Write the columns, with the study, unit and assay labels, to the
-    cache entry at ``entry`` under ``key``: to a temp file moved into place,
-    or, if that cannot be written, not at all."""
+def _header(key: list, n: int, columns: Sequence[np.ndarray], tables: Sequence) -> bytes:
+    """The header line of an entry of n rows storing these columns and label
+    tables under key, with a CRC32 over n, the tables and the columns."""
+    crc = functools.reduce(lambda crc, c: zlib.crc32(c, crc), columns,
+                           zlib.crc32(json.dumps([n, tables]).encode()))
+    return json.dumps({"key": key, "n": n, "columns": [[c.dtype.str, len(c)] for c in columns],
+                       "labels": tables, "crc": crc}).encode() + b"\n"
+
+
+def _store(entry: Path, key: list, x, y, weight, labels: Sequence[_Codes]) -> None:
+    """Write the columns, a one-value column as one row, with the study, unit
+    and assay labels, to the cache entry at ``entry`` under ``key``: to a
+    temp file moved into place, or, if that cannot be written, not at all."""
+    columns = [x, y, weight, *(c.codes for c in labels)]
+    columns = [c[:1] if _same(c.view(f"i{c.itemsize}")) else c for c in columns]
+    head = _header(key, len(x), columns, [c.table for c in labels])
     tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
-    arrays = {"key": np.frombuffer(key, np.uint8), "x": x, "y": y, "weight": weight}
-    for c, (codes, table) in zip(_LABELS, labels):
-        arrays[c] = codes
-        arrays[f"{c}_labels"] = np.frombuffer(json.dumps(table).encode(), np.uint8)
     try:
         entry.parent.mkdir(exist_ok=True)
         try:
             with open(tmp, "wb") as fh:
-                np.savez(fh, **arrays)
+                fh.writelines([head, *columns])
             os.replace(tmp, entry)
         finally:
             tmp.unlink(missing_ok=True)

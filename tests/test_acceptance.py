@@ -225,7 +225,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
     summary_csv.write_text("x,n,mean,sd\n25,20,5.0,1.0\n30,30,6.0,1.5\n")
 
     # synth: identical files, the cache entries of the replicates included
-    # (numpy writes npz members with a fixed date)
+    # (an entry holds no time stamp)
     trees = []
     for sub in ("s1", "s2"):
         outdir = tmp_path / sub

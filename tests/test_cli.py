@@ -639,14 +639,21 @@ def parses(monkeypatch):
 
 
 def entry_of(path):
-    return path.parent / "__curvemine_cache__" / f"{path.name}.npz"
+    return path.parent / "__curvemine_cache__" / f"{path.name}.cols"
 
 
-def entry_arrays(entry):
-    """Each array of a cache entry as bytes: the zip file itself holds the
-    time it was written."""
-    with np.load(entry) as z:
-        return {k: (z[k].dtype, z[k].tobytes()) for k in z.files}
+def assert_same_rows(got, want):
+    """got holds want's rows: x, y and weight bit for bit, and its labels."""
+    for col in ("xs", "ys", "weights"):
+        assert getattr(got, col).tobytes() == getattr(want, col).tobytes(), col
+    for col in ("study_ids", "units", "assay_ids"):
+        assert getattr(got, col) == getattr(want, col), col
+
+
+def header_and_body(entry):
+    """A cache entry's bytes split after its JSON header line."""
+    head, body = entry.read_bytes().split(b"\n", 1)
+    return head + b"\n", body
 
 
 class TestParseCache:
@@ -694,50 +701,148 @@ class TestParseCache:
             str(data_csv): hashlib.sha256(changed).hexdigest()}
         assert first != second
 
-    @pytest.mark.parametrize("damage", ["reader digest", "truncated", "object array"])
+    @pytest.mark.parametrize("damage", [
+        "reader digest", "truncated", "body byte flipped", "bytes appended",
+        "header not JSON", "label changed in header", "code outside its table",
+        "other byte order", "length neither 1 nor n"])
     def test_bad_entry_is_a_miss_that_rewrites_it(self, capsys, monkeypatch, data_csv,
                                                   parses, damage):
         want = run(capsys, "describe", "--data", str(data_csv))[1]
         entry = entry_of(data_csv)
-        good = entry_arrays(entry)
+        good = entry.read_bytes()
+        head, body = header_and_body(entry)
+        key = json.loads(head)["key"]
+        d = ingest_csv(data_csv.read_text(encoding="utf-8"))
+        x, y, labels = d._x, d._y, [d._study, d._unit, d._assay]
+        assert d.units == [""] * 80
         if damage == "reader digest":   # written by another version of the reader
             with monkeypatch.context() as mp:
                 mp.setattr(dataset, "_reader_digest", lambda: "0" * 64)
                 entry.unlink()
                 run(capsys, "describe", "--data", str(data_csv))
         elif damage == "truncated":
-            entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
-        else:   # loading it would need pickle
-            with np.load(entry) as z:
-                arrays = {k: z[k] for k in z.files}
-            arrays["x"] = np.array(list(arrays["x"]), dtype=object)
-            with open(entry, "wb") as fh:
-                np.savez(fh, **arrays)
-        try:
-            damaged = entry_arrays(entry)
-        except Exception:   # not loadable at all
-            damaged = None
+            entry.write_bytes(good[:len(good) // 2])
+        elif damage == "body byte flipped":   # the third byte of x
+            entry.write_bytes(head + body[:2] + bytes([body[2] ^ 1]) + body[3:])
+        elif damage == "bytes appended":
+            entry.write_bytes(good + b"\0" * 8)
+        elif damage == "header not JSON":
+            entry.write_bytes(b"{not json}\n" + body)
+        elif damage == "label changed in header":   # still JSON, with the same key
+            entry.write_bytes(head.replace(b'[["s"]', b'[["t"]') + body)
+        else:   # written whole, with a valid CRC, by _store itself; the unit
+            # codes, which describe does not read, would go unnoticed
+            if damage == "code outside its table":
+                labels[1] = dataset._Codes(np.ones_like(d._unit.codes), ("",))
+            elif damage == "other byte order":
+                x = x.astype(x.dtype.newbyteorder())
+            else:   # two unit codes for 80 rows
+                labels[1] = dataset._Codes(np.arange(2), ("", "other"))
+            dataset._store(entry, key, x, y, d._weight, labels)
+        damaged = entry.read_bytes() if entry.is_file() else None
         assert damaged != good
         before = parses[0]
         assert run(capsys, "describe", "--data", str(data_csv))[1] == want
         assert parses[0] == before + 1
-        assert entry_arrays(entry) == good
+        assert entry.read_bytes() == good
         assert run(capsys, "describe", "--data", str(data_csv))[1] == want
         assert parses[0] == before + 1
 
     def test_entry_that_cannot_be_written_is_not_kept(self, capsys, monkeypatch,
                                                       data_csv, parses):
-        def broken(fh, **arrays):
-            fh.write(b"PK partial")
-            raise OSError("disk full")
+        """The disk fills after the header: the write raises OSError part-way."""
+        real_open, writes = open, []
 
-        monkeypatch.setattr(np, "savez", broken)
+        class Full(io.BufferedWriter):
+            def write(self, data):
+                writes[-1] += 1
+                if writes[-1] > 1:
+                    raise OSError("disk full")
+                return super().write(data)
+
+        def opened(file, mode="r", *args, **kwargs):
+            if mode != "wb":
+                return real_open(file, mode, *args, **kwargs)
+            writes.append(0)
+            return Full(io.FileIO(file, mode))
+
+        monkeypatch.setattr(dataset, "open", opened, raising=False)
         outs = [run(capsys, "describe", "--data", str(data_csv)) for _ in range(2)]
         assert outs[0] == outs[1]
         assert outs[0][0] == 0 and outs[0][2] == ""
         assert parses[0] == 2
+        assert writes == [2, 2]   # the header, then the first column raises
         cache = entry_of(data_csv).parent
         assert not cache.exists() or list(cache.iterdir()) == []
+
+    def test_stale_entry_costs_its_header_only(self, monkeypatch, data_csv, parses):
+        """A read whose entry holds another key reads none of its columns."""
+        with open(data_csv, "rb") as fh:
+            dataset.ingest_cached(fh, data_csv, skip_bad_rows=True)
+        real, reads = np.fromfile, []
+
+        def counted(*args, **kwargs):
+            reads.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np, "fromfile", counted)
+        with open(data_csv, "rb") as fh:
+            d = dataset.ingest_cached(fh, data_csv)[0]
+        assert (parses[0], reads) == (2, [])
+        with open(data_csv, "rb") as fh:
+            assert dataset.ingest_cached(fh, data_csv)[0] == d
+        assert parses[0] == 2 and len(reads) == 6
+
+    @staticmethod
+    def _replicate():
+        """A synth replicate of 49,800 rows: one study, unit, assay and weight."""
+        rows = [SummaryRow(x=float(x), n=415, mean=50.0 + x, sd=10.0, family="lognormal")
+                for x in range(120)]
+        return reconstruct_dataset(rows, seed=3)
+
+    def test_hit_allocates_little_past_its_columns(self, monkeypatch, tmp_path):
+        """Up to the Dataset build, a hit allocates at most 64 KiB past the
+        columns it returns (48 bytes a row), and in all at most 24 bytes a
+        row past them: the build's own arrays take ~17. A copy of the body
+        (16 bytes a row here) breaks both."""
+        d = self._replicate()
+        path = tmp_path / "replicate_000.csv"
+        cli._write(path, lambda fh: write_csv(d, fh), d)
+        with open(path, "rb") as fh:
+            entry, key = dataset._entry(path, dataset._sha256(fh), False)
+        real, at_build = dataset.Dataset._from_columns, []
+
+        def build(*args):
+            at_build.append(tracemalloc.get_traced_memory()[1])
+            return real(*args)
+
+        monkeypatch.setattr(dataset.Dataset, "_from_columns", build)
+        tracemalloc.start()
+        try:
+            got = dataset._cached(entry, key, "")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(d) == 49_800
+        assert_same_rows(got, d)
+        columns = len(d) * (3 * 8 + 3 * np.dtype(np.intp).itemsize)
+        assert at_build[0] - columns < 64 << 10
+        assert peak - columns < 24 * len(d)
+
+    def test_store_copies_no_column(self, tmp_path):
+        """A store writes each column from its own buffer: its traced peak
+        stays under half a float column (4 bytes a row)."""
+        d = self._replicate()
+        entry = tmp_path / dataset.CACHE_DIR / "replicate_000.csv.cols"
+        tracemalloc.start()
+        try:
+            dataset._store(entry, ["key"], d._x, d._y, d._weight,
+                           [d._study, d._unit, d._assay])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_rows(dataset._cached(entry, ["key"], ""), d)
+        assert peak < 4 * len(d)
 
     def test_strict_read_of_bad_rows_writes_nothing_and_fails_each_time(
             self, capsys, tmp_path, parses):

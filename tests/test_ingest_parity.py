@@ -318,7 +318,7 @@ def test_cache_hit_equals_a_fresh_parse(d):
             fresh = ingest_csv(fh, label="points")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         miss = _cached_read(path, label="points")
-        assert (path.parent / "__curvemine_cache__" / "points.csv.npz").is_file()
+        assert (path.parent / "__curvemine_cache__" / "points.csv.cols").is_file()
         with pytest.MonkeyPatch.context() as mp:  # a hit parses nothing
             mp.setattr(dataset, "ingest_csv", None)
             hit = _cached_read(path, label="points")
@@ -328,13 +328,7 @@ def test_cache_hit_equals_a_fresh_parse(d):
 
 
 def _entry_of(path):
-    return path.parent / "__curvemine_cache__" / f"{path.name}.npz"
-
-
-def _entry_arrays(entry):
-    """Each member of a cache entry: its dtype and bytes."""
-    with np.load(entry) as z:
-        return {k: (z[k].dtype, z[k].tobytes()) for k in z.files}
+    return path.parent / "__curvemine_cache__" / f"{path.name}.cols"
 
 
 def _changed(d, change):
@@ -357,7 +351,7 @@ def _changed(d, change):
 @WRITER_SETTINGS
 def test_written_entry_equals_a_miss_entry(d, change):
     """The entry a writer stores for the point CSV it writes has the
-    members, dtypes and bytes of the entry a miss on those bytes stores;
+    bytes of the entry a miss on those bytes stores;
     where the bytes read as an IngestError (no rows), it stores none."""
     d = _changed(d, change)
     with tempfile.TemporaryDirectory() as tmp:
@@ -372,7 +366,7 @@ def test_written_entry_equals_a_miss_entry(d, change):
             assert not len(d)
             assert not _entry_of(written).parent.exists()
             return
-        assert _entry_arrays(_entry_of(written)) == _entry_arrays(_entry_of(missed))
+        assert _entry_of(written).read_bytes() == _entry_of(missed).read_bytes()
 
 
 @pytest.mark.parametrize("label", ["a\0", "x" * (csv.field_size_limit() + 1)])
@@ -389,11 +383,11 @@ def test_writer_stores_no_entry_where_a_read_may_fail(tmp_path, label):
 
 @pytest.mark.parametrize("label", ["a\0", "\0", "b\0\0", "%,\"\r\n\0x"])
 def test_cache_entry_keeps_labels_ending_in_nul(tmp_path, label):
-    """An entry holds its label tables as JSON, which a numpy str array
-    would not do for a label ending in NUL."""
+    """An entry holds its label tables as JSON, which keeps a label
+    ending in NUL."""
     d = Dataset.from_points([0.0, -0.0, 1.0], [2.0, 3.0, 4.0], weight=[1.0, 2.0, 1.0],
                             study=[label, "s", label], unit=label, assay=[None, label, ""])
-    entry = tmp_path / "__curvemine_cache__" / "t.csv.npz"
-    dataset._store(entry, b"key", d._x, d._y, d._weight, [d._study, d._unit, d._assay])
-    _same_columns(dataset._cached(entry, b"key", ""), d)
-    assert dataset._cached(entry, b"other key", "") is None
+    entry = tmp_path / "__curvemine_cache__" / "t.csv.cols"
+    dataset._store(entry, ["key"], d._x, d._y, d._weight, [d._study, d._unit, d._assay])
+    _same_columns(dataset._cached(entry, ["key"], ""), d)
+    assert dataset._cached(entry, ["other key"], "") is None
