@@ -8,13 +8,11 @@ options name (``--data``, ``--train``, ``--test``, ``--summary``,
 command read, taken as it read them, so a command that rewrites its input
 (``ingest --data a.csv --out a.csv``) reports the file it read. Two runs on
 identical inputs with the same numpy are byte-identical. Plain-text mirrors
-accompany a report where a human-readable form is useful. A point CSV is
-read through ``dataset.ingest_cached``, which keeps its parsed columns in
-``__curvemine_cache__`` beside it; a read from that cache prints and
-writes the same bytes as a parse. Entries are written by any read that
-misses, and by ``synth`` and ``ingest --out`` for the point CSVs they
-write (``dataset.cache_written``), so that no later read of those parses
-them. Deleting the directory is always safe.
+accompany a report where a human-readable form is useful. Point CSVs are
+read with ``dataset.ingest_cached`` and written with
+``dataset.write_points``, which keep their parse cache (see the
+``dataset`` module docstring); every other file is written whole or not at
+all by ``dataset._replace``.
 
 Each handler imports the modules it runs, so a command loads only those.
 """
@@ -25,7 +23,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -56,48 +53,32 @@ def _read(args, path: Path, newline: Optional[str] = None) -> io.TextIOWrapper:
     """The text of ``path`` as ``open(path, encoding="utf-8",
     newline=newline)`` gives it, from its bytes read once; their SHA-256
     goes into the report's inputs."""
-    import hashlib
+    from .dataset import _sha256
     with open(path, "rb") as fh:
-        data = fh.read()
-    args.digests[str(path)] = hashlib.sha256(data).hexdigest()
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+        raw = io.BytesIO(fh.read())
+    args.digests[str(path)] = _sha256(raw)
+    raw.seek(0)
+    return io.TextIOWrapper(raw, encoding="utf-8", newline=newline)
 
 
 def _load(args, path: Optional[Path] = None,
           label: Optional[str] = None) -> Dataset:
-    """Read the point CSV at ``path`` (default ``--data``), from its cache
-    entry when that holds these bytes, and apply ``--units``."""
+    """Read the point CSV at ``path`` (default ``--data``) and apply
+    ``--units``; its SHA-256 goes into the report's inputs."""
     from .dataset import ingest_cached, normalize_units, read_unit_table
     path = path or args.data
-    with open(path, "rb") as fh:
-        d, digest = ingest_cached(fh, path, skip_bad_rows=args.skip_bad_rows,
-                                  label=path.stem if label is None else label)
-    args.digests[str(path)] = digest
+    d, args.digests[str(path)] = ingest_cached(
+        path, args.skip_bad_rows, path.stem if label is None else label)
     if args.units is not None:
         d = normalize_units(d, read_unit_table(_read(args, args.units)))
     return d
 
 
-def _write(path: Path, write, points: Optional[Dataset] = None) -> None:
-    """Call write(fh) on a sibling temp file and move that to ``path`` only
-    when it returns, so that a failure leaves no partial file at ``path``.
-    ``points`` is the dataset that write() writes as a point CSV, if it
-    does: the bytes written are read back through the same handle and
-    hashed before they are moved, and once they are at ``path`` their
-    cache entry is stored beside them."""
-    from .dataset import _sha256, cache_written
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w+", encoding="utf-8") as fh:
-            write(fh)
-            if points is not None:
-                fh.seek(0)  # after flushing what write() left buffered
-                digest = _sha256(fh.buffer)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    if points is not None:
-        cache_written(points, path, digest)
+def _write(path: Path, write) -> None:
+    """Call write(fh) on a text file that replaces ``path`` only when write
+    returns (``dataset._replace``)."""
+    from .dataset import _replace
+    _replace(path, write, "w")
 
 
 def _fit(args, d: Dataset):
@@ -134,10 +115,10 @@ def _bind_domain_values(argv: Sequence[str]) -> list[str]:
 # --- subcommand handlers: each returns its report's result ----------------
 
 def _cmd_ingest(args) -> dict:
-    from .dataset import write_csv
+    from .dataset import write_points
     d = _load(args)
     if args.out:
-        _write(args.out, lambda fh: write_csv(d, fh), d)
+        write_points(d, args.out)
     return {
         "n_points": len(d),
         "studies": [
@@ -156,7 +137,7 @@ def _cmd_describe(args) -> dict:
 
 
 def _cmd_synth(args) -> dict:
-    from .dataset import write_csv
+    from .dataset import write_points
     from .synth import DEFAULT_Z_ONE_SIDED_95, read_summary_csv, replicate
     z = DEFAULT_Z_ONE_SIDED_95 if args.z is None else args.z
     rows = read_summary_csv(_read(args, args.summary, newline=""))
@@ -167,7 +148,7 @@ def _cmd_synth(args) -> dict:
     written = []
     for i, d in enumerate(datasets):
         path = outdir / f"replicate_{i:03d}.csv"
-        _write(path, lambda fh: write_csv(d, fh), d)
+        write_points(d, path)
         written.append({"path": str(path), "n_points": len(d)})
     return {"replicates": written, "z": z,
             "moment_correct": args.moment_correct}
@@ -305,17 +286,17 @@ def _add_fit(p: argparse.ArgumentParser, model_required: bool = True):
     p.add_argument("--starts", type=int, default=5)
 
 
-# Each subcommand and its help, in the order the help lists them.
+# Each subcommand, its help and its handler, in the order the help lists them.
 COMMANDS = {
-    "ingest": "read, normalize and summarize a point CSV",
-    "describe": "descriptive statistics of one axis",
-    "synth": "reconstruct microdata from summary rows",
-    "fit": "fit one model family to a dataset",
-    "rank": "fit the whole catalog and rank by r^2",
-    "validate": "holdout-validate a model",
-    "analyze": "derived quantities of a fitted model",
-    "plot": "scatter + fitted curve + band as SVG",
-    "catalog": "export the model catalog as JSON",
+    "ingest": ("read, normalize and summarize a point CSV", _cmd_ingest),
+    "describe": ("descriptive statistics of one axis", _cmd_describe),
+    "synth": ("reconstruct microdata from summary rows", _cmd_synth),
+    "fit": ("fit one model family to a dataset", _cmd_fit),
+    "rank": ("fit the whole catalog and rank by r^2", _cmd_rank),
+    "validate": ("holdout-validate a model", _cmd_validate),
+    "analyze": ("derived quantities of a fitted model", _cmd_analyze),
+    "plot": ("scatter + fitted curve + band as SVG", _cmd_plot),
+    "catalog": ("export the model catalog as JSON", _cmd_catalog),
 }
 
 
@@ -339,18 +320,19 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         """The subparser of ``name``, or None when it is not built."""
         if one and name != command:
             return None
-        return sub.add_parser(name, help=COMMANDS[name])
+        text, func = COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p
 
     if p := add("ingest"):
         _add_points(p)
         p.add_argument("--out", type=Path, default=None,
                        help="write the normalized CSV here")
-        p.set_defaults(func=_cmd_ingest)
 
     if p := add("describe"):
         _add_points(p)
         p.add_argument("--axis", choices=("x", "y"), default="y")
-        p.set_defaults(func=_cmd_describe)
 
     if p := add("synth"):
         _add_common(p)
@@ -362,12 +344,10 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                        help="z-multiplier for upper prediction limits "
                             "(default: the one-sided 95%% normal quantile)")
         p.add_argument("--out-dir", type=Path, required=True)
-        p.set_defaults(func=_cmd_synth)
 
     if p := add("fit"):
         _add_points(p)
         _add_fit(p)
-        p.set_defaults(func=_cmd_fit)
 
     if p := add("rank"):
         _add_points(p)
@@ -379,7 +359,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                        help="substring or family class to restrict the catalog")
         p.add_argument("--out", type=Path, default=None,
                        help="directory for leaderboard.json / leaderboard.txt")
-        p.set_defaults(func=_cmd_rank)
 
     if p := add("validate"):
         _add_points(p, required=False)
@@ -390,7 +369,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         _add_fit(p)
         p.add_argument("--tolerance", type=float, default=0.1,
                        help="relative tolerance for descriptive similarity")
-        p.set_defaults(func=_cmd_validate)
 
     if p := add("analyze"):
         _add_points(p)
@@ -402,7 +380,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--level", type=float, default=0.95)
         p.add_argument("--band-out", type=Path, default=None,
                        help="write the prediction band CSV here")
-        p.set_defaults(func=_cmd_analyze)
 
     if p := add("plot"):
         _add_points(p)
@@ -411,11 +388,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         p.add_argument("--level", type=float, default=0.95)
         p.add_argument("--title", default="")
         p.add_argument("--out", type=Path, required=True)
-        p.set_defaults(func=_cmd_plot)
 
-    if p := add("catalog"):
-        p.set_defaults(func=_cmd_catalog)
-
+    add("catalog")
     return parser
 
 

@@ -6,12 +6,31 @@ column store: float64 x, y and weight, and study, unit and assay as integer
 codes into label tables, built and checked once per operation. Datasets are
 immutable and all operations here are pure. ``Dataset.from_points`` builds
 one from point columns; its name stays because the benchmark's trace wraps it.
-``ingest_cached`` reads a point CSV file as ``ingest_csv`` does and keeps
-the columns it parsed in a content-addressed cache beside the file: a JSON
-header line, then the raw columns, a one-value column stored once (an old
-``.npz`` entry is never read). ``cache_written`` stores the entry of a point
-CSV that ``write_csv`` has just written, so that its first read is a hit
-too. Deleting a cache directory is always safe: the next read parses again.
+
+Point CSV files are read with ``ingest_cached`` and written with
+``write_points``, which share a parse cache. As ``__pycache__`` keeps
+bytecode (PEP 3147), the columns of a point CSV are kept in one entry per
+file, ``<dir>/__curvemine_cache__/<name>.cols``:
+
+- The key is the CSV's SHA-256, ``skip_bad_rows`` and the SHA-256 of this
+  module's source, so that any edit to the reader retires every entry.
+  Where that source cannot be read (say, under a zip import) there is no
+  cache: every read parses and nothing is stored.
+- The entry is a JSON header line, with the key, the row count, each
+  column's dtype and stored length, the label tables and a CRC32 over the
+  count, the tables and the columns; then the raw bytes of x, y, weight and
+  the study, unit and assay codes. A column whose rows hold one bit pattern
+  is stored once. ``.npz`` entries of earlier versions are never read.
+- A read whose key is the entry's builds the Dataset from the stored
+  columns through the row rules and study synthesis of a parse. Any other
+  read parses, having read no column, and stores the entry.
+- ``write_points`` stores the entry that a read of the bytes it wrote would
+  store, so that the first read of a file the program wrote is a hit too.
+
+An entry that cannot be read is a miss, and one that cannot be written is
+not kept, so a read-only directory gets no cache. Deleting a cache
+directory is always safe: the next read parses again, and every command
+prints and writes the same bytes either way.
 """
 
 from __future__ import annotations
@@ -41,7 +60,7 @@ __all__ = [
     "UnknownUnitError",
     "ingest_csv",
     "ingest_cached",
-    "cache_written",
+    "write_points",
     "write_csv",
     "read_unit_table",
     "normalize_units",
@@ -410,57 +429,63 @@ CACHE_DIR = "__curvemine_cache__"
 _DTYPES = [np.dtype(np.float64).str] * 3 + [np.dtype(np.intp).str] * 3
 
 
-def ingest_cached(raw: BinaryIO, path: str | os.PathLike, skip_bad_rows: bool = False,
+def ingest_cached(path: str | os.PathLike, skip_bad_rows: bool = False,
                   label: str = "") -> tuple[Dataset, str]:
-    """``ingest_csv`` of the point CSV at ``path``, open in binary as ``raw``,
-    and the SHA-256 of the bytes read, in hex.
-
-    As ``__pycache__`` keeps bytecode (PEP 3147), the columns a parse gives
-    are kept in one entry per CSV, ``<dir>/__curvemine_cache__/<name>.cols``:
-    a JSON line with the key (the CSV's SHA-256, ``skip_bad_rows`` and the
-    SHA-256 of this module's source), the row count, each column's dtype
-    and stored length, the label tables and a CRC32, then the raw bytes of
-    x, y, weight and the study, unit and assay codes, a column whose rows
-    hold one bit pattern stored once. A read whose key is the entry's
-    builds the Dataset from the stored columns through the same row rules
-    and study synthesis as a parse; any other read parses, having read no
-    column, and writes the entry. The digest and the parse are of one open
-    file, so a file replaced meanwhile cannot pair one content's key with
-    another's columns. An entry that cannot be read is a miss, and one that
-    cannot be written is not kept, so a read-only directory gets no cache;
-    a parse that fails raises as ``ingest_csv`` does and writes no entry.
-    ``.npz`` entries of earlier versions are never read.
-    """
-    digest, reader = _sha256(raw), _reader_digest()
-    entry, key = _entry(path, digest, skip_bad_rows)
-    d = _cached(entry, key, label) if reader else None
-    if d is None:
-        raw.seek(0)
-        text = io.TextIOWrapper(raw, encoding="utf-8", newline="")  # as csv needs
-        try:
-            d = ingest_csv(text, skip_bad_rows=skip_bad_rows, label=label)
-        finally:
-            text.detach()  # raw stays open for its owner
-        if reader:
-            _store(entry, key, d._x, d._y, d._weight, [d._study, d._unit, d._assay])
+    """``ingest_csv`` of the point CSV at ``path``, from its cache entry when
+    that holds these bytes (see the module docstring), and the SHA-256 of
+    the bytes read, in hex. The digest and any parse are of one open file,
+    so a file replaced meanwhile cannot pair one content's key with
+    another's columns. A parse that fails raises as ``ingest_csv`` does and
+    stores no entry."""
+    with open(path, encoding="utf-8", newline="") as fh:  # as csv needs
+        digest = _sha256(fh.buffer)
+        at = _entry(path, digest, skip_bad_rows)
+        if at and (d := _cached(*at, label)) is not None:
+            return d, digest
+        fh.seek(0)
+        d = ingest_csv(fh, skip_bad_rows=skip_bad_rows, label=label)
+    if at:
+        _store(*at, d._x, d._y, d._weight, [d._study, d._unit, d._assay])
     return d, digest
 
 
-def cache_written(d: Dataset, path: str | os.PathLike, digest: str) -> None:
-    """Store the cache entry that ``ingest_cached`` would store on reading
-    the point CSV at ``path``, whose bytes ``write_csv(d)`` wrote and whose
-    SHA-256, in hex, is ``digest``, without reading them: a command that
-    writes a point CSV leaves its next read a hit. The entry holds d's
-    float columns, which write_csv writes as their reprs and so read back
-    bit for bit, and d's labels as ingest_csv codes them (``_as_read``).
-    Nothing is stored where a read of those bytes fails: for no rows, or a
-    label that holds NUL, which Python 3.10's csv rejects, or is longer
-    than csv's field limit."""
+def write_points(d: Dataset, path: str | os.PathLike) -> None:
+    """Write d to ``path`` as a point CSV (``write_csv``), whole or not at
+    all, and store the cache entry that a read of those bytes would store
+    (see the module docstring). The bytes are hashed through the handle
+    that wrote them, before the move, and never read back whole. The entry
+    holds d's float columns, which write_csv writes as their reprs and so
+    read back bit for bit, and d's labels as ingest_csv codes them
+    (``_as_read``). Nothing is stored where a read of those bytes fails:
+    for no rows, or a label that holds NUL, which Python 3.10's csv
+    rejects, or is longer than csv's field limit."""
+    def write(fh):
+        write_csv(d, fh)
+        fh.seek(0)  # after flushing what write_csv left buffered
+        return _sha256(fh.buffer)
+
+    at = _entry(path, _replace(path, write, "w+"), False)
     labels = [_as_read(d._study, False), _as_read(d._unit, False), _as_read(d._assay, True)]
     limit = csv.field_size_limit()
-    if _reader_digest() and len(d) and not any(
+    if at and len(d) and not any(
             s and ("\0" in s or len(s) > limit) for c in labels for s in c.table):
-        _store(*_entry(path, digest, False), d._x, d._y, d._weight, labels)
+        _store(*at, d._x, d._y, d._weight, labels)
+
+
+def _replace(path: str | os.PathLike, write, mode: str):
+    """What ``write(fh)`` returns, fh being a sibling temp file of ``path``
+    opened in ``mode`` (text as UTF-8), which is moved to ``path`` only when
+    write returns: a failure leaves neither a partial file at ``path`` nor
+    the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            result = write(fh)
+        os.replace(tmp, path)
+        return result
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _sha256(raw: BinaryIO) -> str:
@@ -474,21 +499,23 @@ def _sha256(raw: BinaryIO) -> str:
     return sha.hexdigest()
 
 
-def _entry(path: str | os.PathLike, digest: str, skip_bad_rows: bool) -> tuple[Path, list]:
+def _entry(path: str | os.PathLike, digest: str,
+           skip_bad_rows: bool) -> Optional[tuple[Path, list]]:
     """The cache entry of the CSV at ``path`` and the key of its columns
-    when its bytes have SHA-256 ``digest`` and are read with skip_bad_rows."""
+    when its bytes have SHA-256 ``digest`` and are read with skip_bad_rows;
+    None, for no cache, where this module's source cannot be read."""
+    if (reader := _reader_digest()) is None:
+        return None
     path = Path(path)
-    return (path.parent / CACHE_DIR / f"{path.name}.cols",
-            [digest, _reader_digest(), skip_bad_rows])
+    return path.parent / CACHE_DIR / f"{path.name}.cols", [digest, reader, skip_bad_rows]
 
 
 @functools.cache
 def _reader_digest() -> Optional[str]:
-    """SHA-256 of this module's source, in every cache key, so that any edit
-    to the reader retires every entry; None, and no cache, if unreadable."""
+    """SHA-256 of this module's source, or None if it cannot be read."""
     try:
         with open(__file__, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+            return _sha256(fh)
     except OSError:
         return None
 
@@ -534,15 +561,9 @@ def _store(entry: Path, key: list, x, y, weight, labels: Sequence[_Codes]) -> No
     columns = [x, y, weight, *(c.codes for c in labels)]
     columns = [c[:1] if _same(c.view(f"i{c.itemsize}")) else c for c in columns]
     head = _header(key, len(x), columns, [c.table for c in labels])
-    tmp = entry.with_name(f".{entry.name}.{os.getpid()}.tmp")
     try:
         entry.parent.mkdir(exist_ok=True)
-        try:
-            with open(tmp, "wb") as fh:
-                fh.writelines([head, *columns])
-            os.replace(tmp, entry)
-        finally:
-            tmp.unlink(missing_ok=True)
+        _replace(entry, lambda fh: fh.writelines([head, *columns]), "wb")
     except OSError:
         pass
 

@@ -69,6 +69,14 @@ _CIRCLE = ('<circle cx="%s" cy="%.3f" r="2.5" fill="%s" fill-opacity="0.75" '
            'class="datapoint"/>\n')
 
 
+def _text(x: str, y: str, size: int, text: str, anchor: str = "middle",
+          extra: str = "") -> str:
+    """A <text> element at the formatted coordinates x, y, with the text
+    escaped and any ``extra`` attributes after its anchor."""
+    return (f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}" '
+            f'text-anchor="{anchor}"{extra}>{_escape(text)}</text>')
+
+
 def write_svg(dataset: Dataset, sink: TextIO, *,
               curve: Optional[tuple[Sequence[float], Sequence[float]]] = None,
               band: Optional[IntervalBand] = None,
@@ -114,42 +122,25 @@ def write_svg(dataset: Dataset, sink: TextIO, *,
         f'width="{WIDTH:.0f}" height="{HEIGHT:.0f}" '
         f'viewBox="0 0 {WIDTH:.0f} {HEIGHT:.0f}">',
         f'<rect x="0" y="0" width="{WIDTH:.0f}" height="{HEIGHT:.0f}" fill="#ffffff"/>',
+        # the axes frame
+        f'<rect x="{_fmt(MARGIN_L)}" y="{_fmt(MARGIN_T)}" width="{_fmt(plot_w)}" '
+        f'height="{_fmt(plot_h)}" fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-
-    # axes frame
-    parts.append(
-        f'<rect x="{_fmt(MARGIN_L)}" y="{_fmt(MARGIN_T)}" '
-        f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
-        f'fill="none" stroke="#000000" stroke-width="1"/>')
-
+    tick = '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" stroke="#000000" stroke-width="1"/>'
+    bottom = MARGIN_T + plot_h
     for t in _nice_ticks(x_lo, x_hi):
         px = sx(t)
-        parts.append(f'<line x1="{_fmt(px)}" y1="{_fmt(MARGIN_T + plot_h)}" '
-                     f'x2="{_fmt(px)}" y2="{_fmt(MARGIN_T + plot_h + 5)}" '
-                     f'stroke="#000000" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(px)}" y="{_fmt(MARGIN_T + plot_h + 18)}" '
-                     f'font-family="sans-serif" font-size="11" '
-                     f'text-anchor="middle">{t:g}</text>')
+        parts += [tick % (px, bottom, px, bottom + 5),
+                  _text(_fmt(px), _fmt(bottom + 18), 11, f"{t:g}")]
     for t in _nice_ticks(y_lo, y_hi):
         py = sy(t)
-        parts.append(f'<line x1="{_fmt(MARGIN_L - 5)}" y1="{_fmt(py)}" '
-                     f'x2="{_fmt(MARGIN_L)}" y2="{_fmt(py)}" '
-                     f'stroke="#000000" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(MARGIN_L - 8)}" y="{_fmt(py + 4)}" '
-                     f'font-family="sans-serif" font-size="11" '
-                     f'text-anchor="end">{t:g}</text>')
-
-    parts.append(f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" '
-                 f'y="{_fmt(HEIGHT - 10)}" font-family="sans-serif" '
-                 f'font-size="13" text-anchor="middle">{_escape(x_label)}</text>')
-    parts.append(f'<text x="16" y="{_fmt(MARGIN_T + plot_h / 2)}" '
-                 f'font-family="sans-serif" font-size="13" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {_fmt(MARGIN_T + plot_h / 2)})">'
-                 f'{_escape(y_label)}</text>')
+        parts += [tick % (MARGIN_L - 5, py, MARGIN_L, py),
+                  _text(_fmt(MARGIN_L - 8), _fmt(py + 4), 11, f"{t:g}", "end")]
+    mid = _fmt(MARGIN_T + plot_h / 2)
+    parts += [_text(_fmt(MARGIN_L + plot_w / 2), _fmt(HEIGHT - 10), 13, x_label),
+              _text("16", mid, 13, y_label, extra=f' transform="rotate(-90 16 {mid})"')]
     if title:
-        parts.append(f'<text x="{_fmt(WIDTH / 2)}" y="22" '
-                     f'font-family="sans-serif" font-size="15" '
-                     f'text-anchor="middle">{_escape(title)}</text>')
+        parts.append(_text(_fmt(WIDTH / 2), "22", 15, title))
 
     if band is not None:
         poly = points(band.xs + band.xs[::-1], band.upper + band.lower[::-1])

@@ -175,8 +175,8 @@ def describe(d, axis="y"):
 
 def normalize_units(d, table):
     points = []
-    for p in rows(d):
-        canon, factor = table.resolve(p.unit)
+    resolved = [table.resolve(p.unit) for p in rows(d)]  # every label, before
+    for p, (canon, factor) in zip(rows(d), resolved):    # any value is scaled
         if canon == p.unit and factor == 1.0:
             points.append(p)
         else:

@@ -572,15 +572,19 @@ class TestEnvelope:
 
     @pytest.fixture
     def opened(self, monkeypatch):
-        """Paths the CLI opens for reading while the test runs."""
+        """Paths the CLI opens for reading while the test runs, itself or
+        through the dataset layer, but for cache entries and the reader's
+        own source, which feed only the cache key."""
         paths = set()
 
         def spy(path, mode="r", *args, **kwargs):
-            if "r" in mode:
+            if ("r" in mode and Path(path).parent.name != dataset.CACHE_DIR
+                    and str(path) != dataset.__file__):
                 paths.add(str(path))
             return open(path, mode, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "open", spy, raising=False)
+        for module in (cli, dataset):
+            monkeypatch.setattr(module, "open", spy, raising=False)
         return paths
 
     @pytest.mark.parametrize("argv, read", [
@@ -777,8 +781,7 @@ class TestParseCache:
 
     def test_stale_entry_costs_its_header_only(self, monkeypatch, data_csv, parses):
         """A read whose entry holds another key reads none of its columns."""
-        with open(data_csv, "rb") as fh:
-            dataset.ingest_cached(fh, data_csv, skip_bad_rows=True)
+        dataset.ingest_cached(data_csv, skip_bad_rows=True)
         real, reads = np.fromfile, []
 
         def counted(*args, **kwargs):
@@ -786,11 +789,9 @@ class TestParseCache:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np, "fromfile", counted)
-        with open(data_csv, "rb") as fh:
-            d = dataset.ingest_cached(fh, data_csv)[0]
+        d = dataset.ingest_cached(data_csv)[0]
         assert (parses[0], reads) == (2, [])
-        with open(data_csv, "rb") as fh:
-            assert dataset.ingest_cached(fh, data_csv)[0] == d
+        assert dataset.ingest_cached(data_csv)[0] == d
         assert parses[0] == 2 and len(reads) == 6
 
     @staticmethod
@@ -807,7 +808,7 @@ class TestParseCache:
         (16 bytes a row here) breaks both."""
         d = self._replicate()
         path = tmp_path / "replicate_000.csv"
-        cli._write(path, lambda fh: write_csv(d, fh), d)
+        dataset.write_points(d, path)
         with open(path, "rb") as fh:
             entry, key = dataset._entry(path, dataset._sha256(fh), False)
         real, at_build = dataset.Dataset._from_columns, []
@@ -902,6 +903,23 @@ class TestWriteThrough:
         assert parses[0] == 4
         assert cached == parsed
         assert len(cached[1]) == 4   # units.cfg, two replicates, n.csv
+
+    def test_no_reader_digest_means_no_cache(self, capsys, monkeypatch, tmp_path,
+                                             summary_csv, parses):
+        """Where dataset.py's source cannot be read (say, under a zip import)
+        there is no reader digest: synth and ingest --out store no entry,
+        every read parses, and every stdout and file is that of a run with
+        the cache on."""
+        cached = self._chain(capsys, tmp_path / "cached", summary_csv, clear=False)
+        assert parses[0] == 0
+        monkeypatch.setattr(dataset, "_reader_digest", lambda: None)
+        plain = self._chain(capsys, tmp_path / "plain", summary_csv, clear=False)
+        assert parses[0] == 4   # ingest, describe and validate's two reads
+        code, out, _ = run(capsys, "describe", "--data", str(tmp_path / "plain" / "n.csv"))
+        assert parses[0] == 5   # describe again: parsed again
+        assert (code, out.replace(str(tmp_path / "plain"), "<dir>")) == (0, plain[0][2])
+        assert plain == cached
+        assert not list((tmp_path / "plain").rglob(dataset.CACHE_DIR))
 
     @pytest.mark.parametrize("argv, cache", [
         ("synth --summary {summary} --replicates 2 --out-dir {dir}/reps", "reps"),

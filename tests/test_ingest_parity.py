@@ -13,11 +13,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import reference_ingest
-from curvemine import cli, dataset
+from curvemine import dataset
 from curvemine.dataset import (
     Dataset,
     IngestError,
@@ -116,7 +116,15 @@ def _written(d) -> str:
     return buf.getvalue()
 
 
+# The fourth row's y overflows under the second unit table and the fifth
+# row's unit (the last of its repeated "unit" columns) is in neither table:
+# both sides name the unknown label.
+UNKNOWN_AFTER_OVERFLOW = ("study_id,x,y,unit,unit\n" + "s,1,1,A,A\n" * 3
+                          + "s,1,1.8e8,,\n" + "s,1,1,A," + "n" * 70_000 + "\n")
+
+
 @given(point_tables(), st.booleans())
+@example((UNKNOWN_AFTER_OVERFLOW, None), False)
 @settings(max_examples=400, deadline=None)
 def test_ingest_matches_row_reference(table, skip_bad_rows):
     text, schema = table
@@ -297,11 +305,6 @@ def _same_columns(got, want):
     assert got == want
 
 
-def _cached_read(path, **kw):
-    with open(path, "rb") as fh:
-        return ingest_cached(fh, path, **kw)
-
-
 @given(written_datasets(cr=True))
 @WRITER_SETTINGS
 def test_cache_hit_equals_a_fresh_parse(d):
@@ -317,11 +320,11 @@ def test_cache_hit_equals_a_fresh_parse(d):
         with open(path, encoding="utf-8", newline="") as fh:
             fresh = ingest_csv(fh, label="points")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        miss = _cached_read(path, label="points")
+        miss = ingest_cached(path, label="points")
         assert (path.parent / "__curvemine_cache__" / "points.csv.cols").is_file()
         with pytest.MonkeyPatch.context() as mp:  # a hit parses nothing
             mp.setattr(dataset, "ingest_csv", None)
-            hit = _cached_read(path, label="points")
+            hit = ingest_cached(path, label="points")
         for got, got_digest in (miss, hit):
             assert got_digest == digest
             _same_columns(got, fresh)
@@ -357,11 +360,11 @@ def test_written_entry_equals_a_miss_entry(d, change):
     with tempfile.TemporaryDirectory() as tmp:
         written, missed = Path(tmp) / "w" / "points.csv", Path(tmp) / "m" / "points.csv"
         written.parent.mkdir()
-        cli._write(written, lambda fh: write_csv(d, fh), d)
+        dataset.write_points(d, written)
         missed.parent.mkdir()
         missed.write_bytes(written.read_bytes())
         try:
-            _cached_read(missed)
+            ingest_cached(missed)
         except IngestError:
             assert not len(d)
             assert not _entry_of(written).parent.exists()
@@ -375,9 +378,9 @@ def test_writer_stores_no_entry_where_a_read_may_fail(tmp_path, label):
     than its limit: the writer stores no entry, and the next read parses."""
     d = Dataset.from_points([1.0, 2.0], [3.0, 4.0], study=["s", label])
     path = tmp_path / "points.csv"
-    dataset.cache_written(d, path, "0" * 64)
+    dataset.write_points(d, path)
     assert not _entry_of(path).parent.exists()
-    dataset.cache_written(d._take(np.array([0]), "s"), path, "0" * 64)
+    dataset.write_points(d._take(np.array([0]), "s"), path)
     assert _entry_of(path).is_file()  # without the label, the entry is stored
 
 

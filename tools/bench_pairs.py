@@ -15,11 +15,13 @@ The summary goes to BENCH_<LABEL>.json at the root of this checkout. An
 existing file keeps the workloads this call does not run. Per workload it
 holds the seed, the run length, each side's git commit and ``src`` tree,
 the Python and numpy versions and CPU count the runs reported, every
-pair's end-to-end metrics and op counts, and per metric of BENCHMARK.json:
-each side's median, quartiles and IQR, in how many pairs the change was
-better and worse, and whether the change meets the gain rule (better in
-at least nine tenths of the pairs, and medians apart by more than the
-parent's IQR). Stdlib only.
+pair's end-to-end metrics and op counts, each side's ops attempted and
+failed over all its runs and whether every run was correct, and per metric
+of BENCHMARK.json: each side's median, quartiles and IQR, in how many pairs
+the change was better and worse, and whether the change meets the gain
+rule (better in at least nine tenths of the pairs, medians apart by more
+than the parent's IQR, no more failed ops than the parent and every run
+of the change correct). Stdlib only.
 """
 
 from __future__ import annotations
@@ -81,9 +83,22 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def ops(pairs: list[dict]) -> dict:
+    """Per side: the ops attempted and failed in all its runs, and whether
+    every run was correct."""
+    return {s: {"attempted": sum(p[s]["attempted"] for p in pairs),
+                "failed": sum(p[s]["failed"] for p in pairs),
+                "correct": all(p[s]["correct"] for p in pairs)} for s in SIDES}
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     """Per metric: each side's spread, the pairs the change was better and
-    worse in (ties count for neither) and whether it meets the gain rule."""
+    worse in (ties count for neither) and whether it meets the gain rule,
+    which a change that fails more ops than the parent, or has a run that
+    is not correct, never does."""
+    totals = ops(pairs)
+    sound = (totals["change"]["correct"]
+             and totals["change"]["failed"] <= totals["parent"]["failed"])
     out = {}
     for m in metrics:
         name, sign = m["name"], (1 if m["better"] == "lower" else -1)
@@ -96,7 +111,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "change_better_pairs": better, "change_worse_pairs": sum(d > 0 for d in deltas),
             "median_change_ratio": (sides["change"]["median"] / sides["parent"]["median"] - 1
                                     if sides["parent"]["median"] else None),
-            "meets_gain_rule": (10 * better >= 9 * len(pairs)
+            "meets_gain_rule": (sound and 10 * better >= 9 * len(pairs)
                                 and -apart > sides["parent"]["iqr"]),
         }
     return out
@@ -137,7 +152,7 @@ def main(argv=None) -> int:
             "sides": {s: git_ids(t) for s, t in trees.items()},
             "environment": {k: sorted({str(e.get(k)) for e in envs})
                             for k in ("python", "numpy", "nproc", "cpu", "platform")},
-            "metrics": summarize(pairs, metrics), "pairs": pairs}
+            "ops": ops(pairs), "metrics": summarize(pairs, metrics), "pairs": pairs}
         out_file.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(out_file)
     return 0
