@@ -35,17 +35,24 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PEAK_GRID, _BAND_GRID = 256, 200  # points of the peak scan and of the band
 
 
-def derivative(spec: ModelSpec, params: Sequence[float], x: float) -> float:
-    """dy/dx at x: the complex-step derivative of ``models.x_derivative``,
-    exact to rounding."""
-    val = float(x_derivative(spec, params, x))
-    if not math.isfinite(val):
-        raise ValueError(f"non-finite derivative of {spec.name} at x={x}")
+def derivative(spec: ModelSpec, params: Sequence[float],
+               x: float | np.ndarray) -> float | np.ndarray:
+    """dy/dx at x, a float or an array of ages: the complex-step derivative
+    of ``models.x_derivative``, exact to rounding. An array gives an array,
+    each value the bits of the call at its age alone; a non-finite value
+    raises, naming the first such age in array order."""
+    val = x_derivative(spec, params, x)
+    bad = ~np.isfinite(val)
+    if np.any(bad):
+        at = x if np.ndim(bad) == 0 else float(np.asarray(x, dtype=float)[bad][0])
+        raise ValueError(f"non-finite derivative of {spec.name} at x={at}")
     return val
 
 
-def monthly_loss(spec: ModelSpec, params: Sequence[float], age: float) -> float:
-    """Per-month decline rate of the model at the given age.
+def monthly_loss(spec: ModelSpec, params: Sequence[float],
+                 age: float | np.ndarray) -> float | np.ndarray:
+    """Per-month decline rate of the model at the given age (a float or an
+    array, as for ``derivative``).
 
     Positive while the curve falls; an increasing curve reports negative
     loss (growth) verbatim.
@@ -67,11 +74,19 @@ def peak_age(objective: Callable[[float], float],
     An all-equal objective is flagged as a plateau and reports the range
     midpoint.
     """
+    return _peak(objective, x_range,
+                 lambda xs: np.array([objective(float(x)) for x in xs]))
+
+
+def _peak(objective, x_range: tuple[float, float], scan=None) -> PeakResult:
+    """``peak_age``, with the coarse scan's values taken by ``scan(grid)``
+    in one call; by default the objective takes the array itself. The
+    golden-section steps call the objective one age at a time."""
     lo, hi = x_range
     if not (lo < hi):
         raise ValueError("empty range")
     xs = np.linspace(lo, hi, _PEAK_GRID)
-    vals = np.array([objective(float(x)) for x in xs])
+    vals = np.broadcast_to((scan or objective)(xs), xs.shape)
     if not np.all(np.isfinite(vals)):
         raise ValueError("objective is non-finite on the range")
     if np.ptp(vals) == 0.0:
@@ -111,8 +126,7 @@ def percent_remaining(spec: ModelSpec, params: Sequence[float], age: float,
     reference age.
     """
     if reference == "peak":
-        ref_value = peak_age(lambda t: float(evaluate(spec, params, t)),
-                             domain).value
+        ref_value = _peak(lambda t: evaluate(spec, params, t), domain).value
     else:
         ref_value = float(evaluate(spec, params, float(reference)))
     if not (ref_value > 0):
@@ -135,7 +149,7 @@ class CorrelationReport:
 def _series(spec, params, transform, xs):
     if transform == "value":
         return np.asarray(evaluate(spec, params, xs), dtype=float)
-    vals = np.array([derivative(spec, params, float(x)) for x in xs])
+    vals = derivative(spec, params, xs)
     return -vals if transform == "negated_derivative" else vals
 
 

@@ -209,15 +209,14 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_analyze(args) -> dict:
-    from .analyze import monthly_loss, peak_age, percent_remaining, prediction_band
+    from .analyze import _peak, monthly_loss, percent_remaining, prediction_band
     from .models import evaluate
     domain = _parse_domain(args.domain)
     d = _load(args)
     spec, fitted = _fit(args, d)
-    loss_peak = peak_age(
-        lambda t: monthly_loss(spec, fitted.params, t), domain)
-    value_peak = peak_age(
-        lambda t: float(evaluate(spec, fitted.params, t)), domain)
+    # each objective takes the peak scan's whole grid in one call
+    loss_peak = _peak(lambda t: monthly_loss(spec, fitted.params, t), domain)
+    value_peak = _peak(lambda t: evaluate(spec, fitted.params, t), domain)
     remaining = {
         str(age): percent_remaining(spec, fitted.params, age,
                                     reference=value_peak.age)

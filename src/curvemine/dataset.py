@@ -818,12 +818,23 @@ def merge(ds: Sequence[Dataset], label: str = "") -> Dataset:
 
 
 def describe(d: Dataset, axis: str = "y") -> Descriptives:
-    """Exact order statistics and sample moments (sd with n-1 denominator)."""
+    """Exact order statistics and sample moments (sd with n-1 denominator).
+
+    The values are sorted as a stable sort would order them, bit for bit:
+    numpy's default sort may swap equal values, and the only equal values
+    with different bits are 0.0 and -0.0 (rows hold no NaN), so the zero
+    block is written back in row order. A zero min, max or median keeps
+    its sign, and the moments sum in the same order.
+    """
     if len(d) == 0:
         raise ValueError("cannot describe an empty dataset")
     if axis not in ("x", "y"):
         raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    vals = np.sort(d.xs if axis == "x" else d.ys, kind="stable")
+    col = d.xs if axis == "x" else d.ys
+    vals = np.sort(col)
+    lo, hi = np.searchsorted(vals, 0.0, "left"), np.searchsorted(vals, 0.0, "right")
+    if hi > lo:
+        vals[lo:hi] = col[col == 0.0]
     mean, sd = _moments(vals)
     return Descriptives(count=len(vals), min=float(vals[0]), max=float(vals[-1]),
                         median=float(_median(vals)), mean=mean, sd=sd)

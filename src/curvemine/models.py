@@ -57,7 +57,10 @@ class ModelSpec:
     batch must equal the call with vector i alone to the probe's rtol 1e-9,
     not bit for bit (``np.power`` can round a row's last bit differently
     with the number of rows): use numpy functions rather than ``math``
-    ones, and no Python ``if`` on a parameter.
+    ones, and no Python ``if`` on a parameter. ``analyze`` likewise scans a
+    peak's grid of ages in one call and refines it one age at a time; for
+    the catalog's families both give the same bits (see ``evaluate``), for
+    a registered family only to that rtol.
 
     ``eval_fn`` must also accept complex x and complex parameters and stay
     analytic in them, since dy/dx is Im f(x + ih) / h (see
@@ -153,16 +156,18 @@ def evaluate(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray | float:
     """Evaluate the model; poles/overflow come back as non-finite, never raise.
 
     ``params`` is one vector (n_params,) or a batch (k, n_params); a batch
-    gives shape (k,) + shape(x).
+    gives shape (k,) + shape(x). One vector at one x gives a float, computed
+    as at a one-element array of x: numpy's scalar ``**`` can round the last
+    bit otherwise than its array loop, and a value at one age must equal
+    that age's value in a grid evaluated in one call.
     """
     p = np.asarray(params, dtype=float)
     xv = np.asarray(x, dtype=float)
+    one = p.ndim == 1 and xv.ndim == 0
     with np.errstate(all="ignore"):
-        y = spec.eval_fn(_param_columns(p, xv), xv)
+        y = spec.eval_fn(_param_columns(p, xv), xv.reshape(1) if one else xv)
     y = np.asarray(y, dtype=float)
-    if p.ndim == 1 and (np.isscalar(x) or xv.ndim == 0):
-        return float(y)
-    return y
+    return float(np.broadcast_to(y, (1,))[0]) if one else y
 
 
 def gradient(spec: ModelSpec, params: Sequence[float], x) -> np.ndarray:

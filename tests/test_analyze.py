@@ -1,10 +1,13 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 import curvemine.models as models_module
 from curvemine.analyze import (
+    _peak,
+    _series,
     cross_correlation,
     derivative,
     monthly_loss,
@@ -100,6 +103,67 @@ _NO_SLOPE = {
 }
 _ONE_SIDED_ZERO = {"stretched_exp", "hill_sigmoid", "power_law",
                    "power_offset", "lognormal_peak"}
+
+
+def same_bits(a, b):
+    """Equal bit for bit, -0.0 told from 0.0; any NaN equals any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(
+        (a.view(np.int64) == b.view(np.int64)) | (np.isnan(a) & np.isnan(b))))
+
+
+# Draws where numpy's scalar ``**`` rounds a grid value's last bit otherwise
+# than its array loop does, so a per-age call must be computed as an array.
+_SCALAR_POW_DRAWS = {
+    "gaussian_peak": [[25.79, 1.49, 2.17]],
+    "gaussian_peak_offset": [[22.17, 21.48, 7.43, 3.89]],
+    "sech2_peak": [[23.0, 12.1, 1.1]],
+}
+
+
+class TestOneCallScan:
+    @pytest.mark.parametrize("name", [s.name for s in catalog()])
+    def test_grid_in_one_call_equals_the_calls_per_age(self, name):
+        # the analyze command's peak scan: 256 ages of its --domain=-1:55
+        spec = get_model(name)
+        xs = np.linspace(-1.0, 55.0, 256)
+        rng = np.random.default_rng(31)
+        draws = [sample_params(spec, rng) for _ in range(4)]
+        for p in draws + _SCALAR_POW_DRAWS.get(name, []):
+            assert same_bits(evaluate(spec, p, xs),
+                             [evaluate(spec, p, float(x)) for x in xs])
+            assert same_bits(x_derivative(spec, p, xs),
+                             [x_derivative(spec, p, float(x)) for x in xs])
+            ok = xs[np.isfinite(x_derivative(spec, p, xs))]
+            assert same_bits(monthly_loss(spec, p, ok),
+                             [monthly_loss(spec, p, float(x)) for x in ok])
+            assert same_bits(_series(spec, p, "negated_derivative", ok),
+                             [-derivative(spec, p, float(x)) for x in ok])
+            if ok.size == xs.size:
+                loss = partial(monthly_loss, spec, p)
+                assert _peak(loss, (-1.0, 55.0)) == peak_age(loss, (-1.0, 55.0))
+            value = partial(evaluate, spec, p)
+            if np.all(np.isfinite(evaluate(spec, p, xs))):
+                assert _peak(value, (-1.0, 55.0)) == peak_age(value, (-1.0, 55.0))
+
+    def test_non_finite_derivative_names_the_first_bad_age(self):
+        spec, p = get_model("power_law"), [1.0, 0.5]  # no slope below 0
+        xs = np.array([2.0, -0.5, 3.0, -1.0])
+        with pytest.raises(ValueError) as scalar:
+            derivative(spec, p, -0.5)
+        for f in (derivative, monthly_loss):
+            with pytest.raises(ValueError, match="^non-finite derivative of "
+                               r"power_law at x=-0\.5$") as array:
+                f(spec, p, xs)
+            assert str(array.value) == str(scalar.value)
+        # the scan raises what the scan one age at a time raises
+        loss = partial(monthly_loss, spec, p)
+        with pytest.raises(ValueError) as per_age:
+            peak_age(loss, (-1.0, 55.0))
+        with pytest.raises(ValueError, match="^non-finite derivative of power_law "
+                           r"at x=-1\.0$") as one_call:
+            _peak(loss, (-1.0, 55.0))
+        assert str(one_call.value) == str(per_age.value)
 
 
 class TestBranchPoints:

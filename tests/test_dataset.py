@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -6,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvemine.dataset import (
@@ -17,6 +18,7 @@ from curvemine.dataset import (
     UnknownUnitError,
     UnitTable,
     _median,
+    _moments,
     describe,
     ingest_csv,
     merge,
@@ -570,7 +572,32 @@ class TestMerge:
         assert describe(merge([parts[i] for i in order]), "y") == base
 
 
+def stable_describe(d, axis):
+    """``describe`` with a stable sort (timsort), which keeps equal values,
+    0.0 and -0.0 among them, in row order."""
+    vals = np.sort(d.xs if axis == "x" else d.ys, kind="stable")
+    mean, sd = _moments(vals)
+    return Descriptives(count=len(vals), min=float(vals[0]), max=float(vals[-1]),
+                        median=float(_median(vals)), mean=mean, sd=sd)
+
+
+_ZERO = st.sampled_from([0.0, -0.0])
+
+
 class TestDescribe:
+    @given(rows=st.lists(st.tuples(st.one_of(_ZERO, st.floats(-1.0, 60.0)),
+                                   st.one_of(_ZERO, st.floats(0.0, 1e6))),
+                         min_size=1, max_size=300))
+    @example(rows=[(-0.0 if i % 3 else 0.0, 0.0 if i % 5 else -0.0) for i in range(97)])
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_stable_sort_bit_for_bit(self, rows):
+        # repr tells -0.0 from 0.0 and round-trips every float
+        d = make_dataset([x for x, _ in rows], [y for _, y in rows])
+        for axis in ("x", "y"):
+            got, want = describe(d, axis), stable_describe(d, axis)
+            assert ([repr(v) for v in dataclasses.astuple(got)]
+                    == [repr(v) for v in dataclasses.astuple(want)]), axis
+
     def test_overall_row_ages(self):
         d = make_dataset([-0.6, 32.0, 51.0], [1.0, 2.0, 3.0])
         desc = describe(d, axis="x")
