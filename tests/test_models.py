@@ -55,9 +55,9 @@ def fine_complex_step_partials(spec, p, x):
     is ~(h x / den)**2 relative near a pole of a rational family, 8e-9 at
     h = 1e-20 where den is 1e-16; the smaller step makes it negligible,
     and the larger one keeps the partials whose imaginary parts underflow
-    at h = 1e-30."""
+    at h = 1e-30 (or whose quotient overflows there)."""
     fine, coarse = (complex_step_partials(spec, p, x, h) for h in (1e-30, 1e-20))
-    normal = np.abs(fine) * 1e-30 >= np.finfo(float).tiny
+    normal = np.isfinite(fine) & (np.abs(fine) * 1e-30 >= np.finfo(float).tiny)
     return np.where(normal, fine, coarse)
 
 
