@@ -1,11 +1,11 @@
 """Cohort byte-identity gate: compare two source trees' cohort chains.
 
-    python tools/cohort_gate.py OLD_TREE NEW_TREE [--seeds 1-8]
+    python tools/cohort_gate.py OLD_TREE NEW_TREE
 
 OLD_TREE and NEW_TREE are checkouts of this repository; each supplies only
 its ``src/``. The inputs come from this checkout's perfbench/workloads.py:
-round 0 of ``cohort_pipeline`` for each seed (1-8 by default), the chain of
-synth, ingest, describe, two validates, analyze and plot. Each tree runs
+round 0 of ``cohort_pipeline`` seeds 1-8, each the chain of synth, ingest,
+describe, two validates, analyze and plot. Each tree runs
 every op in one fresh process through ``curvemine.cli.main``, and each
 op's own check is applied.
 
@@ -36,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOAD = "cohort_pipeline"
+SEEDS = list(range(1, 9))
 CACHE_DIR = "__curvemine_cache__"
 
 
@@ -65,8 +66,9 @@ def collect(tree: Path, seeds: list[int]) -> dict:
                 if failure is None:
                     try:
                         op.check(out.getvalue())
-                    except workloads.CheckFailed as exc:
-                        failure = str(exc)
+                    except Exception as exc:  # a check that crashes fails the op too
+                        failure = (str(exc) if isinstance(exc, workloads.CheckFailed)
+                                   else f"check raised {type(exc).__name__}: {exc}")
                 text = out.getvalue().replace(str(workdir) + os.sep, "")
                 result = json.loads(text)["result"] if code == 0 and text else None
                 outputs[f"seed {seed} op {j} {op.command}"] = [failure, result]
@@ -113,13 +115,6 @@ def compare(old: dict, new: dict) -> int:
     return int(bool(differences or failures))
 
 
-def _seeds(text: str) -> list[int]:
-    first, _, last = text.partition("-")
-    if not first.isdigit() or not (last or first).isdigit():
-        raise argparse.ArgumentTypeError("want FIRST-LAST, e.g. 1-8")
-    return list(range(int(first), int(last or first) + 1))
-
-
 def main(argv=None) -> int:
     if argv is None and sys.argv[1:2] == ["--collect"]:
         json.dump(collect(Path(sys.argv[2]), json.loads(sys.argv[3])), sys.stdout)
@@ -127,10 +122,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("old", type=Path, help="the tree to compare against")
     p.add_argument("new", type=Path, help="the tree under test")
-    p.add_argument("--seeds", type=_seeds, default=_seeds("1-8"),
-                   help="the seeds whose round 0 runs, as FIRST-LAST (default 1-8)")
     args = p.parse_args(argv)
-    old, new = (run_tree(t.resolve(), args.seeds) for t in (args.old, args.new))
+    old, new = (run_tree(t.resolve(), SEEDS) for t in (args.old, args.new))
     return compare(old, new)
 
 
