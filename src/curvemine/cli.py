@@ -10,7 +10,7 @@ command read, taken as it read them, so a command that rewrites its input
 identical inputs with the same numpy are byte-identical. Plain-text mirrors
 accompany a report where a human-readable form is useful. Point CSVs are
 read with ``dataset.ingest_cached`` and written with
-``dataset.write_points``, which keep their parse cache (see the
+``dataset.write_points``, the one writer of parse-cache entries (see the
 ``dataset`` module docstring); every other file is written whole or not at
 all by ``dataset._replace``.
 

@@ -8,14 +8,16 @@ immutable and all operations here are pure. ``Dataset.from_points`` builds
 one from point columns; its name stays because the benchmark's trace wraps it.
 
 Point CSV files are read with ``ingest_cached`` and written with
-``write_points``, which share a parse cache. As ``__pycache__`` keeps
-bytecode (PEP 3147), the columns of a point CSV are kept in one entry per
-file, ``<dir>/__curvemine_cache__/<name>.cols``:
+``write_points``. As ``__pycache__`` keeps bytecode (PEP 3147),
+``write_points`` keeps the columns of each point CSV it writes in one entry,
+``<dir>/__curvemine_cache__/<name>.cols``, so that reading the file back
+parses nothing. Only ``write_points`` stores entries: a read never writes.
 
-- The key is the CSV's SHA-256, ``skip_bad_rows`` and the SHA-256 of this
-  module's source, so that any edit to the reader retires every entry.
-  Where that source cannot be read (say, under a zip import) there is no
-  cache: every read parses and nothing is stored.
+- The key is the CSV's SHA-256 and the SHA-256 of this module's source, so
+  that any edit to the reader retires every entry. Where that source cannot
+  be read (say, under a zip import) there is no cache: every read parses and
+  nothing is stored. A file that ``write_csv`` wrote has no bad rows, so
+  ``skip_bad_rows`` reads the same Dataset from it either way.
 - The entry is a JSON header line, with the key, the row count, each
   column's dtype and stored length, the label tables and a CRC32 over the
   count, the tables and the columns; then the raw bytes of x, y, weight and
@@ -23,9 +25,7 @@ file, ``<dir>/__curvemine_cache__/<name>.cols``:
   is stored once. ``.npz`` entries of earlier versions are never read.
 - A read whose key is the entry's builds the Dataset from the stored
   columns through the row rules and study synthesis of a parse. Any other
-  read parses, having read no column, and stores the entry.
-- ``write_points`` stores the entry that a read of the bytes it wrote would
-  store, so that the first read of a file the program wrote is a hit too.
+  read parses, having read no column.
 
 An entry that cannot be read is a miss, and one that cannot be written is
 not kept, so a read-only directory gets no cache. Deleting a cache
@@ -431,40 +431,36 @@ _DTYPES = [np.dtype(np.float64).str] * 3 + [np.dtype(np.intp).str] * 3
 
 def ingest_cached(path: str | os.PathLike, skip_bad_rows: bool = False,
                   label: str = "") -> tuple[Dataset, str]:
-    """``ingest_csv`` of the point CSV at ``path``, from its cache entry when
-    that holds these bytes (see the module docstring), and the SHA-256 of
-    the bytes read, in hex. The digest and any parse are of one open file,
-    so a file replaced meanwhile cannot pair one content's key with
-    another's columns. A parse that fails raises as ``ingest_csv`` does and
-    stores no entry."""
+    """``ingest_csv`` of the point CSV at ``path``, from the cache entry
+    that ``write_points`` stored for these bytes if there is one (see the
+    module docstring), and the SHA-256 of the bytes read, in hex. The
+    digest and any parse are of one open file, so a file replaced meanwhile
+    cannot pair one content's key with another's columns. Nothing is
+    stored."""
     with open(path, encoding="utf-8", newline="") as fh:  # as csv needs
         digest = _sha256(fh.buffer)
-        at = _entry(path, digest, skip_bad_rows)
-        if at and (d := _cached(*at, label)) is not None:
+        if (at := _entry(path, digest)) and (d := _cached(*at, label)) is not None:
             return d, digest
         fh.seek(0)
-        d = ingest_csv(fh, skip_bad_rows=skip_bad_rows, label=label)
-    if at:
-        _store(*at, d._x, d._y, d._weight, [d._study, d._unit, d._assay])
-    return d, digest
+        return ingest_csv(fh, skip_bad_rows=skip_bad_rows, label=label), digest
 
 
 def write_points(d: Dataset, path: str | os.PathLike) -> None:
     """Write d to ``path`` as a point CSV (``write_csv``), whole or not at
-    all, and store the cache entry that a read of those bytes would store
-    (see the module docstring). The bytes are hashed through the handle
-    that wrote them, before the move, and never read back whole. The entry
-    holds d's float columns, which write_csv writes as their reprs and so
-    read back bit for bit, and d's labels as ingest_csv codes them
-    (``_as_read``). Nothing is stored where a read of those bytes fails:
-    for no rows, or a label that holds NUL, which Python 3.10's csv
-    rejects, or is longer than csv's field limit."""
+    all, and store its cache entry, from which a read of those bytes builds
+    what a parse of them builds (see the module docstring). The bytes are
+    hashed through the handle that wrote them, before the move, and never
+    read back whole. The entry holds d's float columns, which write_csv
+    writes as their reprs and so read back bit for bit, and d's labels as
+    ingest_csv codes them (``_as_read``). Nothing is stored where a read of
+    those bytes fails: for no rows, or a label that holds NUL, which Python
+    3.10's csv rejects, or is longer than csv's field limit."""
     def write(fh):
         write_csv(d, fh)
         fh.seek(0)  # after flushing what write_csv left buffered
         return _sha256(fh.buffer)
 
-    at = _entry(path, _replace(path, write, "w+"), False)
+    at = _entry(path, _replace(path, write, "w+"))
     labels = [_as_read(d._study, False), _as_read(d._unit, False), _as_read(d._assay, True)]
     limit = csv.field_size_limit()
     if at and len(d) and not any(
@@ -499,15 +495,14 @@ def _sha256(raw: BinaryIO) -> str:
     return sha.hexdigest()
 
 
-def _entry(path: str | os.PathLike, digest: str,
-           skip_bad_rows: bool) -> Optional[tuple[Path, list]]:
+def _entry(path: str | os.PathLike, digest: str) -> Optional[tuple[Path, list]]:
     """The cache entry of the CSV at ``path`` and the key of its columns
-    when its bytes have SHA-256 ``digest`` and are read with skip_bad_rows;
-    None, for no cache, where this module's source cannot be read."""
+    when its bytes have SHA-256 ``digest``; None, for no cache, where this
+    module's source cannot be read."""
     if (reader := _reader_digest()) is None:
         return None
     path = Path(path)
-    return path.parent / CACHE_DIR / f"{path.name}.cols", [digest, reader, skip_bad_rows]
+    return path.parent / CACHE_DIR / f"{path.name}.cols", [digest, reader]
 
 
 @functools.cache

@@ -660,9 +660,20 @@ def header_and_body(entry):
     return head + b"\n", body
 
 
+def written_copy(capsys, data_csv, copy):
+    """``ingest --data data_csv --out copy``: a copy of the points whose
+    cache entry its writer stored."""
+    copy.parent.mkdir(exist_ok=True)
+    code, _, err = run(capsys, "ingest", "--data", str(data_csv), "--out", str(copy))
+    assert (code, err) == (0, "")
+    assert entry_of(copy).is_file()
+    return copy
+
+
 class TestParseCache:
-    """A point CSV is parsed once: a later read of the same bytes loads the
-    columns from its cache entry, and prints and writes the same bytes."""
+    """A point CSV that curvemine wrote is never parsed: a read of its bytes
+    loads the columns from the entry its writer stored, and prints and
+    writes the same bytes as a parse. A read stores nothing."""
 
     @pytest.mark.parametrize("argv", [
         "describe --data {data} --axis x",
@@ -675,34 +686,48 @@ class TestParseCache:
     ])
     def test_hit_prints_and_writes_the_bytes_of_a_miss(self, capsys, data_csv,
                                                        tmp_path, parses, argv):
-        argv = argv.format(data=data_csv, tmp=tmp_path).split()
-        outputs = []
-        for _ in range(2):
-            code, out, err = run(capsys, *argv)
+        """On a hand-written CSV the command leaves its directory as it was;
+        on an ``ingest --out`` copy it parses nothing, and prints and writes
+        what it does once the copy's entry is deleted."""
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+
+        def outputs(data):
+            code, out, err = run(capsys, *argv.format(data=data, tmp=out_dir).split())
             assert (code, err) == (0, "")
-            written = [p for p in tmp_path.iterdir() if p.suffix in (".csv", ".svg")
-                       and p != data_csv]
-            outputs.append((out, {p.name: p.read_bytes() for p in written}))
-            assert entry_of(data_csv).is_file()
-        assert parses[0] == 1
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0] or outputs[0][1]
+            return out, {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        listing = sorted(tmp_path.iterdir())
+        outputs(data_csv)
+        assert sorted(tmp_path.iterdir()) == listing
+        copy = written_copy(capsys, data_csv, tmp_path / "copy" / "data.csv")
+        before = parses[0]
+        hit = outputs(copy)
+        assert parses[0] == before
+        shutil.rmtree(entry_of(copy).parent)
+        parsed = outputs(copy)
+        assert parses[0] > before
+        assert not entry_of(copy).parent.exists()
+        assert hit == parsed
+        assert hit[0] or hit[1]
 
     def test_one_byte_changed_at_the_same_size_and_mtime_is_a_miss(
-            self, capsys, data_csv, parses):
-        first = run(capsys, "describe", "--data", str(data_csv))[1]
-        stat = data_csv.stat()
-        text = data_csv.read_bytes()
+            self, capsys, data_csv, tmp_path, parses):
+        copy = written_copy(capsys, data_csv, tmp_path / "copy" / "data.csv")
+        first = run(capsys, "describe", "--data", str(copy))[1]
+        assert parses[0] == 1   # the ingest that wrote the copy
+        stat = copy.stat()
+        text = copy.read_bytes()
         at = text.index(b".", text.index(b"\n")) + 1   # a digit of the first row's x
         changed = text[:at] + (b"1" if text[at:at + 1] != b"1" else b"2") + text[at + 1:]
-        data_csv.write_bytes(changed)
-        os.utime(data_csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        assert data_csv.stat().st_mtime_ns == stat.st_mtime_ns
-        assert data_csv.stat().st_size == stat.st_size
-        second = run(capsys, "describe", "--data", str(data_csv), "--axis", "x")[1]
+        copy.write_bytes(changed)
+        os.utime(copy, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert copy.stat().st_mtime_ns == stat.st_mtime_ns
+        assert copy.stat().st_size == stat.st_size
+        second = run(capsys, "describe", "--data", str(copy), "--axis", "x")[1]
         assert parses[0] == 2
         assert json.loads(second)["inputs"] == {
-            str(data_csv): hashlib.sha256(changed).hexdigest()}
+            str(copy): hashlib.sha256(changed).hexdigest()}
         assert first != second
 
     @pytest.mark.parametrize("damage", [
@@ -710,20 +735,25 @@ class TestParseCache:
         "header not JSON", "label changed in header", "code outside its table",
         "other byte order", "length neither 1 nor n"])
     def test_bad_entry_is_a_miss_that_rewrites_it(self, capsys, monkeypatch, data_csv,
-                                                  parses, damage):
-        want = run(capsys, "describe", "--data", str(data_csv))[1]
-        entry = entry_of(data_csv)
+                                                  tmp_path, parses, damage):
+        """A damaged entry is a miss that the read leaves as it is; every
+        read of it parses and prints what the hit did, until the writer,
+        run again, rewrites it."""
+        copy = tmp_path / "copy" / "data.csv"
+        write = lambda: written_copy(capsys, data_csv, copy)  # noqa: E731
+        write()
+        want = run(capsys, "describe", "--data", str(copy))[1]
+        entry = entry_of(copy)
         good = entry.read_bytes()
         head, body = header_and_body(entry)
         key = json.loads(head)["key"]
-        d = ingest_csv(data_csv.read_text(encoding="utf-8"))
+        d = ingest_csv(copy.read_text(encoding="utf-8"))
         x, y, labels = d._x, d._y, [d._study, d._unit, d._assay]
         assert d.units == [""] * 80
         if damage == "reader digest":   # written by another version of the reader
             with monkeypatch.context() as mp:
                 mp.setattr(dataset, "_reader_digest", lambda: "0" * 64)
-                entry.unlink()
-                run(capsys, "describe", "--data", str(data_csv))
+                write()
         elif damage == "truncated":
             entry.write_bytes(good[:len(good) // 2])
         elif damage == "body byte flipped":   # the third byte of x
@@ -743,18 +773,23 @@ class TestParseCache:
             else:   # two unit codes for 80 rows
                 labels[1] = dataset._Codes(np.arange(2), ("", "other"))
             dataset._store(entry, key, x, y, d._weight, labels)
-        damaged = entry.read_bytes() if entry.is_file() else None
+        damaged = entry.read_bytes()
         assert damaged != good
         before = parses[0]
-        assert run(capsys, "describe", "--data", str(data_csv))[1] == want
-        assert parses[0] == before + 1
+        for i in (1, 2):
+            assert run(capsys, "describe", "--data", str(copy))[1] == want
+            assert parses[0] == before + i
+            assert entry.read_bytes() == damaged
+        write()
         assert entry.read_bytes() == good
-        assert run(capsys, "describe", "--data", str(data_csv))[1] == want
-        assert parses[0] == before + 1
+        assert run(capsys, "describe", "--data", str(copy))[1] == want
+        assert parses[0] == before + 3   # the writer's own read of data_csv
 
     def test_entry_that_cannot_be_written_is_not_kept(self, capsys, monkeypatch,
-                                                      data_csv, parses):
-        """The disk fills after the header: the write raises OSError part-way."""
+                                                      data_csv, tmp_path, parses):
+        """The disk fills after the header: the write raises OSError
+        part-way. The writer prints and writes what it does when the entry
+        is stored, and the next read of its CSV parses."""
         real_open, writes = open, []
 
         class Full(io.BufferedWriter):
@@ -770,18 +805,31 @@ class TestParseCache:
             writes.append(0)
             return Full(io.FileIO(file, mode))
 
-        monkeypatch.setattr(dataset, "open", opened, raising=False)
-        outs = [run(capsys, "describe", "--data", str(data_csv)) for _ in range(2)]
+        copy = tmp_path / "copy" / "data.csv"
+        copy.parent.mkdir()
+        ingest = ["ingest", "--data", str(data_csv), "--out", str(copy)]
+        with monkeypatch.context() as mp:
+            mp.setattr(dataset, "open", opened, raising=False)
+            outs = [(run(capsys, *ingest), copy.read_bytes()) for _ in range(2)]
         assert outs[0] == outs[1]
-        assert outs[0][0] == 0 and outs[0][2] == ""
-        assert parses[0] == 2
+        assert outs[0][0][0] == 0 and outs[0][0][2] == ""
         assert writes == [2, 2]   # the header, then the first column raises
-        cache = entry_of(data_csv).parent
+        cache = entry_of(copy).parent
         assert not cache.exists() or list(cache.iterdir()) == []
+        run(capsys, "describe", "--data", str(copy))
+        assert parses[0] == 3
+        assert (run(capsys, *ingest), copy.read_bytes()) == outs[0]
+        assert entry_of(copy).is_file()
 
-    def test_stale_entry_costs_its_header_only(self, monkeypatch, data_csv, parses):
-        """A read whose entry holds another key reads none of its columns."""
-        dataset.ingest_cached(data_csv, skip_bad_rows=True)
+    def test_stale_entry_costs_its_header_only(self, monkeypatch, data_csv, tmp_path,
+                                               parses):
+        """A read whose entry holds another key, here of a CSV edited after
+        its writer stored the entry, reads none of its columns."""
+        path = tmp_path / "copy" / "data.csv"
+        path.parent.mkdir()
+        dataset.write_points(ingest_csv(data_csv.read_text(encoding="utf-8")), path)
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("s,1.0,2.0,,,1.0\n")
         real, reads = np.fromfile, []
 
         def counted(*args, **kwargs):
@@ -789,10 +837,11 @@ class TestParseCache:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(np, "fromfile", counted)
-        d = dataset.ingest_cached(data_csv)[0]
-        assert (parses[0], reads) == (2, [])
-        assert dataset.ingest_cached(data_csv)[0] == d
-        assert parses[0] == 2 and len(reads) == 6
+        d = dataset.ingest_cached(path)[0]
+        assert (parses[0], reads, len(d)) == (1, [], 81)
+        dataset.write_points(d, path)
+        assert dataset.ingest_cached(path)[0] == d
+        assert parses[0] == 1 and len(reads) == 6
 
     @staticmethod
     def _replicate():
@@ -810,7 +859,7 @@ class TestParseCache:
         path = tmp_path / "replicate_000.csv"
         dataset.write_points(d, path)
         with open(path, "rb") as fh:
-            entry, key = dataset._entry(path, dataset._sha256(fh), False)
+            entry, key = dataset._entry(path, dataset._sha256(fh))
         real, at_build = dataset.Dataset._from_columns, []
 
         def build(*args):
@@ -847,6 +896,9 @@ class TestParseCache:
 
     def test_strict_read_of_bad_rows_writes_nothing_and_fails_each_time(
             self, capsys, tmp_path, parses):
+        """Neither read of a CSV with bad rows stores an entry. A writer's
+        copy of its good rows has an entry, which the strict read of the
+        bad file never takes."""
         bad = tmp_path / "bad.csv"
         bad.write_text("study_id,x,y\ns,1,2\ns,nope,3\ns,2,-1\ns,3,4\n")
         text = ("error: rejected rows:\n"
@@ -854,18 +906,25 @@ class TestParseCache:
                 "  row 4: value -1.0 must be finite and >= 0\n")
         strict = ["describe", "--data", str(bad)]
         assert run(capsys, *strict) == (1, "", text)
-        assert not entry_of(bad).exists()
         assert run(capsys, *strict) == (1, "", text)
         code, out, _ = run(capsys, *strict, "--skip-bad-rows")
         assert code == 0 and json.loads(out)["result"]["y"]["count"] == 2
-        assert entry_of(bad).is_file()
+        assert not entry_of(bad).parent.exists()
+        good = tmp_path / "good.csv"
+        assert run(capsys, "ingest", "--data", str(bad), "--skip-bad-rows",
+                   "--out", str(good))[0] == 0
+        assert entry_of(good).is_file() and not entry_of(bad).exists()
         assert run(capsys, *strict) == (1, "", text)
-        assert parses[0] == 4
+        assert parses[0] == 5
+        code, out, _ = run(capsys, "describe", "--data", str(good))
+        assert code == 0 and json.loads(out)["result"]["y"]["count"] == 2
+        assert parses[0] == 5
 
 
 class TestWriteThrough:
-    """synth and ingest --out store the cache entry of each point CSV they
-    write, so that a chain of commands parses none of them."""
+    """synth and ingest --out, the only commands that store cache entries,
+    store the entry of each point CSV they write, so that a chain of
+    commands parses none of them."""
 
     CHAIN = ["synth --summary {summary} --replicates 2 --seed 3 --out-dir {dir}/reps",
              "ingest --data {dir}/reps/replicate_000.csv --units {units} --out {dir}/n.csv",
@@ -903,6 +962,22 @@ class TestWriteThrough:
         assert parses[0] == 4
         assert cached == parsed
         assert len(cached[1]) == 4   # units.cfg, two replicates, n.csv
+
+    def test_skip_bad_rows_read_of_a_replicate_hits(self, capsys, tmp_path, summary_csv,
+                                                    parses):
+        """A file synth wrote has no bad rows, so its entry serves a
+        ``--skip-bad-rows`` read too, which prints the bytes of a parse."""
+        code, _, err = run(capsys, "synth", "--summary", str(summary_csv),
+                           "--replicates", "1", "--seed", "3", "--out-dir", str(tmp_path / "reps"))
+        assert (code, err) == (0, "")
+        describe = ["describe", "--data", str(tmp_path / "reps" / "replicate_000.csv"),
+                    "--skip-bad-rows"]
+        hit = run(capsys, *describe)
+        assert parses[0] == 0
+        shutil.rmtree(tmp_path / "reps" / dataset.CACHE_DIR)
+        assert run(capsys, *describe) == hit
+        assert parses[0] == 1
+        assert hit[0] == 0 and hit[1]
 
     def test_no_reader_digest_means_no_cache(self, capsys, monkeypatch, tmp_path,
                                              summary_csv, parses):

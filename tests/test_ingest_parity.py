@@ -2,8 +2,9 @@
 generated point tables: ingest gives the same columns, labels and studies
 bit for bit, or the same IngestError text; write -> ingest -> write is
 byte-stable; describe, normalize_units and split agree with the reference.
-write_csv writes what csv.writer writes, and what it writes reads back.
-A read from ingest_cached's cache gives what a fresh parse gives."""
+write_csv writes what csv.writer writes, and what it writes reads back,
+alike with and without skip_bad_rows. A read of the cache entry
+write_points stores gives what a fresh parse gives."""
 
 import csv
 import hashlib
@@ -307,25 +308,45 @@ def _same_columns(got, want):
 
 @given(written_datasets(cr=True))
 @WRITER_SETTINGS
+def test_written_text_reads_alike_with_and_without_skip_bad_rows(d):
+    """What write_csv writes has no bad rows, so skip_bad_rows reads the
+    same Dataset from it either way, and the cache key can leave it out."""
+    if not len(d):  # no rows reads as an IngestError
+        return
+    text = _written(d)
+    strict, skipping = (ingest_csv(io.StringIO(text), skip_bad_rows=skip, label="t")
+                        for skip in (False, True))
+    _same_columns(skipping, strict)
+    for col in ("_study", "_unit", "_assay"):
+        got, want = getattr(skipping, col), getattr(strict, col)
+        assert np.array_equal(got.codes, want.codes) and got.table == want.table, col
+
+
+@given(written_datasets(cr=True))
+@WRITER_SETTINGS
 def test_cache_hit_equals_a_fresh_parse(d):
     """Labels hold "%", ",", '"', "\r" and a newline, an assay may be
-    empty, and ages hold 0.0 beside -0.0: the miss and the hit after it
-    both give a fresh ingest_csv's dataset, and the digest of the bytes."""
+    empty, and ages hold 0.0 beside -0.0: the read that hits the entry
+    write_points stored gives a fresh ingest_csv's dataset, and the digest
+    of the bytes. A read of the same bytes written by hand parses them too,
+    and leaves no entry."""
     if not len(d):  # no rows reads as an IngestError
         return
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "points.csv"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write_csv(d, fh)
+        path, by_hand = Path(tmp) / "w" / "points.csv", Path(tmp) / "h" / "points.csv"
+        path.parent.mkdir()
+        dataset.write_points(d, path)
         with open(path, encoding="utf-8", newline="") as fh:
             fresh = ingest_csv(fh, label="points")
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        miss = ingest_cached(path, label="points")
-        assert (path.parent / "__curvemine_cache__" / "points.csv.cols").is_file()
         with pytest.MonkeyPatch.context() as mp:  # a hit parses nothing
             mp.setattr(dataset, "ingest_csv", None)
             hit = ingest_cached(path, label="points")
-        for got, got_digest in (miss, hit):
+        by_hand.parent.mkdir()
+        by_hand.write_bytes(path.read_bytes())
+        miss = ingest_cached(by_hand, label="points")
+        assert list(by_hand.parent.iterdir()) == [by_hand]
+        for got, got_digest in (hit, miss):
             assert got_digest == digest
             _same_columns(got, fresh)
 
@@ -353,23 +374,30 @@ def _changed(d, change):
                                                    "rows taken"]))
 @WRITER_SETTINGS
 def test_written_entry_equals_a_miss_entry(d, change):
-    """The entry a writer stores for the point CSV it writes has the
-    bytes of the entry a miss on those bytes stores;
-    where the bytes read as an IngestError (no rows), it stores none."""
+    """The entry a writer stores for the point CSV it writes has the bytes
+    of the entry ``_store`` makes, under the same key, of a fresh parse of
+    those bytes; where they read as an IngestError (no rows), it stores
+    none."""
     d = _changed(d, change)
     with tempfile.TemporaryDirectory() as tmp:
-        written, missed = Path(tmp) / "w" / "points.csv", Path(tmp) / "m" / "points.csv"
+        written = Path(tmp) / "w" / "points.csv"
         written.parent.mkdir()
         dataset.write_points(d, written)
-        missed.parent.mkdir()
-        missed.write_bytes(written.read_bytes())
-        try:
-            ingest_cached(missed)
-        except IngestError:
-            assert not len(d)
-            assert not _entry_of(written).parent.exists()
-            return
-        assert _entry_of(written).read_bytes() == _entry_of(missed).read_bytes()
+        with open(written, encoding="utf-8", newline="") as fh:
+            digest = dataset._sha256(fh.buffer)
+            fh.seek(0)
+            try:
+                parsed = ingest_csv(fh)
+            except IngestError:
+                assert not len(d)
+                assert not _entry_of(written).parent.exists()
+                return
+        entry, key = dataset._entry(written, digest)
+        assert entry == _entry_of(written)
+        parsed_entry = Path(tmp) / "points.csv.cols"
+        dataset._store(parsed_entry, key, parsed._x, parsed._y, parsed._weight,
+                       [parsed._study, parsed._unit, parsed._assay])
+        assert entry.read_bytes() == parsed_entry.read_bytes()
 
 
 @pytest.mark.parametrize("label", ["a\0", "x" * (csv.field_size_limit() + 1)])
