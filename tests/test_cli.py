@@ -739,9 +739,7 @@ class TestParseCache:
         """A damaged entry is a miss that the read leaves as it is; every
         read of it parses and prints what the hit did, until the writer,
         run again, rewrites it."""
-        copy = tmp_path / "copy" / "data.csv"
-        write = lambda: written_copy(capsys, data_csv, copy)  # noqa: E731
-        write()
+        copy = written_copy(capsys, data_csv, tmp_path / "copy" / "data.csv")
         want = run(capsys, "describe", "--data", str(copy))[1]
         entry = entry_of(copy)
         good = entry.read_bytes()
@@ -753,7 +751,7 @@ class TestParseCache:
         if damage == "reader digest":   # written by another version of the reader
             with monkeypatch.context() as mp:
                 mp.setattr(dataset, "_reader_digest", lambda: "0" * 64)
-                write()
+                written_copy(capsys, data_csv, copy)
         elif damage == "truncated":
             entry.write_bytes(good[:len(good) // 2])
         elif damage == "body byte flipped":   # the third byte of x
@@ -780,7 +778,7 @@ class TestParseCache:
             assert run(capsys, "describe", "--data", str(copy))[1] == want
             assert parses[0] == before + i
             assert entry.read_bytes() == damaged
-        write()
+        written_copy(capsys, data_csv, copy)
         assert entry.read_bytes() == good
         assert run(capsys, "describe", "--data", str(copy))[1] == want
         assert parses[0] == before + 3   # the writer's own read of data_csv
