@@ -19,13 +19,16 @@ parses nothing. Only ``write_points`` stores entries: a read never writes.
   nothing is stored. A file that ``write_csv`` wrote has no bad rows, so
   ``skip_bad_rows`` reads the same Dataset from it either way.
 - The entry is a JSON header line, with the key, the row count, each
-  column's dtype and stored length, the label tables and a CRC32 over the
-  count, the tables and the columns; then the raw bytes of x, y, weight and
-  the study, unit and assay codes. A column whose rows hold one bit pattern
-  is stored once. ``.npz`` entries of earlier versions are never read.
-- A read whose key is the entry's builds the Dataset from the stored
-  columns through the row rules and study synthesis of a parse. Any other
-  read parses, having read no column.
+  column's dtype and stored length, the label tables, the studies and a
+  CRC32 over the count, the tables, the studies and the columns; then the
+  raw bytes of x, y, weight and the study, unit and assay codes. A column
+  whose rows hold one bit pattern is stored once, and a read keeps it one
+  value: a read-only view of it, n rows long. ``.npz`` entries of earlier
+  versions are never read.
+- The studies are those a parse synthesizes from the rows; the writer
+  synthesizes them once. A read whose key is the entry's builds the Dataset
+  from the stored columns and studies through the row rules of a parse.
+  Any other read parses, having read no column.
 
 An entry that cannot be read is a miss, and one that cannot be written is
 not kept, so a read-only directory gets no cache. Deleting a cache
@@ -44,7 +47,7 @@ import math
 import os
 import re
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import BinaryIO, Iterable, Mapping, NamedTuple, Optional, Sequence, TextIO
@@ -222,10 +225,13 @@ class Dataset:
 
     def _take(self, rows, part: str) -> "Dataset":
         """The rows a mask or index array selects, with the studies they
-        cite, labelled ``label/part`` (``part`` when this has no label)."""
+        cite, labelled ``label/part`` (``part`` when this has no label). A
+        mask becomes one index array, which gathers every column."""
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
         study, unit, assay = (_Codes(c.codes[rows], c.table)
                               for c in (self._study, self._unit, self._assay))
-        cited = {study.table[c] for c in np.unique(study.codes).tolist()}
+        cited = {study.table[c] for c in np.flatnonzero(np.bincount(study.codes)).tolist()}
         return Dataset._from_columns(
             self._x[rows], self._y[rows], self._weight[rows], study, unit, assay,
             tuple(s for s in self.studies if s.study_id in cited),
@@ -451,10 +457,11 @@ def write_points(d: Dataset, path: str | os.PathLike) -> None:
     what a parse of them builds (see the module docstring). The bytes are
     hashed through the handle that wrote them, before the move, and never
     read back whole. The entry holds d's float columns, which write_csv
-    writes as their reprs and so read back bit for bit, and d's labels as
-    ingest_csv codes them (``_as_read``). Nothing is stored where a read of
-    those bytes fails: for no rows, or a label that holds NUL, which Python
-    3.10's csv rejects, or is longer than csv's field limit."""
+    writes as their reprs and so read back bit for bit, d's labels as
+    ingest_csv codes them (``_as_read``), and the studies a parse
+    synthesizes from those. Nothing is stored where a read of those bytes
+    fails: for no rows, or a label that holds NUL, which Python 3.10's csv
+    rejects, or is longer than csv's field limit."""
     def write(fh):
         write_csv(d, fh)
         fh.seek(0)  # after flushing what write_csv left buffered
@@ -465,7 +472,7 @@ def write_points(d: Dataset, path: str | os.PathLike) -> None:
     limit = csv.field_size_limit()
     if at and len(d) and not any(
             s and ("\0" in s or len(s) > limit) for c in labels for s in c.table):
-        _store(*at, d._x, d._y, d._weight, labels)
+        _store(*at, d._x, d._y, d._weight, labels, _synthesize_studies(d._x, labels[0]))
 
 
 def _replace(path: str | os.PathLike, write, mode: str):
@@ -517,45 +524,59 @@ def _reader_digest() -> Optional[str]:
 
 def _cached(entry: Path, key: list, label: str) -> Optional[Dataset]:
     """The Dataset of the cache entry at ``entry`` if its key is ``key``;
-    None if there is no such entry or it is not one ``_store`` writes."""
+    None if there is no such entry or it is not one ``_store`` writes. A
+    column stored as one row stays one: a read-only view of it, n rows
+    long. The studies are the header's, so a hit synthesizes none."""
     try:
         with open(entry, "rb") as fh:
             head = json.loads(line := fh.readline())
             if head["key"] != key:
                 return None
-            n, shapes, tables = head["n"], head["columns"], head["labels"]
+            n, shapes, tables, studies = (head[k] for k in ("n", "columns", "labels",
+                                                             "studies"))
             if [d for d, _ in shapes] != _DTYPES or any(s not in (1, n) for _, s in shapes):
                 return None
             stored = [np.fromfile(fh, d, s) for d, s in shapes]
-            if fh.read(1) or _header(key, n, stored, tables) != line:
+            if fh.read(1) or _header(key, n, stored, tables, studies) != line:
                 return None
-        x, y, weight, *codes = (c if len(c) == n else c.repeat(n) for c in stored)
-        for c, table, kinds in zip(codes, tables, (str, str, (str, type(None)))):
+        for c, table, kinds in zip(stored[3:], tables, (str, str, (str, type(None)))):
             if (type(table) is not list or not all(isinstance(s, kinds) for s in table)
                     or not 0 <= c.min() <= c.max() < len(table)):
                 return None
+        if not all(list(map(type, s)) == _STUDY_TYPES for s in studies):
+            return None
+        x, y, weight, *codes = (c if len(c) == n else np.broadcast_to(c, n) for c in stored)
         return Dataset._from_columns(x, y, weight, *map(_Codes, codes, map(tuple, tables)),
-                                     None, label)
+                                     [StudyMeta(*s) for s in studies], label)
     except Exception:  # nothing but a parse depends on the entry, and damaged
         return None     # bytes raise JSONDecodeError, KeyError, ValueError...
 
 
-def _header(key: list, n: int, columns: Sequence[np.ndarray], tables: Sequence) -> bytes:
-    """The header line of an entry of n rows storing these columns and label
-    tables under key, with a CRC32 over n, the tables and the columns."""
+# The types of a StudyMeta's fields, in order, as an entry's header holds them.
+_STUDY_TYPES = [str, str, int, int, float, float, float]
+
+
+def _header(key: list, n: int, columns: Sequence[np.ndarray], tables: Sequence,
+            studies: Sequence) -> bytes:
+    """The header line of an entry of n rows storing these columns, label
+    tables and studies (each a list of its fields) under key, with a CRC32
+    over n, the tables, the studies and the columns."""
     crc = functools.reduce(lambda crc, c: zlib.crc32(c, crc), columns,
-                           zlib.crc32(json.dumps([n, tables]).encode()))
+                           zlib.crc32(json.dumps([n, tables, studies]).encode()))
     return json.dumps({"key": key, "n": n, "columns": [[c.dtype.str, len(c)] for c in columns],
-                       "labels": tables, "crc": crc}).encode() + b"\n"
+                       "labels": tables, "studies": studies, "crc": crc}).encode() + b"\n"
 
 
-def _store(entry: Path, key: list, x, y, weight, labels: Sequence[_Codes]) -> None:
+def _store(entry: Path, key: list, x, y, weight, labels: Sequence[_Codes],
+           studies: Iterable[StudyMeta]) -> None:
     """Write the columns, a one-value column as one row, with the study, unit
-    and assay labels, to the cache entry at ``entry`` under ``key``: to a
-    temp file moved into place, or, if that cannot be written, not at all."""
+    and assay labels and the studies, to the cache entry at ``entry`` under
+    ``key``: to a temp file moved into place, or, if that cannot be written,
+    not at all. No column is copied."""
     columns = [x, y, weight, *(c.codes for c in labels)]
     columns = [c[:1] if _same(c.view(f"i{c.itemsize}")) else c for c in columns]
-    head = _header(key, len(x), columns, [c.table for c in labels])
+    head = _header(key, len(x), columns, [c.table for c in labels],
+                   [list(astuple(s)) for s in studies])
     try:
         entry.parent.mkdir(exist_ok=True)
         _replace(entry, lambda fh: fh.writelines([head, *columns]), "wb")
@@ -862,5 +883,5 @@ def split_by_assay(d: Dataset) -> dict[str, Dataset]:
     if missing:
         raise ValueError("points without assay_id in studies: " + ", ".join(missing))
     codes, table = d._assay
-    groups = {table[c]: c for c in np.unique(codes).tolist()}
+    groups = {table[c]: c for c in np.flatnonzero(np.bincount(codes)).tolist()}
     return {name: d._take(codes == groups[name], name) for name in sorted(groups)}

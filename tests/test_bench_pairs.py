@@ -1,8 +1,10 @@
-"""tools/bench_pairs.py's summary: the spread of a side's runs and the gain
-rule, which needs the change to win nine pairs in ten by more than the
-parent's IQR without failing more ops or reporting a run not correct."""
+"""tools/bench_pairs.py: the spread of a side's runs; the gain rule, which
+needs the change to win nine pairs in ten by more than the parent's IQR
+without failing more ops or reporting a run not correct; and the one
+staging path that every run of either side is made from."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -87,3 +89,50 @@ def test_a_parent_that_fails_as_many_ops_does_not_block_the_rule(bench):
     parent = [run(p["op_p50_s"], failed=1) for p in PARENT]
     change = [run(0.8, failed=1)] * 10
     assert bench.summarize(pairs_of(parent, change), [LOWER])["op_p50_s"]["meets_gain_rule"]
+
+
+def test_stage_copies_what_a_run_reads_and_nothing_it_leaves(bench, tmp_path):
+    tree = tmp_path / "checkout"
+    for name in ("src/pkg/mod.py", "perfbench/run.py", "BENCHMARK.json",
+                 "src/pkg/__pycache__/mod.pyc", "perfbench/out/trace.json", ".git/HEAD",
+                 ".hypothesis/db"):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(name)
+    at = tmp_path / "stage" / "tree"
+    at.mkdir(parents=True)
+    (at / "stale.py").write_text("from an earlier side")
+    bench.stage(tree, at)
+    got = sorted(str(p.relative_to(at)) for p in at.rglob("*") if p.is_file())
+    assert got == ["BENCHMARK.json", "perfbench/run.py", "src/pkg/mod.py"]
+    assert (at / "src/pkg/mod.py").read_text() == "src/pkg/mod.py"
+
+
+def test_both_sides_run_from_one_recorded_path(bench, tmp_path, monkeypatch):
+    """Every run of either side is made from the one staging path, which
+    holds that side's files at the time and is recorded in the report."""
+    root = tmp_path / "root"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(
+        '{"end_to_end": [{"name": "op_p50_s", "unit": "s", "better": "lower"}]}')
+    trees = {"parent": tmp_path / "p", "change": tmp_path / "a" / "longer" / "change"}
+    for side, tree in trees.items():
+        tree.mkdir(parents=True)
+        (tree / "side.txt").write_text(side)
+    runs = []
+
+    def run_once(tree, workload, seed, seconds):
+        side = (tree / "side.txt").read_text()
+        runs.append((tree, side))
+        return run(0.9 if side == "change" else 1.0), {"python": "3"}
+
+    monkeypatch.setattr(bench, "ROOT", root)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main([str(trees["parent"]), str(trees["change"]), "--workload", "w",
+                       "--seed", "1", "--pairs", "3", "--seconds", "1", "--label", "t"]) == 0
+    assert [side for _, side in runs] == ["parent", "change", "change", "parent",
+                                          "parent", "change"]
+    assert len({tree for tree, _ in runs}) == 1
+    report = json.loads((root / "BENCH_t.json").read_text())["workloads"]["w"]
+    assert report["staged_at"] == str(runs[0][0])
+    assert not runs[0][0].exists()   # the staging directory is removed at the end
+    assert report["metrics"]["op_p50_s"]["change_better_pairs"] == 3

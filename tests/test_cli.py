@@ -770,7 +770,7 @@ class TestParseCache:
                 x = x.astype(x.dtype.newbyteorder())
             else:   # two unit codes for 80 rows
                 labels[1] = dataset._Codes(np.arange(2), ("", "other"))
-            dataset._store(entry, key, x, y, d._weight, labels)
+            dataset._store(entry, key, x, y, d._weight, labels, d.studies)
         damaged = entry.read_bytes()
         assert damaged != good
         before = parses[0]
@@ -882,10 +882,11 @@ class TestParseCache:
         stays under half a float column (4 bytes a row)."""
         d = self._replicate()
         entry = tmp_path / dataset.CACHE_DIR / "replicate_000.csv.cols"
+        studies = d.studies
         tracemalloc.start()
         try:
             dataset._store(entry, ["key"], d._x, d._y, d._weight,
-                           [d._study, d._unit, d._assay])
+                           [d._study, d._unit, d._assay], studies)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -917,6 +918,87 @@ class TestParseCache:
         code, out, _ = run(capsys, "describe", "--data", str(good))
         assert code == 0 and json.loads(out)["result"]["y"]["count"] == 2
         assert parses[0] == 5
+
+
+class TestOneValueColumns:
+    """A hit keeps each column its entry stores as one row as one value, a
+    read-only view of n rows, where a parse holds n copies. Reductions over
+    such a view must not round differently: on more rows than numpy's
+    iterator buffer (8,192), with a weight of 0.1, which no float holds
+    exactly, a hit and a parse give the same bits to every consumer."""
+
+    N = 9_000
+
+    @classmethod
+    def _written(cls, path, seed):
+        """A point CSV of N rows on 300 ages, written by write_points: one
+        study, unit, assay and weight (0.1) on every row."""
+        rng = np.random.default_rng(seed)
+        x = np.repeat(np.linspace(0.0, 60.0, 300), cls.N // 300)
+        y = np.clip(100 * np.exp(-((x - 15) ** 2) / 50.0) + rng.normal(0, 5, cls.N), 0, None)
+        d = Dataset.from_points(x, y, weight=0.1, study="s", unit="mg", assay="a")
+        dataset.write_points(d, path)
+        return path
+
+    @staticmethod
+    def _bits(value):
+        """value with its floats as hex and its arrays as bytes, so that
+        0.0 and -0.0 differ."""
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        if isinstance(value, (tuple, list)):
+            return [TestOneValueColumns._bits(v) for v in value]
+        if isinstance(value, dict):
+            return {k: TestOneValueColumns._bits(v) for k, v in value.items()}
+        return float(value).hex() if isinstance(value, float) else value
+
+    def test_hit_and_parse_agree_bit_for_bit(self, tmp_path, parses):
+        from curvemine.dataset import describe
+        from curvemine.fit import _distinct_x, r_squared
+        path = self._written(tmp_path / "points.csv", 1)
+        hit = dataset.ingest_cached(path)[0]
+        assert parses[0] == 0
+        parsed = ingest_csv(path.read_text(encoding="utf-8"))
+        assert len(hit) == self.N > 8192
+        for col in (hit.weights, *(c.codes for c in (hit._study, hit._unit, hit._assay))):
+            assert col.strides == (0,) and not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 0
+        assert parsed.weights.strides == (8,)
+        assert_same_rows(hit, parsed)
+        assert hit.studies == parsed.studies
+        bits = self._bits
+        assert bits(_distinct_x(hit)) == bits(_distinct_x(parsed))
+        spec = get_model("gaussian_peak")
+        assert bits(r_squared(spec, [100.0, 15.0, 5.0], hit)) == bits(
+            r_squared(spec, [100.0, 15.0, 5.0], parsed))
+        for axis in ("x", "y"):
+            assert bits(describe(hit, axis).as_dict()) == bits(describe(parsed, axis).as_dict())
+        for seed, bins in [(0, 1), (1, 7), (2, 300)]:
+            for got, want in zip(split(hit, 0.7, seed=seed, stratify_bins=bins),
+                                 split(parsed, 0.7, seed=seed, stratify_bins=bins)):
+                assert_same_rows(got, want)
+                assert (got.studies, got.label) == (want.studies, want.label)
+
+    @pytest.mark.parametrize("argv", [
+        "validate --data {a} --model gaussian_peak --stratify-bins 10 --seed 4",
+        "validate --train {a} --test {b} --model gaussian_peak",
+        "analyze --data {a} --model gaussian_peak --domain=-1:55",
+    ])
+    def test_commands_print_the_bytes_of_a_parse(self, capsys, tmp_path, parses, argv):
+        a = self._written(tmp_path / "a.csv", 1)
+        b = self._written(tmp_path / "b.csv", 2)
+
+        def out():
+            code, out, err = run(capsys, *argv.format(a=a, b=b).split())
+            assert (code, err) == (0, "")
+            return out
+
+        hit = out()
+        assert parses[0] == 0
+        shutil.rmtree(entry_of(a).parent)
+        assert out() == hit
+        assert parses[0] > 0
 
 
 class TestWriteThrough:

@@ -396,7 +396,7 @@ def test_written_entry_equals_a_miss_entry(d, change):
         assert entry == _entry_of(written)
         parsed_entry = Path(tmp) / "points.csv.cols"
         dataset._store(parsed_entry, key, parsed._x, parsed._y, parsed._weight,
-                       [parsed._study, parsed._unit, parsed._assay])
+                       [parsed._study, parsed._unit, parsed._assay], parsed.studies)
         assert entry.read_bytes() == parsed_entry.read_bytes()
 
 
@@ -419,6 +419,7 @@ def test_cache_entry_keeps_labels_ending_in_nul(tmp_path, label):
     d = Dataset.from_points([0.0, -0.0, 1.0], [2.0, 3.0, 4.0], weight=[1.0, 2.0, 1.0],
                             study=[label, "s", label], unit=label, assay=[None, label, ""])
     entry = tmp_path / "__curvemine_cache__" / "t.csv.cols"
-    dataset._store(entry, ["key"], d._x, d._y, d._weight, [d._study, d._unit, d._assay])
+    dataset._store(entry, ["key"], d._x, d._y, d._weight, [d._study, d._unit, d._assay],
+                   d.studies)
     _same_columns(dataset._cached(entry, ["key"], ""), d)
     assert dataset._cached(entry, ["other key"], "") is None

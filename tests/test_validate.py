@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvemine.fit import fit_least_squares
 from curvemine.models import get_model, initial_guess
@@ -69,6 +71,52 @@ class TestSplit:
     def test_too_small(self):
         with pytest.raises(ValueError):
             split(make_dataset([1, 2, 3], [1, 2, 3]), 0.5)
+
+
+def _per_bin_train(x, fraction, seed, stratify_bins):
+    """The train mask of split as it was first written, one full-length
+    ``bins == b`` scan per bin: the oracle of its one-sort form."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    bins = np.zeros(len(x), dtype=int)
+    if stratify_bins > 1:
+        lo, hi = x.min(), x.max()
+        bins = np.minimum(((x - lo) / ((hi - lo) or 1.0) * stratify_bins)
+                          .astype(int), stratify_bins - 1)
+    train = np.zeros(len(x), dtype=bool)
+    for b in np.unique(bins):  # the non-empty bins, in order
+        members = np.flatnonzero(bins == b)
+        train[rng.permutation(members)[:int(round(fraction * members.size))]] = True
+    return train
+
+
+@st.composite
+def _split_args(draw):
+    """Ages, spread or in a few clumps that leave bins empty, with a
+    fraction, a seed and from 1 to more bins than rows."""
+    ages = st.floats(-1.0, 100.0) | st.sampled_from([-1.0, 0.0, 0.5, 3.0, 60.0])
+    x = draw(st.lists(ages, min_size=4, max_size=120))
+    fraction = draw(st.floats(0.01, 0.99))
+    seed = draw(st.integers(0, 2**64 - 1))
+    bins = draw(st.integers(1, 3 * len(x)) | st.just(1))
+    return x, fraction, seed, bins
+
+
+class TestSplitOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_split_args())
+    @example(([5.0] * 6, 0.5, 0, 1))
+    @example(([0.0, 0.0, 1.0, 60.0, 60.0], 0.6, 9, 7))            # empty middle bins
+    @example(([0.0, 1.0, 2.0, 3.0, 4.0], 0.3, 2**64 - 1, 40))     # more bins than rows
+    @example(([3.0] * 5, 0.5, 1, 4))                               # one age: one bin
+    def test_partition_is_the_per_bin_loops(self, args):
+        """split draws, bin by bin, the partition the per-bin loop draws;
+        each row is named by its y, its row number."""
+        x, fraction, seed, bins = args
+        d = make_dataset(x, np.arange(float(len(x))))
+        train, test = split(d, fraction, seed=seed, stratify_bins=bins)
+        want = _per_bin_train(np.array(x), fraction, seed, bins)
+        assert train.ys.tolist() == np.flatnonzero(want).tolist()
+        assert test.ys.tolist() == np.flatnonzero(~want).tolist()
 
 
 class TestHoldoutValidate:

@@ -4,24 +4,28 @@
         --seed 71 --pairs 10 --seconds 30 --label pr29
 
 PARENT and CHANGE are checkouts of this repository. Each pair runs
-``perfbench/run.py --trace 0`` once in each, in a fresh interpreter from
-the checkout's root; the side that runs first alternates from pair to
-pair, starting with PARENT. Before every run the checkout's
-``__pycache__`` directories and ``perfbench/out`` are removed, so that
-both sides compile their bytecode the same way. ``--workload`` may be
-given more than once; each workload gets its own pairs.
+``perfbench/run.py --trace 0`` once in each, in a fresh interpreter; the
+side that runs first alternates from pair to pair, starting with PARENT.
+Both sides run from one path, a staging directory made once per call:
+before every run it is replaced by a copy of that side's checkout, less
+its ``.git``, ``__pycache__`` directories, test caches and
+``perfbench/out``. So both sides compile their bytecode the same way, and
+a path's length, which moves ``peak_rss_mb``, cannot favour either.
+``--workload`` may be given more than once; each workload gets its own
+pairs.
 
 The summary goes to BENCH_<LABEL>.json at the root of this checkout. An
-existing file keeps the workloads this call does not run. Per workload it
-holds the seed, the run length, each side's git commit and ``src`` tree,
-the Python and numpy versions and CPU count the runs reported, every
-pair's end-to-end metrics and op counts, each side's ops attempted and
-failed over all its runs and whether every run was correct, and per metric
-of BENCHMARK.json: each side's median, quartiles and IQR, in how many pairs
-the change was better and worse, and whether the change meets the gain
-rule (better in at least nine tenths of the pairs, medians apart by more
-than the parent's IQR, no more failed ops than the parent and every run
-of the change correct). Stdlib only.
+existing file keeps the workloads this call does not run. Per workload
+it holds the seed, the run length, the staging path, each side's git
+commit and ``src`` tree, the Python and numpy versions and CPU count the
+runs reported, every pair's end-to-end metrics and op counts, each
+side's ops attempted and failed over all its runs and whether every run
+was correct, and per metric of BENCHMARK.json: each side's median,
+quartiles and IQR, in how many pairs the change was better and worse,
+and whether the change meets the gain rule (better in at least nine
+tenths of the pairs, medians apart by more than the parent's IQR, no
+more failed ops than the parent and every run of the change correct).
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -49,17 +54,18 @@ def git_ids(tree: Path) -> dict:
             "src_dirty": bool(git("status", "--porcelain", "--", "src"))}
 
 
-def clean(tree: Path) -> None:
-    """Remove the bytecode caches and the benchmark's output of tree."""
-    for cache in [p for p in tree.rglob("__pycache__") if ".git" not in p.parts]:
-        shutil.rmtree(cache, ignore_errors=True)
-    shutil.rmtree(tree / "perfbench" / "out", ignore_errors=True)
+def stage(tree: Path, at: Path) -> None:
+    """Replace ``at`` with a copy of tree, less its git metadata, bytecode
+    and test caches and the benchmark's output."""
+    shutil.rmtree(at, ignore_errors=True)
+    shutil.copytree(tree, at, symlinks=True, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache"))
+    shutil.rmtree(at / "perfbench" / "out", ignore_errors=True)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
     """One benchmark run in tree: its summary line (metric values by name,
     ops attempted and failed, correct) and its ``env:`` line."""
-    clean(tree)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -117,6 +123,28 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def run_pairs(trees: dict, at: Path, workload: str, args, metrics: list[dict]) -> dict:
+    """The report of one workload: its pairs, each run from a copy of its
+    side's tree staged at ``at``."""
+    pairs, envs = [], []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"first": order[0]}
+        for side in order:
+            stage(trees[side], at)
+            pair[side], env = run_once(at, workload, args.seed, args.seconds)
+            envs.append(env)
+        pairs.append(pair)
+        print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+            f"{m['name']} {pair['parent'][m['name']]:.6g} -> {pair['change'][m['name']]:.6g}"
+            for m in metrics), file=sys.stderr)
+    return {"seed": args.seed, "seconds": args.seconds, "staged_at": str(at),
+            "sides": {s: git_ids(t) for s, t in trees.items()},
+            "environment": {k: sorted({str(e.get(k)) for e in envs})
+                            for k in ("python", "numpy", "nproc", "cpu", "platform")},
+            "ops": ops(pairs), "metrics": summarize(pairs, metrics), "pairs": pairs}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", type=Path, help="the checkout to compare against")
@@ -135,25 +163,14 @@ def main(argv=None) -> int:
     out_file = ROOT / f"BENCH_{args.label}.json"
     report = (json.loads(out_file.read_text(encoding="utf-8")) if out_file.exists()
               else {"label": args.label, "workloads": {}})
-    for workload in args.workload:
-        pairs, envs = [], []
-        for i in range(args.pairs):
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side], env = run_once(trees[side], workload, args.seed, args.seconds)
-                envs.append(env)
-            pairs.append(pair)
-            print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
-                f"{m['name']} {pair['parent'][m['name']]:.6g} -> {pair['change'][m['name']]:.6g}"
-                for m in metrics), file=sys.stderr)
-        report["workloads"][workload] = {
-            "seed": args.seed, "seconds": args.seconds,
-            "sides": {s: git_ids(t) for s, t in trees.items()},
-            "environment": {k: sorted({str(e.get(k)) for e in envs})
-                            for k in ("python", "numpy", "nproc", "cpu", "platform")},
-            "ops": ops(pairs), "metrics": summarize(pairs, metrics), "pairs": pairs}
-        out_file.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    staging = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    at = staging / "tree"
+    try:
+        for workload in args.workload:
+            report["workloads"][workload] = run_pairs(trees, at, workload, args, metrics)
+            out_file.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     print(out_file)
     return 0
 
